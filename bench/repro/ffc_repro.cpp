@@ -47,56 +47,47 @@ struct Cli {
   bool error = false;
 };
 
+/// Reports a flag value that take_flag_value accepted but that does not
+/// parse as the flag's type.
+void bad_value(Cli& cli, std::string_view flag, const std::string& value) {
+  std::cerr << "ffc_repro: bad " << flag << " value '" << value << "'\n";
+  cli.error = true;
+}
+
 Cli parse_cli(int argc, char** argv) {
+  using exec::TakeResult;
   Cli cli;
-  auto take_value = [&](int& i, std::string_view flag,
-                        std::string& out) -> bool {
-    const std::string_view arg = argv[i];
-    if (const auto eq = arg.find('='); eq != std::string_view::npos) {
-      out = std::string(arg.substr(eq + 1));
-    } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-      out = argv[++i];
-    } else {
-      std::cerr << "ffc_repro: " << flag << " requires a value\n";
-      cli.error = true;
-      return false;
-    }
-    if (out.empty()) {
-      std::cerr << "ffc_repro: " << flag << " requires a non-empty value\n";
-      cli.error = true;
-      return false;
-    }
-    return true;
-  };
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 1; i < argc && !cli.error; ++i) {
     const std::string_view arg = argv[i];
     std::string value;
+    TakeResult taken;
+    // A malformed value (TakeResult::Error) has already been reported.
     if (arg == "--help" || arg == "-h") {
       cli.help = true;
     } else if (arg == "--verbose") {
       cli.repro.verbose = true;
-    } else if (arg == "--jobs" || arg.rfind("--jobs=", 0) == 0) {
-      if (!take_value(i, "--jobs", value)) return cli;
-      if (!exec::parse_size(value, cli.repro.sweep.jobs)) {
-        std::cerr << "ffc_repro: bad --jobs value '" << value << "'\n";
+    } else if ((taken = exec::take_flag_value("--jobs", argc, argv, i,
+                                              value)) != TakeResult::NoMatch) {
+      if (taken == TakeResult::Error) {
         cli.error = true;
-        return cli;
+      } else if (!exec::parse_size(value, cli.repro.sweep.jobs)) {
+        bad_value(cli, "--jobs", value);
       }
-    } else if (arg == "--seed" || arg.rfind("--seed=", 0) == 0) {
-      if (!take_value(i, "--seed", value)) return cli;
-      if (!exec::parse_u64(value, cli.repro.sweep.base_seed)) {
-        std::cerr << "ffc_repro: bad --seed value '" << value << "'\n";
+    } else if ((taken = exec::take_flag_value("--seed", argc, argv, i,
+                                              value)) != TakeResult::NoMatch) {
+      if (taken == TakeResult::Error) {
         cli.error = true;
-        return cli;
+      } else if (!exec::parse_u64(value, cli.repro.sweep.base_seed)) {
+        bad_value(cli, "--seed", value);
       }
       cli.repro.override_seeds = true;
-    } else if (arg == "--output-dir" || arg.rfind("--output-dir=", 0) == 0) {
-      if (!take_value(i, "--output-dir", value)) return cli;
+    } else if ((taken = exec::take_flag_value("--output-dir", argc, argv, i,
+                                              value)) != TakeResult::NoMatch) {
+      cli.error = taken == TakeResult::Error;
       cli.output_dir = value;
     } else {
       std::cerr << "ffc_repro: unknown argument '" << arg << "'\n";
       cli.error = true;
-      return cli;
     }
   }
   return cli;
@@ -127,7 +118,10 @@ int main(int argc, char** argv) {
     usage(std::cout);
     return EXIT_SUCCESS;
   }
-  if (cli.error) return EXIT_FAILURE;
+  if (cli.error) {
+    usage(std::cerr);
+    return EXIT_FAILURE;
+  }
 
   const auto manifest = repro::run_reproduction(
       cli.repro, std::cerr, cli.repro.verbose ? &std::cout : nullptr);

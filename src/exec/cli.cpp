@@ -11,19 +11,17 @@ namespace ffc::exec {
 
 namespace {
 
-enum class TakeResult {
-  NoMatch,  // arg is not this flag
-  Value,    // value extracted
-  Error,    // arg is this flag but the value is missing/empty/flag-like
-};
+/// Parses a numeric flag value or reports an error.
+bool parse_numeric_flag(std::string_view name, const std::string& value,
+                        std::uint64_t& out) {
+  if (parse_u64(value, out)) return true;
+  std::cerr << "error: " << name << " expects an unsigned integer, got '"
+            << value << "'\n";
+  return false;
+}
 
-/// If `arg` is `--name` returns the next argv entry (consuming it); if it is
-/// `--name=value` returns the value. A value that itself starts with "--" is
-/// refused in BOTH forms: `--jobs --seed 5` used to eat `--seed`, send 0
-/// through strtoull ("all hardware threads"), and leave the real seed behind
-/// as an ignored argument, and `--seed=--jobs` used to pass the literal
-/// string `--jobs` through to the numeric parser -- exactly the silent
-/// misparses this layer exists to refuse.
+}  // namespace
+
 TakeResult take_flag_value(std::string_view name, int argc, char** argv,
                            int& i, std::string& value) {
   const std::string_view arg = argv[i];
@@ -57,17 +55,6 @@ TakeResult take_flag_value(std::string_view name, int argc, char** argv,
   }
   return TakeResult::NoMatch;
 }
-
-/// Parses a numeric flag value or reports an error.
-bool parse_numeric_flag(std::string_view name, const std::string& value,
-                        std::uint64_t& out) {
-  if (parse_u64(value, out)) return true;
-  std::cerr << "error: " << name << " expects an unsigned integer, got '"
-            << value << "'\n";
-  return false;
-}
-
-}  // namespace
 
 bool parse_u64(std::string_view text, std::uint64_t& out) {
   if (text.empty()) return false;

@@ -44,6 +44,21 @@ bool parse_size(std::string_view text, std::size_t& out);
 /// consumption -- "0.5x" fails where std::stod would silently return 0.5.
 bool parse_double(std::string_view text, double& out);
 
+/// Outcome of take_flag_value.
+enum class TakeResult {
+  NoMatch,  ///< argv[i] is not this flag
+  Value,    ///< value extracted
+  Error,    ///< argv[i] is this flag but the value is missing/empty/flag-like
+};
+
+/// If argv[i] is `name` takes the next argv entry as the value (advancing
+/// i past it); if it is `name=value` takes the text after '='. A value that
+/// itself starts with "--" is refused in BOTH forms, as is an empty one:
+/// `--jobs --seed 5` must not eat `--seed`, and `--output-dir=--x` must not
+/// name a directory "--x". Errors print a diagnostic on stderr.
+TakeResult take_flag_value(std::string_view name, int argc, char** argv,
+                           int& i, std::string& value);
+
 /// Parsed sweep flags.
 struct SweepCli {
   SweepOptions options;     ///< jobs + base_seed, ready for SweepRunner

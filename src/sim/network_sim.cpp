@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "sim/fair_queueing.hpp"
 #include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "sim/fair_queueing.hpp"
 
 namespace ffc::sim {
 
@@ -20,92 +20,126 @@ NetworkSimulator::NetworkSimulator(network::Topology topology,
                                    SimDiscipline discipline,
                                    std::uint64_t seed,
                                    faults::FaultPlan plan)
-    : topology_(std::move(topology)),
-      discipline_(discipline),
-      master_rng_(seed),
-      rates_(topology_.num_connections(), 0.0),
-      source_generation_(topology_.num_connections(), 0),
-      delay_stats_(topology_.num_connections()),
-      delay_samples_(topology_.num_connections()),
-      delivered_(topology_.num_connections(), 0),
-      plan_(std::move(plan)),
-      source_active_(topology_.num_connections(), 1) {
+    : owned_topology_(std::move(topology)),
+      topology_(*owned_topology_),
+      discipline_(discipline) {
+  build(seed, plan, 0,
+        std::vector<std::size_t>(topology_.num_gateways(), 0), 1);
+}
+
+NetworkSimulator::NetworkSimulator(
+    const network::Topology& topology, SimDiscipline discipline,
+    std::uint64_t seed, const faults::FaultPlan& plan, std::size_t shard,
+    const std::vector<std::size_t>& shard_of_gateway, std::size_t num_shards)
+    : topology_(topology), discipline_(discipline) {
+  build(seed, plan, shard, shard_of_gateway, num_shards);
+}
+
+void NetworkSimulator::build(std::uint64_t seed,
+                             const faults::FaultPlan& plan,
+                             std::size_t shard,
+                             const std::vector<std::size_t>& shard_of_gateway,
+                             std::size_t num_shards) {
   const std::size_t num_gw = topology_.num_gateways();
   const std::size_t num_conn = topology_.num_connections();
+  if (!plan.empty()) plan.validate(num_gw, num_conn);
 
-  local_index_.assign(num_gw, std::vector<std::size_t>(num_conn, 0));
-  for (network::GatewayId a = 0; a < num_gw; ++a) {
-    const auto& members = topology_.connections_through(a);
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      local_index_[a][members[k]] = k;
-    }
+  rates_.assign(num_conn, 0.0);
+  source_generation_.assign(num_conn, 0);
+  delay_stats_.resize(num_conn);
+  delay_samples_.resize(num_conn);
+  delivered_.assign(num_conn, 0);
+  source_active_.assign(num_conn, 1);
+
+  PacketSink* sink = static_cast<PacketSink*>(this);
+  if (num_shards > 1) {
+    boundary_ = std::make_unique<ShardBoundary>(*this, shard_of_gateway,
+                                                shard, num_shards);
+    sink = boundary_.get();
   }
 
-  servers_.reserve(num_gw);
+  // Streams split in global order: servers by gateway, then sources by
+  // connection, each restricted to what this shard owns -- with one shard
+  // that is every gateway and every source.
+  stats::Xoshiro256 master_rng(seed);
+  servers_.resize(num_gw);
   for (network::GatewayId a = 0; a < num_gw; ++a) {
+    if (shard_of_gateway[a] != shard) continue;
     const auto& gw = topology_.gateway(a);
     const std::size_t n_local = topology_.fan_in(a);
-    stats::Xoshiro256 server_rng = master_rng_.split();
+    stats::Xoshiro256 server_rng = master_rng.split();
     switch (discipline_) {
       case SimDiscipline::Fifo:
-        servers_.push_back(std::make_unique<FifoServer>(
-            sim_, gw.mu, n_local, server_rng,
-            static_cast<PacketSink*>(this)));
+        servers_[a] = std::make_unique<FifoServer>(sim_, gw.mu, n_local,
+                                                   server_rng, sink);
         break;
       case SimDiscipline::FairShare:
-        servers_.push_back(std::make_unique<FairShareServer>(
-            sim_, gw.mu, n_local, server_rng,
-            static_cast<PacketSink*>(this)));
+        servers_[a] = std::make_unique<FairShareServer>(
+            sim_, gw.mu, n_local, server_rng, sink);
         break;
       case SimDiscipline::FairQueueing:
-        servers_.push_back(std::make_unique<FairQueueingServer>(
-            sim_, gw.mu, n_local, server_rng,
-            static_cast<PacketSink*>(this)));
+        servers_[a] = std::make_unique<FairQueueingServer>(
+            sim_, gw.mu, n_local, server_rng, sink);
         break;
     }
   }
 
-  source_rng_.reserve(num_conn);
-  for (std::size_t i = 0; i < num_conn; ++i) {
-    source_rng_.push_back(master_rng_.split());
+  source_rng_.resize(num_conn);
+  for (network::ConnectionId i = 0; i < num_conn; ++i) {
+    if (owns_source(i)) source_rng_[i] = master_rng.split();
   }
 
-  if (!plan_.empty()) {
+  first_packet_id_ = static_cast<std::uint64_t>(shard) << 48;
+  next_packet_id_ = first_packet_id_;
+
+  if (!plan.empty()) {
     impaired_ = true;
-    plan_.validate(num_gw, num_conn);
-    compile_fault_plan();
+    compile_fault_plan(plan);
   }
 }
 
-void NetworkSimulator::compile_fault_plan() {
+void NetworkSimulator::compile_fault_plan(const faults::FaultPlan& plan) {
   // Flatten the schedule: each window contributes an entry action at its
   // own factor plus a recovery action back to 1.0, each churn pair a
   // SourceDown and (if the rejoin is finite) a SourceUp.
-  for (const faults::GatewayFault& f : plan_.gateway_faults) {
-    fault_actions_.push_back(
+  std::vector<FaultAction> actions;
+  for (const faults::GatewayFault& f : plan.gateway_faults) {
+    actions.push_back(
         {f.start, FaultAction::Kind::GatewayFactor, f.gateway, f.factor});
-    fault_actions_.push_back({f.start + f.duration,
-                              FaultAction::Kind::GatewayFactor, f.gateway,
-                              1.0});
+    actions.push_back({f.start + f.duration,
+                       FaultAction::Kind::GatewayFactor, f.gateway, 1.0});
   }
-  for (const faults::SourceChurn& c : plan_.churn) {
-    fault_actions_.push_back(
+  for (const faults::SourceChurn& c : plan.churn) {
+    actions.push_back(
         {c.leave, FaultAction::Kind::SourceDown, c.connection, 0.0});
     if (std::isfinite(c.rejoin)) {
-      fault_actions_.push_back(
+      actions.push_back(
           {c.rejoin, FaultAction::Kind::SourceUp, c.connection, 1.0});
     }
   }
   // Stable by time: simultaneous actions fire in plan order, and the
   // calendar's (time, seq) FIFO contract preserves that order on dispatch.
   std::stable_sort(
-      fault_actions_.begin(), fault_actions_.end(),
+      actions.begin(), actions.end(),
       [](const FaultAction& a, const FaultAction& b) { return a.time < b.time; });
-  for (std::size_t id = 0; id < fault_actions_.size(); ++id) {
+  // Every shard the churned connection crosses refreshes its own Fair Share
+  // decomposition; only the source-owning one toggles arrivals and counts.
+  const auto crosses_owned_gateway = [this](network::ConnectionId i) {
+    for (network::GatewayId a : topology_.path(i)) {
+      if (servers_[a]) return true;
+    }
+    return false;
+  };
+  for (const FaultAction& action : actions) {
+    const bool relevant = action.kind == FaultAction::Kind::GatewayFactor
+                              ? servers_[action.target] != nullptr
+                              : crosses_owned_gateway(action.target);
+    if (!relevant) continue;
     SimEvent event;
     event.kind = EventKind::Fault;
-    event.index = static_cast<std::uint32_t>(id);
-    sim_.schedule_event_in(fault_actions_[id].time - sim_.now(), *this, event);
+    event.index = static_cast<std::uint32_t>(fault_actions_.size());
+    fault_actions_.push_back(action);
+    sim_.schedule_event_in(action.time - sim_.now(), *this, event);
   }
 }
 
@@ -126,16 +160,19 @@ void NetworkSimulator::apply_fault_action(std::size_t action_index) {
     case FaultAction::Kind::SourceDown: {
       if (!source_active_.at(action.target)) return;  // already gone
       source_active_[action.target] = 0;
-      ++source_generation_[action.target];  // kills the pending arrival
-      ++fault_counters_.source_leaves;
+      if (owns_source(action.target)) {
+        ++source_generation_[action.target];  // kills the pending arrival
+        ++fault_counters_.source_leaves;
+      }
       refresh_fair_share_rates();
       return;
     }
     case FaultAction::Kind::SourceUp: {
       if (source_active_.at(action.target)) return;  // never left
       source_active_[action.target] = 1;
-      ++fault_counters_.source_joins;
       refresh_fair_share_rates();
+      if (!owns_source(action.target)) return;
+      ++fault_counters_.source_joins;
       const std::uint64_t gen = ++source_generation_[action.target];
       if (rates_[action.target] > 0.0) {
         schedule_next_arrival(action.target, gen);
@@ -148,6 +185,7 @@ void NetworkSimulator::apply_fault_action(std::size_t action_index) {
 void NetworkSimulator::refresh_fair_share_rates() {
   if (discipline_ != SimDiscipline::FairShare) return;
   for (network::GatewayId a = 0; a < topology_.num_gateways(); ++a) {
+    if (!servers_[a]) continue;
     const auto& members = topology_.connections_through(a);
     std::vector<double> local_rates(members.size());
     for (std::size_t k = 0; k < members.size(); ++k) {
@@ -171,12 +209,14 @@ void NetworkSimulator::set_rates(const std::vector<double>& rates) {
   rates_ = rates;
   refresh_fair_share_rates();
 
-  // Restart every source process under the new rate; stale arrival events
-  // are invalidated by the generation counter. Churned-out sources keep
-  // their installed rate but stay silent until their rejoin action fires.
+  // Restart every owned source process under the new rate; stale arrival
+  // events are invalidated by the generation counter. Churned-out sources
+  // keep their installed rate but stay silent until their rejoin fires.
   for (network::ConnectionId i = 0; i < rates_.size(); ++i) {
     const std::uint64_t gen = ++source_generation_[i];
-    if (rates_[i] > 0.0 && source_active_[i]) schedule_next_arrival(i, gen);
+    if (rates_[i] > 0.0 && source_active_[i] && owns_source(i)) {
+      schedule_next_arrival(i, gen);
+    }
   }
 }
 
@@ -233,31 +273,60 @@ void NetworkSimulator::handle_event(SimEvent& event) {
 void NetworkSimulator::arrive_at_hop(Packet packet) {
   const auto& path = topology_.path(packet.connection);
   const network::GatewayId a = path.at(packet.hop);
-  const std::size_t local = local_index_[a][packet.connection];
+  const std::size_t local =
+      topology_.incidence().local_indices(packet.connection)[packet.hop];
   servers_[a]->arrival(std::move(packet), local);
 }
 
-void NetworkSimulator::packet_departed(Packet packet) {
+double NetworkSimulator::leave_gateway(Packet& packet) const {
   const auto& path = topology_.path(packet.connection);
-  const network::GatewayId a = path.at(packet.hop);
-  const double latency = topology_.gateway(a).latency;
-  packet.hop += 1;  // == path.size() marks final delivery
+  const double latency = topology_.gateway(path.at(packet.hop)).latency;
+  packet.hop += 1;
   packet.priority_class = 0;  // classes are per-gateway
+  return latency;
+}
+
+void NetworkSimulator::propagate_at(double time, const Packet& packet) {
   SimEvent event;
   event.kind = EventKind::Propagate;
   event.packet = packet;
-  sim_.schedule_event_in(latency, *this, event);
+  sim_.schedule_event_at(time, *this, event);
 }
 
-void NetworkSimulator::run_for(double duration) {
+void NetworkSimulator::packet_departed(Packet packet) {
+  const double latency = leave_gateway(packet);
+  propagate_at(sim_.now() + latency, packet);
+}
+
+void NetworkSimulator::ShardBoundary::packet_departed(Packet packet) {
+  const auto& path = engine.topology_.path(packet.connection);
+  const std::size_t next = packet.hop + 1;
+  if (next < path.size() && shard_of_gateway[path[next]] != shard) {
+    const double latency = engine.leave_gateway(packet);
+    outbox[shard_of_gateway[path[next]]].push_back(
+        Handoff{engine.now() + latency, packet});
+    return;
+  }
+  // Delivery is always local: the sink sits behind the path's last gateway,
+  // which this shard owns.
+  engine.packet_departed(std::move(packet));
+}
+
+void NetworkSimulator::check_duration(double duration) {
   if (!(duration >= 0.0)) {
     throw std::invalid_argument("NetworkSimulator: duration must be >= 0");
   }
-  sim_.run_until(sim_.now() + duration);
+}
+
+void NetworkSimulator::run_for(double duration) {
+  check_duration(duration);
+  advance_to(sim_.now() + duration);
 }
 
 void NetworkSimulator::reset_metrics() {
-  for (auto& server : servers_) server->reset_metrics();
+  for (auto& server : servers_) {
+    if (server) server->reset_metrics();
+  }
   for (auto& s : delay_stats_) s = stats::OnlineStats();
   for (auto& samples : delay_samples_) samples.clear();
   for (auto& d : delivered_) d = 0;
@@ -266,15 +335,15 @@ void NetworkSimulator::reset_metrics() {
 
 double NetworkSimulator::mean_queue(network::GatewayId a,
                                     network::ConnectionId i) const {
-  const auto& members = topology_.connections_through(a);
-  bool found = false;
-  for (network::ConnectionId j : members) found = found || j == i;
-  if (!found) {
+  const auto members = topology_.connections_through(a);
+  const auto it = std::find(members.begin(), members.end(), i);
+  if (it == members.end()) {
     throw std::invalid_argument(
         "NetworkSimulator::mean_queue: connection not at gateway");
   }
   servers_[a]->flush_metrics();
-  return servers_[a]->mean_occupancy(local_index_[a][i]);
+  return servers_[a]->mean_occupancy(
+      static_cast<std::size_t>(it - members.begin()));
 }
 
 double NetworkSimulator::mean_total_queue(network::GatewayId a) const {
@@ -304,10 +373,11 @@ const std::vector<double>& NetworkSimulator::delay_samples(
 void NetworkSimulator::collect_metrics(obs::MetricRegistry& registry) const {
   registry.add("des.events_processed", sim_.events_processed());
   registry.set_max("des.calendar_high_water", sim_.calendar_high_water());
-  registry.add("net.packets_generated", next_packet_id_);
+  registry.add("net.packets_generated", packets_generated());
   registry.add("net.packets_delivered", packets_delivered_total_);
   std::uint64_t served = 0;
   for (network::GatewayId a = 0; a < servers_.size(); ++a) {
+    if (!servers_[a]) continue;
     servers_[a]->flush_metrics();
     const std::string prefix = "net.gateway" + std::to_string(a) + ".";
     registry.add(prefix + "packets_served", servers_[a]->packets_served());

@@ -1,13 +1,11 @@
 #include "sim/parallel_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <future>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "sim/fair_queueing.hpp"
 #include "stats/rng.hpp"
 
 namespace ffc::sim {
@@ -49,429 +47,6 @@ std::uint64_t derive_shard_seed(std::uint64_t seed, std::size_t shard) {
                           static_cast<std::uint64_t>(shard));
   return inner.next();
 }
-
-/// One shard: a complete single-calendar DES engine over the gateways it
-/// owns. The event-handling code deliberately mirrors NetworkSimulator
-/// statement for statement -- when one shard owns every gateway the split
-/// order, event order, and metric names are exactly the single-calendar
-/// simulator's, which is what makes shards=1 bitwise-identical. Departures
-/// toward a gateway of another shard go to a per-destination outbox instead
-/// of the local calendar; the parent drains outboxes at window barriers.
-class ParallelNetworkSimulator::Shard : private PacketSink,
-                                        private EventHandler {
- public:
-  /// A packet crossing a shard boundary: schedule a Propagate event for it
-  /// at `time` (absolute) on the destination shard's calendar.
-  struct Handoff {
-    double time = 0.0;
-    Packet packet{};
-  };
-
-  Shard(const network::Topology& topology, SimDiscipline discipline,
-        std::uint64_t seed, std::size_t shard_id,
-        const std::vector<std::size_t>& shard_of, std::size_t num_shards,
-        const faults::FaultPlan& plan)
-      : topology_(topology),
-        discipline_(discipline),
-        shard_id_(shard_id),
-        shard_of_(shard_of),
-        master_rng_(seed),
-        rates_(topology.num_connections(), 0.0),
-        source_generation_(topology.num_connections(), 0),
-        delay_stats_(topology.num_connections()),
-        delay_samples_(topology.num_connections()),
-        delivered_(topology.num_connections(), 0),
-        source_active_(topology.num_connections(), 1),
-        owns_source_(topology.num_connections(), 0),
-        conn_touches_(topology.num_connections(), 0),
-        outbox_(num_shards) {
-    const std::size_t num_gw = topology_.num_gateways();
-    const std::size_t num_conn = topology_.num_connections();
-
-    local_index_.assign(num_gw, std::vector<std::size_t>(num_conn, 0));
-    for (network::GatewayId a = 0; a < num_gw; ++a) {
-      if (shard_of_[a] != shard_id_) continue;
-      owned_gateways_.push_back(a);
-      const auto& members = topology_.connections_through(a);
-      for (std::size_t k = 0; k < members.size(); ++k) {
-        local_index_[a][members[k]] = k;
-      }
-    }
-
-    // Per-gateway server streams, split in global gateway order (owned
-    // gateways only -- with one shard this is every gateway, in the same
-    // order NetworkSimulator splits them).
-    servers_.resize(num_gw);
-    for (network::GatewayId a : owned_gateways_) {
-      const auto& gw = topology_.gateway(a);
-      const std::size_t n_local = topology_.fan_in(a);
-      stats::Xoshiro256 server_rng = master_rng_.split();
-      switch (discipline_) {
-        case SimDiscipline::Fifo:
-          servers_[a] = std::make_unique<FifoServer>(
-              sim_, gw.mu, n_local, server_rng,
-              static_cast<PacketSink*>(this));
-          break;
-        case SimDiscipline::FairShare:
-          servers_[a] = std::make_unique<FairShareServer>(
-              sim_, gw.mu, n_local, server_rng,
-              static_cast<PacketSink*>(this));
-          break;
-        case SimDiscipline::FairQueueing:
-          servers_[a] = std::make_unique<FairQueueingServer>(
-              sim_, gw.mu, n_local, server_rng,
-              static_cast<PacketSink*>(this));
-          break;
-      }
-    }
-
-    // Per-source streams, split in global connection order for the sources
-    // whose first hop this shard owns.
-    source_rng_.resize(num_conn);
-    for (std::size_t i = 0; i < num_conn; ++i) {
-      const auto& path = topology_.path(i);
-      for (network::GatewayId a : path) {
-        if (shard_of_[a] == shard_id_) {
-          conn_touches_[i] = 1;
-          break;
-        }
-      }
-      if (shard_of_[path.front()] == shard_id_) {
-        owns_source_[i] = 1;
-        owned_sources_.push_back(i);
-        source_rng_[i] = master_rng_.split();
-      }
-    }
-
-    // Packet ids stay globally unique without coordination: the shard index
-    // occupies the top bits. One shard => base 0 => NetworkSimulator's ids.
-    packet_id_base_ = static_cast<std::uint64_t>(shard_id_) << 48;
-
-    if (!plan.empty()) {
-      impaired_ = true;
-      compile_fault_plan(plan);
-    }
-  }
-
-  Shard(const Shard&) = delete;
-  Shard& operator=(const Shard&) = delete;
-
-  // ---- driven by the parent ----------------------------------------------
-
-  void set_rates(const std::vector<double>& rates) {
-    rates_ = rates;
-    refresh_fair_share_rates();
-    for (network::ConnectionId i : owned_sources_) {
-      const std::uint64_t gen = ++source_generation_[i];
-      if (rates_[i] > 0.0 && source_active_[i]) schedule_next_arrival(i, gen);
-    }
-  }
-
-  void advance_to(double t) { sim_.run_until(t); }
-
-  std::vector<Handoff>& outbox(std::size_t dst) { return outbox_[dst]; }
-
-  void receive_handoff(const Handoff& handoff) {
-    SimEvent event;
-    event.kind = EventKind::Propagate;
-    event.packet = handoff.packet;
-    sim_.schedule_event_at(handoff.time, *this, event);
-  }
-
-  void reset_metrics() {
-    for (network::GatewayId a : owned_gateways_) servers_[a]->reset_metrics();
-    for (auto& s : delay_stats_) s = stats::OnlineStats();
-    for (auto& samples : delay_samples_) samples.clear();
-    for (auto& d : delivered_) d = 0;
-    metrics_start_ = sim_.now();
-  }
-
-  // ---- queries (parent routes to the owning shard) ------------------------
-
-  double mean_queue(network::GatewayId a, network::ConnectionId i) const {
-    const auto& members = topology_.connections_through(a);
-    bool found = false;
-    for (network::ConnectionId j : members) found = found || j == i;
-    if (!found) {
-      throw std::invalid_argument(
-          "ParallelNetworkSimulator::mean_queue: connection not at gateway");
-    }
-    servers_[a]->flush_metrics();
-    return servers_[a]->mean_occupancy(local_index_[a][i]);
-  }
-
-  double mean_total_queue(network::GatewayId a) const {
-    servers_[a]->flush_metrics();
-    return servers_[a]->mean_total_occupancy();
-  }
-
-  double mean_delay(network::ConnectionId i) const {
-    return delay_stats_[i].mean();
-  }
-
-  double throughput(network::ConnectionId i) const {
-    const double span = sim_.now() - metrics_start_;
-    if (span <= 0.0) return 0.0;
-    return static_cast<double>(delivered_[i]) / span;
-  }
-
-  std::uint64_t delivered(network::ConnectionId i) const {
-    return delivered_[i];
-  }
-
-  const std::vector<double>& delay_samples(network::ConnectionId i) const {
-    return delay_samples_[i];
-  }
-
-  void set_delay_sampling(bool enabled) { delay_sampling_ = enabled; }
-
-  std::uint64_t events_processed() const { return sim_.events_processed(); }
-  std::uint64_t packets_generated() const { return next_packet_id_; }
-  std::uint64_t packets_delivered_total() const {
-    return packets_delivered_total_;
-  }
-  const faults::FaultCounters& fault_counters() const {
-    return fault_counters_;
-  }
-
-  void collect_metrics(obs::MetricRegistry& registry) const {
-    registry.add("des.events_processed", sim_.events_processed());
-    registry.set_max("des.calendar_high_water", sim_.calendar_high_water());
-    registry.add("net.packets_generated", next_packet_id_);
-    registry.add("net.packets_delivered", packets_delivered_total_);
-    std::uint64_t served = 0;
-    for (network::GatewayId a : owned_gateways_) {
-      servers_[a]->flush_metrics();
-      const std::string prefix = "net.gateway" + std::to_string(a) + ".";
-      registry.add(prefix + "packets_served", servers_[a]->packets_served());
-      registry.set_gauge(prefix + "mean_queue",
-                         servers_[a]->mean_total_occupancy());
-      served += servers_[a]->packets_served();
-    }
-    registry.add("net.packets_served", served);
-    if (impaired_) fault_counters_.collect(registry);
-  }
-
- private:
-  /// One scheduled plan step on this shard (see compile_fault_plan).
-  struct FaultAction {
-    enum class Kind : std::uint8_t { GatewayFactor, SourceDown, SourceUp };
-    double time = 0.0;
-    Kind kind = Kind::GatewayFactor;
-    std::size_t target = 0;
-    double factor = 1.0;
-  };
-
-  /// Flattens the plan exactly like NetworkSimulator (entry + recovery per
-  /// window, down/up per churn pair, stable-sorted by time), then keeps the
-  /// actions relevant to this shard: a gateway window iff the shard owns the
-  /// gateway; a churn action iff the connection traverses an owned gateway
-  /// (every traversed shard must refresh its Fair Share decomposition, but
-  /// only the source-owning shard toggles arrivals and counts the event).
-  void compile_fault_plan(const faults::FaultPlan& plan) {
-    std::vector<FaultAction> actions;
-    for (const faults::GatewayFault& f : plan.gateway_faults) {
-      actions.push_back(
-          {f.start, FaultAction::Kind::GatewayFactor, f.gateway, f.factor});
-      actions.push_back({f.start + f.duration,
-                         FaultAction::Kind::GatewayFactor, f.gateway, 1.0});
-    }
-    for (const faults::SourceChurn& c : plan.churn) {
-      actions.push_back(
-          {c.leave, FaultAction::Kind::SourceDown, c.connection, 0.0});
-      if (std::isfinite(c.rejoin)) {
-        actions.push_back(
-            {c.rejoin, FaultAction::Kind::SourceUp, c.connection, 1.0});
-      }
-    }
-    std::stable_sort(actions.begin(), actions.end(),
-                     [](const FaultAction& a, const FaultAction& b) {
-                       return a.time < b.time;
-                     });
-    for (const FaultAction& action : actions) {
-      const bool relevant = action.kind == FaultAction::Kind::GatewayFactor
-                                ? shard_of_[action.target] == shard_id_
-                                : conn_touches_[action.target] != 0;
-      if (!relevant) continue;
-      SimEvent event;
-      event.kind = EventKind::Fault;
-      event.index = static_cast<std::uint32_t>(fault_actions_.size());
-      fault_actions_.push_back(action);
-      sim_.schedule_event_in(action.time - sim_.now(), *this, event);
-    }
-  }
-
-  void apply_fault_action(std::size_t action_index) {
-    const FaultAction& action = fault_actions_.at(action_index);
-    switch (action.kind) {
-      case FaultAction::Kind::GatewayFactor: {
-        servers_.at(action.target)->set_service_factor(action.factor);
-        if (action.factor == 0.0) {
-          ++fault_counters_.gateway_outages;
-        } else if (action.factor < 1.0) {
-          ++fault_counters_.gateway_degradations;
-        } else {
-          ++fault_counters_.gateway_recoveries;
-        }
-        return;
-      }
-      case FaultAction::Kind::SourceDown: {
-        if (!source_active_.at(action.target)) return;  // already gone
-        source_active_[action.target] = 0;
-        if (owns_source_[action.target]) {
-          ++source_generation_[action.target];  // kills the pending arrival
-          ++fault_counters_.source_leaves;
-        }
-        refresh_fair_share_rates();
-        return;
-      }
-      case FaultAction::Kind::SourceUp: {
-        if (source_active_.at(action.target)) return;  // never left
-        source_active_[action.target] = 1;
-        if (owns_source_[action.target]) ++fault_counters_.source_joins;
-        refresh_fair_share_rates();
-        if (owns_source_[action.target]) {
-          const std::uint64_t gen = ++source_generation_[action.target];
-          if (rates_[action.target] > 0.0) {
-            schedule_next_arrival(action.target, gen);
-          }
-        }
-        return;
-      }
-    }
-  }
-
-  void refresh_fair_share_rates() {
-    if (discipline_ != SimDiscipline::FairShare) return;
-    for (network::GatewayId a : owned_gateways_) {
-      const auto& members = topology_.connections_through(a);
-      std::vector<double> local_rates(members.size());
-      for (std::size_t k = 0; k < members.size(); ++k) {
-        const network::ConnectionId i = members[k];
-        local_rates[k] = source_active_[i] ? rates_[i] : 0.0;
-      }
-      static_cast<FairShareServer*>(servers_[a].get())
-          ->set_rates(local_rates);
-    }
-  }
-
-  void schedule_next_arrival(network::ConnectionId i, std::uint64_t gen) {
-    const double gap = source_rng_[i].exponential(rates_[i]);
-    SimEvent event;
-    event.kind = EventKind::Arrival;
-    event.index = static_cast<std::uint32_t>(i);
-    event.generation = gen;
-    sim_.schedule_event_in(gap, *this, event);
-  }
-
-  void handle_event(SimEvent& event) override {
-    switch (event.kind) {
-      case EventKind::Arrival: {
-        const network::ConnectionId i = event.index;
-        if (event.generation != source_generation_[i]) return;  // re-rated
-        Packet packet;
-        packet.id = packet_id_base_ + next_packet_id_++;
-        packet.connection = i;
-        packet.hop = 0;
-        packet.created = sim_.now();
-        arrive_at_hop(std::move(packet));
-        schedule_next_arrival(i, event.generation);
-        return;
-      }
-      case EventKind::Propagate: {
-        Packet& packet = event.packet;
-        const auto& path = topology_.path(packet.connection);
-        if (packet.hop == path.size()) {
-          // Ran off the end of the path: delivered to the sink.
-          const network::ConnectionId i = packet.connection;
-          const double delay = sim_.now() - packet.created;
-          delay_stats_[i].add(delay);
-          if (delay_sampling_ &&
-              delay_samples_[i].size() <
-                  NetworkSimulator::kMaxDelaySamples) {
-            delay_samples_[i].push_back(delay);
-          }
-          ++delivered_[i];
-          ++packets_delivered_total_;
-        } else {
-          arrive_at_hop(std::move(packet));
-        }
-        return;
-      }
-      case EventKind::Fault:
-        apply_fault_action(event.index);
-        return;
-      default:
-        return;
-    }
-  }
-
-  void arrive_at_hop(Packet packet) {
-    const auto& path = topology_.path(packet.connection);
-    const network::GatewayId a = path.at(packet.hop);
-    const std::size_t local = local_index_[a][packet.connection];
-    servers_[a]->arrival(std::move(packet), local);
-  }
-
-  /// PacketSink: exactly NetworkSimulator::packet_departed, except that a
-  /// departure whose next hop lives on another shard goes to that shard's
-  /// outbox (at its absolute arrival time) instead of the local calendar.
-  /// Delivery (hop == path size) is always local: the sink sits behind the
-  /// path's last gateway, which this shard owns.
-  void packet_departed(Packet packet) override {
-    const auto& path = topology_.path(packet.connection);
-    const network::GatewayId a = path.at(packet.hop);
-    const double latency = topology_.gateway(a).latency;
-    packet.hop += 1;  // == path.size() marks final delivery
-    packet.priority_class = 0;  // classes are per-gateway
-    if (packet.hop < path.size()) {
-      const std::size_t dst = shard_of_[path[packet.hop]];
-      if (dst != shard_id_) {
-        outbox_[dst].push_back(Handoff{sim_.now() + latency, packet});
-        return;
-      }
-    }
-    SimEvent event;
-    event.kind = EventKind::Propagate;
-    event.packet = packet;
-    sim_.schedule_event_in(latency, *this, event);
-  }
-
-  const network::Topology& topology_;
-  SimDiscipline discipline_;
-  std::size_t shard_id_;
-  const std::vector<std::size_t>& shard_of_;
-  Simulator sim_;
-  stats::Xoshiro256 master_rng_;
-
-  std::vector<network::GatewayId> owned_gateways_;   ///< ascending
-  std::vector<network::ConnectionId> owned_sources_; ///< ascending
-  std::vector<std::unique_ptr<GatewayServer>> servers_;  ///< null if unowned
-  std::vector<std::vector<std::size_t>> local_index_;
-
-  std::vector<double> rates_;
-  std::vector<stats::Xoshiro256> source_rng_;  ///< seeded iff source owned
-  std::vector<std::uint64_t> source_generation_;
-
-  std::vector<stats::OnlineStats> delay_stats_;
-  std::vector<std::vector<double>> delay_samples_;
-  bool delay_sampling_ = true;
-  std::vector<std::uint64_t> delivered_;
-  std::uint64_t packets_delivered_total_ = 0;
-  double metrics_start_ = 0.0;
-  std::uint64_t next_packet_id_ = 0;
-  std::uint64_t packet_id_base_ = 0;
-
-  bool impaired_ = false;
-  faults::FaultCounters fault_counters_;
-  std::vector<FaultAction> fault_actions_;
-  std::vector<char> source_active_;
-  std::vector<char> owns_source_;
-  /// conn_touches_[i] != 0 iff connection i's path crosses an owned gateway.
-  std::vector<char> conn_touches_;
-
-  std::vector<std::vector<Handoff>> outbox_;  ///< by destination shard
-};
 
 ParallelNetworkSimulator::ParallelNetworkSimulator(network::Topology topology,
                                                    SimDiscipline discipline,
@@ -534,56 +109,31 @@ ParallelNetworkSimulator::ParallelNetworkSimulator(network::Topology topology,
     }
   }
 
-  if (!faults.empty()) {
-    impaired_ = true;
-    faults.validate(num_gw, num_conn);
-  }
-
+  // Shard 0 of a one-shard run keeps the run seed, which makes it the
+  // single-calendar simulator bitwise. The shards validate the fault plan.
   shards_.reserve(plan_.num_shards);
   for (std::size_t s = 0; s < plan_.num_shards; ++s) {
     const std::uint64_t shard_seed =
         plan_.num_shards == 1 ? seed : derive_shard_seed(seed, s);
-    shards_.push_back(std::make_unique<Shard>(topology_, discipline,
-                                              shard_seed, s,
-                                              plan_.shard_of_gateway,
-                                              plan_.num_shards, faults));
+    shards_.push_back(std::unique_ptr<NetworkSimulator>(new NetworkSimulator(
+        topology_, discipline, shard_seed, faults, s, plan_.shard_of_gateway,
+        plan_.num_shards)));
   }
 
-  source_shard_.reserve(num_conn);
-  sink_shard_.reserve(num_conn);
-  for (network::ConnectionId i = 0; i < num_conn; ++i) {
-    const auto& path = topology_.path(i);
-    source_shard_.push_back(plan_.shard_of_gateway[path.front()]);
-    sink_shard_.push_back(plan_.shard_of_gateway[path.back()]);
-  }
-
-  jobs_ = plan_.jobs == 0 ? plan_.num_shards : plan_.jobs;
-  if (jobs_ > 1 && plan_.num_shards > 1) {
+  const std::size_t jobs = plan_.jobs == 0 ? plan_.num_shards : plan_.jobs;
+  if (jobs > 1 && plan_.num_shards > 1) {
     pool_ = std::make_unique<exec::ThreadPool>(
-        std::min(jobs_, plan_.num_shards));
+        std::min(jobs, plan_.num_shards));
   }
 }
 
-ParallelNetworkSimulator::~ParallelNetworkSimulator() = default;
-
 void ParallelNetworkSimulator::set_rates(const std::vector<double>& rates) {
-  if (rates.size() != topology_.num_connections()) {
-    throw std::invalid_argument("ParallelNetworkSimulator: rate size mismatch");
-  }
-  for (double r : rates) {
-    if (std::isnan(r) || std::isinf(r) || r < 0.0) {
-      throw std::invalid_argument(
-          "ParallelNetworkSimulator: rates must be finite and >= 0");
-    }
-  }
+  // Shard 0 validates before any shard changes state.
   for (auto& shard : shards_) shard->set_rates(rates);
 }
 
 void ParallelNetworkSimulator::run_for(double duration) {
-  if (!(duration >= 0.0)) {
-    throw std::invalid_argument(
-        "ParallelNetworkSimulator: duration must be >= 0");
-  }
+  NetworkSimulator::check_duration(duration);
   const double end = now_ + duration;
   // A zero-length run still dispatches the events due at exactly `now`
   // (run_until processes time <= t), matching NetworkSimulator::run_for(0);
@@ -596,7 +146,7 @@ void ParallelNetworkSimulator::run_for(double duration) {
       std::vector<std::future<void>> done;
       done.reserve(shards_.size());
       for (auto& shard : shards_) {
-        Shard* s = shard.get();
+        NetworkSimulator* s = shard.get();
         done.push_back(
             pool_->submit([s, window_end] { s->advance_to(window_end); }));
       }
@@ -618,14 +168,19 @@ void ParallelNetworkSimulator::exchange_handoffs() {
   for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
     for (std::size_t src = 0; src < shards_.size(); ++src) {
       if (src == dst) continue;
-      auto& box = shards_[src]->outbox(dst);
-      for (const Shard::Handoff& handoff : box) {
-        shards_[dst]->receive_handoff(handoff);
+      auto& box = shards_[src]->boundary_->outbox[dst];
+      for (const NetworkSimulator::Handoff& handoff : box) {
+        shards_[dst]->propagate_at(handoff.time, handoff.packet);
       }
       handoffs_ += box.size();
       box.clear();
     }
   }
+}
+
+const NetworkSimulator& ParallelNetworkSimulator::sink_shard(
+    network::ConnectionId i) const {
+  return *shards_[plan_.shard_of_gateway[topology_.path(i).back()]];
 }
 
 void ParallelNetworkSimulator::reset_metrics() {
@@ -642,21 +197,21 @@ double ParallelNetworkSimulator::mean_total_queue(network::GatewayId a) const {
 }
 
 double ParallelNetworkSimulator::mean_delay(network::ConnectionId i) const {
-  return shards_[sink_shard_.at(i)]->mean_delay(i);
+  return sink_shard(i).mean_delay(i);
 }
 
 double ParallelNetworkSimulator::throughput(network::ConnectionId i) const {
-  return shards_[sink_shard_.at(i)]->throughput(i);
+  return sink_shard(i).throughput(i);
 }
 
 std::uint64_t ParallelNetworkSimulator::delivered(
     network::ConnectionId i) const {
-  return shards_[sink_shard_.at(i)]->delivered(i);
+  return sink_shard(i).delivered(i);
 }
 
 const std::vector<double>& ParallelNetworkSimulator::delay_samples(
     network::ConnectionId i) const {
-  return shards_[sink_shard_.at(i)]->delay_samples(i);
+  return sink_shard(i).delay_samples(i);
 }
 
 void ParallelNetworkSimulator::set_delay_sampling(bool enabled) {

@@ -3,9 +3,9 @@
 // The single-calendar NetworkSimulator is fast per core (24-byte tagged
 // events, slot pools, zero allocations warm -- docs/PERFORMANCE.md) but one
 // calendar is one core. ParallelNetworkSimulator partitions the gateways of
-// a topology into K shards, each an independent DES engine with its own
-// binary-heap calendar, slot pool, RNG streams, and obs::MetricRegistry,
-// and synchronizes them conservatively in time windows:
+// a topology into K shards, each a NetworkSimulator that owns a subset of
+// the gateways and sources -- with its own binary-heap calendar, slot pool,
+// and RNG streams -- and synchronizes them conservatively in time windows:
 //
 //   lookahead L = min propagation latency over gateways that feed a
 //                 cross-shard hop (infinity when shards are closed)
@@ -25,8 +25,9 @@
 // order at the barrier, and the calendar's (time, seq) FIFO-tie contract
 // holds *within* each shard -- so a run is byte-identical at any worker
 // count, impaired or not. With num_shards == 1 the master seed is used
-// unchanged and the event sequence is exactly NetworkSimulator's: a
-// one-shard run reproduces the single-calendar simulator bitwise.
+// unchanged and the one shard owns everything, which is exactly what the
+// public NetworkSimulator constructors build: a one-shard run reproduces the
+// single-calendar simulator bitwise.
 #pragma once
 
 #include <cstddef>
@@ -40,9 +41,6 @@
 #include "network/topology.hpp"
 #include "obs/metrics.hpp"
 #include "sim/network_sim.hpp"
-#include "sim/server.hpp"
-#include "sim/simulator.hpp"
-#include "stats/summary.hpp"
 
 namespace ffc::sim {
 
@@ -71,9 +69,9 @@ struct ShardPlan {
 /// makes shards=1 bitwise-identical to NetworkSimulator).
 std::uint64_t derive_shard_seed(std::uint64_t seed, std::size_t shard);
 
-/// K independent single-calendar DES engines covering one topology,
-/// synchronized by conservative time windows. The public surface mirrors
-/// NetworkSimulator; metric queries route to the owning shard.
+/// K NetworkSimulator shards covering one topology, synchronized by
+/// conservative time windows. The public surface mirrors NetworkSimulator;
+/// metric queries route to the owning shard.
 class ParallelNetworkSimulator {
  public:
   /// Validates the plan against the topology and builds the shard engines.
@@ -93,8 +91,6 @@ class ParallelNetworkSimulator {
   ParallelNetworkSimulator(network::Topology topology,
                            SimDiscipline discipline, std::uint64_t seed,
                            ShardPlan plan, faults::FaultPlan faults);
-
-  ~ParallelNetworkSimulator();
 
   ParallelNetworkSimulator(const ParallelNetworkSimulator&) = delete;
   ParallelNetworkSimulator& operator=(const ParallelNetworkSimulator&) =
@@ -157,12 +153,12 @@ class ParallelNetworkSimulator {
   faults::FaultCounters fault_counters() const;
 
   /// True iff a non-empty fault plan is attached.
-  bool impaired() const { return impaired_; }
+  bool impaired() const { return shards_.front()->impaired(); }
 
  private:
-  class Shard;
-
   void exchange_handoffs();
+  /// The shard owning connection i's sink (its last gateway).
+  const NetworkSimulator& sink_shard(network::ConnectionId i) const;
 
   network::Topology topology_;
   ShardPlan plan_;
@@ -170,15 +166,11 @@ class ParallelNetworkSimulator {
   double now_ = 0.0;
   std::uint64_t windows_ = 0;
   std::uint64_t handoffs_ = 0;
-  bool impaired_ = false;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Shard owning connection i's source (first hop) and sink (last hop).
-  std::vector<std::size_t> source_shard_;
-  std::vector<std::size_t> sink_shard_;
+  std::vector<std::unique_ptr<NetworkSimulator>> shards_;
 
-  std::size_t jobs_ = 1;
-  std::unique_ptr<exec::ThreadPool> pool_;  ///< null when jobs_ == 1
+  /// Null when the shards run inline (one shard, or ShardPlan::jobs == 1).
+  std::unique_ptr<exec::ThreadPool> pool_;
 };
 
 }  // namespace ffc::sim

@@ -31,16 +31,6 @@ WindowNetworkSimulator::WindowNetworkSimulator(network::Topology topology,
   }
 
   const std::size_t num_gw = topology_.num_gateways();
-  local_index_.assign(num_gw,
-                      std::vector<std::size_t>(topology_.num_connections(),
-                                               0));
-  for (network::GatewayId a = 0; a < num_gw; ++a) {
-    const auto& members = topology_.connections_through(a);
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      local_index_[a][members[k]] = k;
-    }
-  }
-
   stats::Xoshiro256 master(seed);
   servers_.reserve(num_gw);
   for (network::GatewayId a = 0; a < num_gw; ++a) {
@@ -86,7 +76,7 @@ void WindowNetworkSimulator::try_send(network::ConnectionId i) {
     packet.hop = 0;
     packet.created = sim_.now();
     const network::GatewayId a = topology_.path(i).front();
-    const std::size_t local = local_index_[a][i];
+    const std::size_t local = topology_.incidence().local_indices(i)[0];
     maybe_mark(packet, a, local);
     servers_[a]->arrival(std::move(packet), local);
   }
@@ -134,7 +124,8 @@ void WindowNetworkSimulator::handle_event(SimEvent& event) {
     return;
   }
   const network::GatewayId next = path.at(packet.hop);
-  const std::size_t local = local_index_[next][packet.connection];
+  const std::size_t local =
+      topology_.incidence().local_indices(packet.connection)[packet.hop];
   maybe_mark(packet, next, local);
   servers_[next]->arrival(std::move(packet), local);
 }
@@ -224,8 +215,15 @@ double WindowNetworkSimulator::bit_fraction(network::ConnectionId i) const {
 
 double WindowNetworkSimulator::mean_queue(network::GatewayId a,
                                           network::ConnectionId i) const {
-  servers_.at(a)->flush_metrics();
-  return servers_[a]->mean_occupancy(local_index_[a][i]);
+  const auto members = topology_.connections_through(a);
+  const auto it = std::find(members.begin(), members.end(), i);
+  if (it == members.end()) {
+    throw std::invalid_argument(
+        "WindowNetworkSimulator::mean_queue: connection not at gateway");
+  }
+  servers_[a]->flush_metrics();
+  return servers_[a]->mean_occupancy(
+      static_cast<std::size_t>(it - members.begin()));
 }
 
 std::uint64_t WindowNetworkSimulator::delivered(

@@ -85,7 +85,8 @@ class WindowNetworkSimulator : private PacketSink, private EventHandler {
   /// Fraction of i's ACKs carrying the congestion bit since the reset.
   double bit_fraction(network::ConnectionId i) const;
 
-  /// Time-average number of i's packets at gateway a.
+  /// Time-average number of i's packets at gateway a. Throws if i does not
+  /// traverse a.
   double mean_queue(network::GatewayId a, network::ConnectionId i) const;
 
   std::uint64_t delivered(network::ConnectionId i) const;
@@ -121,7 +122,6 @@ class WindowNetworkSimulator : private PacketSink, private EventHandler {
   Simulator sim_;
 
   std::vector<std::unique_ptr<GatewayServer>> servers_;
-  std::vector<std::vector<std::size_t>> local_index_;
   std::vector<SourceState> sources_;
 
   std::vector<stats::OnlineStats> rtt_stats_;

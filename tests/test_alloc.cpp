@@ -4,7 +4,9 @@
 // is that the inner loops perform ZERO heap allocations after warm-up. These
 // tests replace the global operator new with a counting hook and pin that
 // property: a steady-state iterate of the analytic map and a 10k-event
-// window of the packet simulator must not allocate at all.
+// window of the packet simulator must not allocate at all. The same hook
+// counts bytes, which pins the packet engines' construction to memory
+// linear in the topology size.
 //
 // Everything here is single-threaded and seeded, so the counts are exact
 // and deterministic -- a failure is a real regression, not noise.
@@ -13,7 +15,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "core/model.hpp"
@@ -21,13 +25,17 @@
 #include "helpers.hpp"
 #include "linalg/sparse_eigen.hpp"
 #include "network/builders.hpp"
+#include "network/topology.hpp"
 #include "sim/network_sim.hpp"
+#include "sim/parallel_sim.hpp"
 #include "sim/simulator.hpp"
+#include "sim/window_sim.hpp"
 #include "spectral/analytic.hpp"
 #include "spectral/operator.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 std::atomic<bool> g_counting{false};
 }  // namespace
 
@@ -36,6 +44,7 @@ std::atomic<bool> g_counting{false};
 void* operator new(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
@@ -57,18 +66,23 @@ using ffc::sim::SimEvent;
 using ffc::sim::Simulator;
 namespace th = ffc::testing;
 
-/// RAII window: heap allocations between construction and count() are
-/// tallied.
+/// RAII window: heap allocations between construction and count() (or
+/// bytes()) are tallied.
 class AllocWindow {
  public:
   AllocWindow() {
     g_alloc_count.store(0, std::memory_order_relaxed);
+    g_alloc_bytes.store(0, std::memory_order_relaxed);
     g_counting.store(true, std::memory_order_relaxed);
   }
   ~AllocWindow() { g_counting.store(false, std::memory_order_relaxed); }
   std::uint64_t count() {
     g_counting.store(false, std::memory_order_relaxed);
     return g_alloc_count.load(std::memory_order_relaxed);
+  }
+  std::uint64_t bytes() {
+    g_counting.store(false, std::memory_order_relaxed);
+    return g_alloc_bytes.load(std::memory_order_relaxed);
   }
 };
 
@@ -292,6 +306,60 @@ TEST(AllocFree, NetworkSimulatorWindowDoesNotAllocate) {
     EXPECT_EQ(allocs, 0u) << "discipline " << static_cast<int>(discipline);
     EXPECT_GT(events, 10000u);
   }
+}
+
+/// Bytes allocated while `build` constructs an engine from a copy of
+/// `topo` (the copy itself is made outside the window).
+template <typename Build>
+std::uint64_t construction_bytes(const ffc::network::Topology& topo,
+                                 Build build) {
+  ffc::network::Topology copy = topo;
+  AllocWindow window;
+  const auto engine = build(std::move(copy));
+  return window.bytes();
+}
+
+TEST(AllocScaling, PacketEngineConstructionIsLinearInTopologySize) {
+  // G = 500 gateways, N = 10^4 single-hop connections (E = N). Any table
+  // indexed by (gateway, connection) costs G * N * 8 bytes = 40 MB here,
+  // per engine and per shard. Everything an engine needs is O(G + N + E)
+  // per shard: about 100 bytes per element for NetworkSimulator and each
+  // shard, about 250 for WindowNetworkSimulator, whose construction also
+  // sends every source's first window.
+  constexpr std::size_t kGateways = 500;
+  constexpr std::size_t kConnections = 10000;
+  constexpr std::size_t kShards = 4;
+  std::vector<ffc::network::Gateway> gateways(kGateways, {1.0, 0.1});
+  std::vector<ffc::network::Connection> connections(kConnections);
+  for (std::size_t i = 0; i < kConnections; ++i) {
+    connections[i].path = {i % kGateways};
+  }
+  const ffc::network::Topology topo(gateways, connections);
+  const std::uint64_t elements = kGateways + 2 * kConnections;
+  constexpr std::uint64_t kBytesPerElement = 512;
+
+  const std::uint64_t single = construction_bytes(
+      topo, [](ffc::network::Topology t) {
+        return std::make_unique<NetworkSimulator>(std::move(t),
+                                                  SimDiscipline::Fifo, 7);
+      });
+  EXPECT_LE(single, kBytesPerElement * elements);
+
+  const std::uint64_t sharded = construction_bytes(
+      topo, [](ffc::network::Topology t) {
+        const std::size_t g = t.num_gateways();
+        return std::make_unique<ffc::sim::ParallelNetworkSimulator>(
+            std::move(t), SimDiscipline::Fifo, 7,
+            ffc::sim::ShardPlan::contiguous(g, kShards, /*jobs=*/1));
+      });
+  EXPECT_LE(sharded, kShards * kBytesPerElement * elements);
+
+  const std::uint64_t windowed = construction_bytes(
+      topo, [](ffc::network::Topology t) {
+        return std::make_unique<ffc::sim::WindowNetworkSimulator>(
+            std::move(t), SimDiscipline::Fifo, ffc::sim::WindowOptions{}, 7);
+      });
+  EXPECT_LE(windowed, kBytesPerElement * elements);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "exec/param_grid.hpp"
 #include "exec/sweep_runner.hpp"
@@ -116,6 +117,18 @@ TEST(WindowSim, FairShareDisciplineRejected) {
   EXPECT_THROW(WindowNetworkSimulator(topo, SimDiscipline::FairShare,
                                       WindowOptions{}, 1),
                std::invalid_argument);
+}
+
+TEST(WindowSim, MeanQueueRejectsConnectionOffTheGateway) {
+  // Connection 1 crosses only gateway 1; asking gateway 0 for its queue is
+  // an error, not gateway 0's first local connection.
+  const Topology topo({{1.0, 0.1}, {1.0, 0.1}},
+                      {Connection{{0}}, Connection{{1}}});
+  WindowNetworkSimulator ws(topo, SimDiscipline::Fifo, WindowOptions{}, 9);
+  ws.run_for(100.0);
+  EXPECT_GT(ws.mean_queue(0, 0), 0.0);
+  EXPECT_THROW(ws.mean_queue(0, 1), std::invalid_argument);
+  EXPECT_THROW(ws.mean_queue(1, 0), std::invalid_argument);
 }
 
 TEST(WindowSim, OptionValidation) {
