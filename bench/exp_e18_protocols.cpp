@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/ffc.hpp"
+#include "exec/ini.hpp"
 #include "report/table.hpp"
 #include "repro/experiments.hpp"
 #include "scenario/materialize.hpp"
@@ -241,10 +242,10 @@ void run_e18(ExperimentContext& ctx) {
           "orbit stays oscillatory beyond it (arXiv:0812.1321)",
           onset_interior && clean_boundary)
       .note("onset_bracket",
-            scenario::format_double(
+            exec::format_double(
                 sharp_axis.values[onset_interior ? onset - 1 : 0]) +
                 ".." +
-                scenario::format_double(
+                exec::format_double(
                     sharp_axis.values[onset_interior ? onset : 0]));
   if (onset_interior) {
     out << "\noscillation onset between sharpness "

@@ -99,18 +99,23 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
+    std::string value;
+    exec::TakeResult taken;
     if (arg == "--check") {
       check_only = true;
-    } else if (arg == "--jobs" || arg == "--seed") {
-      if (i + 1 >= argc) return usage();
-      std::uint64_t value = 0;
-      if (!exec::parse_u64(argv[++i], value)) return usage();
-      if (arg == "--jobs") {
-        jobs = static_cast<std::size_t>(value);
-      } else {
-        seed = value;
-        seed_override = true;
+    } else if ((taken = exec::take_flag_value("--jobs", argc, argv, i,
+                                              value)) !=
+               exec::TakeResult::NoMatch) {
+      if (taken == exec::TakeResult::Error || !exec::parse_size(value, jobs)) {
+        return usage();
       }
+    } else if ((taken = exec::take_flag_value("--seed", argc, argv, i,
+                                              value)) !=
+               exec::TakeResult::NoMatch) {
+      if (taken == exec::TakeResult::Error || !exec::parse_u64(value, seed)) {
+        return usage();
+      }
+      seed_override = true;
     } else if (arg.substr(0, 2) == "--" || !file.empty()) {
       return usage();
     } else {

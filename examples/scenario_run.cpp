@@ -46,16 +46,23 @@ int main(int argc, char** argv) {
   exec::SweepOptions sweep;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
+    std::string value;
+    exec::TakeResult taken;
     if (arg == "--check") {
       check_only = true;
-    } else if (arg == "--jobs" || arg == "--seed") {
-      if (i + 1 >= argc) return usage();
-      std::uint64_t value = 0;
-      if (!exec::parse_u64(argv[++i], value)) return usage();
-      if (arg == "--jobs") {
-        sweep.jobs = static_cast<std::size_t>(value);
-      } else {
-        sweep.base_seed = value;
+    } else if ((taken = exec::take_flag_value("--jobs", argc, argv, i,
+                                              value)) !=
+               exec::TakeResult::NoMatch) {
+      if (taken == exec::TakeResult::Error ||
+          !exec::parse_size(value, sweep.jobs)) {
+        return usage();
+      }
+    } else if ((taken = exec::take_flag_value("--seed", argc, argv, i,
+                                              value)) !=
+               exec::TakeResult::NoMatch) {
+      if (taken == exec::TakeResult::Error ||
+          !exec::parse_u64(value, sweep.base_seed)) {
+        return usage();
       }
     } else if (arg.substr(0, 2) == "--" || !file.empty()) {
       return usage();

@@ -35,14 +35,6 @@ std::string_view dim_default(std::string_view dim) {
   return {};  // protocol has no default (parse_scenario enforces presence)
 }
 
-const ScenarioAxis* find_axis(const ScenarioSpec& spec,
-                              std::string_view name) {
-  for (const ScenarioAxis& axis : spec.axes) {
-    if (axis.name == name) return &axis;
-  }
-  return nullptr;
-}
-
 const double* find_fixed(const ScenarioSpec& spec, std::string_view key) {
   for (const auto& [k, v] : spec.topology) {
     if (k == key) return &v;
@@ -85,14 +77,14 @@ ScenarioGrid::ScenarioGrid(ScenarioSpec spec) : spec_(std::move(spec)) {
   // numeric axis values were domain-checked at parse time): every
   // protocol/signal the grid can select must find its parameters.
   auto tokens_of = [&](std::string_view dim) -> std::vector<std::string> {
-    if (const ScenarioAxis* axis = find_axis(spec_, dim)) return axis->labels;
+    if (const ScenarioAxis* axis = spec_.find_axis(dim)) return axis->labels;
     for (const auto& [d, token] : spec_.model) {
       if (d == dim) return {token};
     }
     return {std::string(dim_default(dim))};
   };
   auto has_value = [&](std::string_view key) {
-    return find_axis(spec_, key) != nullptr ||
+    return spec_.find_axis(key) != nullptr ||
            find_fixed(spec_, key) != nullptr;
   };
   auto require = [&](std::string_view owner_dim, const std::string& token,
@@ -116,7 +108,7 @@ ScenarioGrid::ScenarioGrid(ScenarioSpec spec) : spec_(std::move(spec)) {
 
 std::string ScenarioGrid::choice(std::string_view dim,
                                  const exec::GridPoint& point) const {
-  if (const ScenarioAxis* axis = find_axis(spec_, dim)) {
+  if (const ScenarioAxis* axis = spec_.find_axis(dim)) {
     return axis->labels.at(static_cast<std::size_t>(point.get(dim)));
   }
   for (const auto& [d, token] : spec_.model) {
@@ -127,7 +119,7 @@ std::string ScenarioGrid::choice(std::string_view dim,
 
 double ScenarioGrid::value(std::string_view key,
                            const exec::GridPoint& point) const {
-  if (find_axis(spec_, key) != nullptr) return point.get(key);
+  if (spec_.find_axis(key) != nullptr) return point.get(key);
   if (const double* fixed = find_fixed(spec_, key)) return *fixed;
   throw ScenarioError("scenario '" + spec_.name +
                       "' does not define parameter '" + std::string(key) +
@@ -143,7 +135,7 @@ std::string ScenarioGrid::cell_label(const exec::GridPoint& point) const {
     if (axis.categorical) {
       label += axis.labels.at(static_cast<std::size_t>(point.get(axis.name)));
     } else {
-      label += format_double(point.get(axis.name));
+      label += exec::format_double(point.get(axis.name));
     }
   }
   return label;
@@ -151,7 +143,7 @@ std::string ScenarioGrid::cell_label(const exec::GridPoint& point) const {
 
 ScenarioCase ScenarioGrid::materialize(const exec::GridPoint& point) const {
   auto value_or = [&](std::string_view key, double fallback) {
-    if (find_axis(spec_, key) != nullptr) return point.get(key);
+    if (spec_.find_axis(key) != nullptr) return point.get(key);
     if (const double* fixed = find_fixed(spec_, key)) return *fixed;
     return fallback;
   };

@@ -2,23 +2,27 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <cmath>
-#include <fstream>
+#include <limits>
 #include <sstream>
-
-#include "exec/cli.hpp"
 
 namespace ffc::scenario {
 
 namespace {
 
+using exec::IniEntry;
+using exec::IniSection;
+using exec::one_of;
+using exec::TokenSet;
+
 // Canonical key orders (dump order) and the strict per-section vocabulary.
 constexpr std::array<std::string_view, 3> kScenarioKeys = {"name",
                                                            "description",
                                                            "seed"};
-constexpr std::array<std::string_view, 6> kTopologyKeys = {
-    "connections", "hops", "cross", "mu_last", "mu", "latency"};
+constexpr std::array<std::string_view, 7> kTopologySectionKeys = {
+    "kind", "connections", "hops", "cross", "mu_last", "mu", "latency"};
+/// The numeric [topology] keys: all but `kind`.
+constexpr TokenSet kTopologyKeys = TokenSet(kTopologySectionKeys).subspan(1);
 constexpr std::array<std::string_view, 4> kModelDims = {
     "protocol", "discipline", "feedback", "signal"};
 constexpr std::array<std::string_view, 3> kFaultKeys = {
@@ -35,85 +39,35 @@ constexpr std::array<std::string_view, 2> kFeedbacks = {"aggregate",
 constexpr std::array<std::string_view, 6> kSignals = {
     "rational", "quadratic", "exponential", "power", "smoothstep", "binary"};
 
-template <std::size_t N>
-bool contains(const std::array<std::string_view, N>& set,
-              std::string_view key) {
-  return std::find(set.begin(), set.end(), key) != set.end();
+constexpr std::array<exec::IniSectionSchema, 6> kSchema = {{
+    {"scenario", false, kScenarioKeys, {}},
+    {"topology", true, kTopologySectionKeys, {}},
+    {"model", false, kModelDims, {}},
+    {"params", false, {}, "parameter name"},
+    {"grid", false, {}, "axis name"},
+    {"faults", false, kFaultKeys, {}},
+}};
+
+/// The size keys a topology kind needs, fixed or swept.
+std::vector<std::string_view> required_size_keys(std::string_view kind) {
+  if (kind == "parking_lot") return {"hops", "cross"};
+  if (kind == "tandem") return {"connections", "hops"};
+  return {"connections"};  // single_bottleneck
 }
 
-template <std::size_t N>
-std::string join_tokens(const std::array<std::string_view, N>& set) {
-  std::string out;
-  for (std::string_view token : set) {
-    if (!out.empty()) out += ", ";
-    out += token;
-  }
-  return out;
+/// The section a fixed value of `key` belongs in.
+std::string_view home_of(std::string_view key) {
+  if (one_of(key, kModelDims)) return "model";
+  if (one_of(key, kTopologyKeys)) return "topology";
+  if (one_of(key, kFaultKeys)) return "faults";
+  return "params";
 }
 
-std::string_view dim_token_list(std::string_view dim, std::string& storage) {
-  if (dim == "protocol") storage = join_tokens(kProtocols);
-  else if (dim == "discipline") storage = join_tokens(kDisciplines);
-  else if (dim == "feedback") storage = join_tokens(kFeedbacks);
-  else storage = join_tokens(kSignals);
-  return storage;
-}
-
-bool valid_dim_token(std::string_view dim, std::string_view token) {
-  if (dim == "protocol") return contains(kProtocols, token);
-  if (dim == "discipline") return contains(kDisciplines, token);
-  if (dim == "feedback") return contains(kFeedbacks, token);
-  return contains(kSignals, token);
-}
-
-[[noreturn]] void fail(std::string_view file, int line,
-                       const std::string& message) {
-  std::ostringstream out;
-  out << file << ":" << line << ": " << message;
-  throw ScenarioError(out.str());
-}
-
-std::string_view trim(std::string_view text) {
-  while (!text.empty() && (text.front() == ' ' || text.front() == '\t')) {
-    text.remove_prefix(1);
-  }
-  while (!text.empty() &&
-         (text.back() == ' ' || text.back() == '\t' || text.back() == '\r')) {
-    text.remove_suffix(1);
-  }
-  return text;
-}
-
-bool valid_identifier(std::string_view key) {
-  if (key.empty()) return false;
-  for (char c : key) {
-    if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_')) {
-      return false;
-    }
-  }
-  return (key.front() >= 'a' && key.front() <= 'z') || key.front() == '_';
-}
-
-bool valid_name(std::string_view name) {
-  if (name.empty()) return false;
-  for (char c : name) {
-    if (!((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-          (c >= '0' && c <= '9') || c == '_' || c == '-')) {
-      return false;
-    }
-  }
-  return true;
-}
-
-double parse_number(std::string_view file, int line, std::string_view key,
-                    std::string_view value) {
-  double out = 0.0;
-  if (!exec::parse_double(value, out)) {
-    fail(file, line,
-         "key '" + std::string(key) + "' expects a number, got '" +
-             std::string(value) + "'");
-  }
-  return out;
+TokenSet dim_tokens(std::string_view dim) {
+  if (dim == "protocol") return kProtocols;
+  if (dim == "discipline") return kDisciplines;
+  if (dim == "feedback") return kFeedbacks;
+  return kSignals;
 }
 
 bool is_nonneg_integer(double v) {
@@ -121,347 +75,166 @@ bool is_nonneg_integer(double v) {
 }
 
 /// Domain rules shared by fixed values and swept grid values.
-void check_domain(std::string_view file, int line, std::string_view key,
+void check_domain(const exec::IniDocument& doc, int line, std::string_view key,
                   double value) {
   if (key == "connections" || key == "hops" || key == "cross") {
     if (!is_nonneg_integer(value) || value < 1.0) {
-      fail(file, line,
-           "key '" + std::string(key) + "' expects an integer >= 1");
+      doc.fail(line, "key '" + std::string(key) + "' expects an integer >= 1");
     }
   } else if (key == "mu" || key == "mu_last") {
     if (!(value > 0.0)) {
-      fail(file, line, "key '" + std::string(key) + "' must be positive");
+      doc.fail(line, "key '" + std::string(key) + "' must be positive");
     }
   } else if (key == "latency") {
     if (!(value >= 0.0)) {
-      fail(file, line, "key 'latency' must be >= 0");
+      doc.fail(line, "key 'latency' must be >= 0");
     }
   } else if (key == "signal_loss" || key == "signal_duplicate") {
     if (!(value >= 0.0 && value <= 1.0)) {
-      fail(file, line,
-           "key '" + std::string(key) + "' must be a probability in [0, 1]");
+      doc.fail(line, "key '" + std::string(key) +
+                         "' must be a probability in [0, 1]");
     }
   } else if (key == "signal_delay_epochs") {
     if (!is_nonneg_integer(value)) {
-      fail(file, line, "key 'signal_delay_epochs' expects an integer >= 0");
+      doc.fail(line, "key 'signal_delay_epochs' expects an integer >= 0");
     }
   }
-}
-
-std::vector<std::string> split_list(std::string_view value) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const std::size_t comma = value.find(',', start);
-    const std::size_t end = comma == std::string_view::npos ? value.size()
-                                                            : comma;
-    out.emplace_back(trim(value.substr(start, end - start)));
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-struct RawEntry {
-  std::string key;
-  std::string value;
-  int line = 0;
-};
-
-struct RawSection {
-  std::vector<RawEntry> entries;
-  int line = 0;
-  bool seen = false;
-};
-
-const RawEntry* find_entry(const RawSection& section, std::string_view key) {
-  for (const RawEntry& entry : section.entries) {
-    if (entry.key == key) return &entry;
-  }
-  return nullptr;
 }
 
 }  // namespace
 
-std::string format_double(double value) {
-  std::array<char, 64> buffer;
-  const auto [ptr, ec] =
-      std::to_chars(buffer.data(), buffer.data() + buffer.size(), value);
-  if (ec != std::errc()) return "nan";
-  return std::string(buffer.data(), ptr);
-}
-
 ScenarioSpec parse_scenario(std::string_view text, std::string_view filename) {
-  // ---- pass 1: split into sections, strictly ------------------------------
-  RawSection scenario_sec, topology_sec, model_sec, params_sec, grid_sec,
-      faults_sec;
-  auto section_of = [&](std::string_view name) -> RawSection* {
-    if (name == "scenario") return &scenario_sec;
-    if (name == "topology") return &topology_sec;
-    if (name == "model") return &model_sec;
-    if (name == "params") return &params_sec;
-    if (name == "grid") return &grid_sec;
-    if (name == "faults") return &faults_sec;
-    return nullptr;
-  };
+  // ---- pass 1: lex + vocabulary (exec/ini.hpp) ----------------------------
+  const exec::IniDocument doc(text, filename, kSchema);
+  const IniSection& scenario_sec = doc.section("scenario");
+  const IniSection& topology_sec = doc.section("topology");
+  const IniSection& model_sec = doc.section("model");
+  const IniSection& params_sec = doc.section("params");
+  const IniSection& grid_sec = doc.section("grid");
+  const IniSection& faults_sec = doc.section("faults");
 
-  RawSection* current = nullptr;
-  int line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t newline = text.find('\n', pos);
-    const std::size_t end =
-        newline == std::string_view::npos ? text.size() : newline;
-    const std::string_view line = trim(text.substr(pos, end - pos));
-    ++line_no;
-    pos = end + 1;
-    if (newline == std::string_view::npos && line.empty()) break;
-    if (line.empty() || line.front() == '#' || line.front() == ';') continue;
-    if (line.front() == '[') {
-      if (line.back() != ']') {
-        fail(filename, line_no, "malformed section header '" +
-                                    std::string(line) + "'");
-      }
-      const std::string_view name = trim(line.substr(1, line.size() - 2));
-      RawSection* section = section_of(name);
-      if (section == nullptr) {
-        fail(filename, line_no,
-             "unknown section [" + std::string(name) +
-                 "] (expected scenario, topology, model, params, grid, or "
-                 "faults)");
-      }
-      if (section->seen) {
-        fail(filename, line_no,
-             "duplicate section [" + std::string(name) + "]");
-      }
-      section->seen = true;
-      section->line = line_no;
-      current = section;
-      continue;
-    }
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      fail(filename, line_no,
-           "expected 'key = value', got '" + std::string(line) + "'");
-    }
-    if (current == nullptr) {
-      fail(filename, line_no, "key before any [section] header");
-    }
-    const std::string key(trim(line.substr(0, eq)));
-    const std::string value(trim(line.substr(eq + 1)));
-    if (key.empty()) fail(filename, line_no, "empty key");
-    if (value.empty()) {
-      fail(filename, line_no, "key '" + key + "' has an empty value");
-    }
-    if (find_entry(*current, key) != nullptr) {
-      fail(filename, line_no, "duplicate key '" + key + "'");
-    }
-    current->entries.push_back({key, value, line_no});
-  }
-
-  // ---- pass 2: per-section vocabulary + value validation ------------------
+  // ---- pass 2: value validation -------------------------------------------
   ScenarioSpec spec;
 
-  for (const RawEntry& e : scenario_sec.entries) {
-    if (!contains(kScenarioKeys, e.key)) {
-      fail(filename, e.line, "unknown key '" + e.key + "' in [scenario]");
-    }
-  }
-  if (const RawEntry* e = find_entry(scenario_sec, "name")) {
-    if (!valid_name(e->value)) {
-      fail(filename, e->line,
-           "scenario name must match [A-Za-z0-9_-]+, got '" + e->value + "'");
-    }
-    spec.name = e->value;
-  } else {
-    fail(filename, scenario_sec.seen ? scenario_sec.line : 1,
-         "[scenario] must set 'name'");
-  }
-  if (const RawEntry* e = find_entry(scenario_sec, "description")) {
+  spec.name = doc.name(doc.require("scenario", "name"), "scenario name");
+  if (const IniEntry* e = scenario_sec.find("description")) {
     spec.description = e->value;
   }
-  if (const RawEntry* e = find_entry(scenario_sec, "seed")) {
-    if (!exec::parse_u64(e->value, spec.seed)) {
-      fail(filename, e->line,
-           "key 'seed' expects an unsigned integer, got '" + e->value + "'");
-    }
-  }
+  if (const IniEntry* e = scenario_sec.find("seed")) spec.seed = doc.u64(*e);
 
-  if (!topology_sec.seen) {
-    fail(filename, line_no, "missing required section [topology]");
-  }
-  for (const RawEntry& e : topology_sec.entries) {
-    if (e.key == "kind") continue;
-    if (!contains(kTopologyKeys, e.key)) {
-      fail(filename, e.line, "unknown key '" + e.key + "' in [topology]");
-    }
-  }
-  if (const RawEntry* e = find_entry(topology_sec, "kind")) {
-    if (!contains(kTopologyKinds, e->value)) {
-      fail(filename, e->line,
-           "unknown topology kind '" + e->value + "' (expected " +
-               join_tokens(kTopologyKinds) + ")");
-    }
-    spec.topology_kind = e->value;
-  } else {
-    fail(filename, topology_sec.line, "[topology] must set 'kind'");
-  }
+  const IniEntry& kind = doc.require("topology", "kind");
+  doc.expect_token(kind.line, "topology kind", kind.value, kTopologyKinds);
+  spec.topology_kind = kind.value;
   for (std::string_view key : kTopologyKeys) {
-    if (const RawEntry* e = find_entry(topology_sec, key)) {
-      const double v = parse_number(filename, e->line, key, e->value);
-      check_domain(filename, e->line, key, v);
+    if (const IniEntry* e = topology_sec.find(key)) {
+      const double v = doc.number(*e);
+      check_domain(doc, e->line, key, v);
       spec.topology.emplace_back(std::string(key), v);
     }
   }
 
-  for (const RawEntry& e : model_sec.entries) {
-    if (!contains(kModelDims, e.key)) {
-      fail(filename, e.line, "unknown key '" + e.key + "' in [model]");
-    }
-  }
   for (std::string_view dim : kModelDims) {
-    if (const RawEntry* e = find_entry(model_sec, dim)) {
-      if (!valid_dim_token(dim, e->value)) {
-        std::string storage;
-        fail(filename, e->line,
-             "unknown " + std::string(dim) + " '" + e->value +
-                 "' (expected " + std::string(dim_token_list(dim, storage)) +
-                 ")");
-      }
+    if (const IniEntry* e = model_sec.find(dim)) {
+      doc.expect_token(e->line, dim, e->value, dim_tokens(dim));
       spec.model.emplace_back(std::string(dim), e->value);
     }
   }
 
-  for (const RawEntry& e : params_sec.entries) {
-    if (!valid_identifier(e.key)) {
-      fail(filename, e.line,
-           "parameter name '" + e.key + "' must match [a-z_][a-z0-9_]*");
+  for (const IniEntry& e : params_sec.entries) {
+    if (const std::string_view home = home_of(e.key); home != "params") {
+      doc.fail(e.line, "key '" + e.key + "' belongs in [" +
+                           std::string(home) + "], not [params]");
     }
-    if (contains(kTopologyKeys, e.key)) {
-      fail(filename, e.line,
-           "key '" + e.key + "' belongs in [topology], not [params]");
-    }
-    if (contains(kFaultKeys, e.key)) {
-      fail(filename, e.line,
-           "key '" + e.key + "' belongs in [faults], not [params]");
-    }
-    if (contains(kModelDims, e.key)) {
-      fail(filename, e.line,
-           "key '" + e.key + "' belongs in [model], not [params]");
-    }
-    const double v = parse_number(filename, e.line, e.key, e.value);
-    spec.params.emplace_back(e.key, v);
+    spec.params.emplace_back(e.key, doc.number(e));
   }
   std::sort(spec.params.begin(), spec.params.end());
 
-  for (const RawEntry& e : faults_sec.entries) {
-    if (!contains(kFaultKeys, e.key)) {
-      fail(filename, e.line, "unknown key '" + e.key + "' in [faults]");
-    }
-  }
   for (std::string_view key : kFaultKeys) {
-    if (const RawEntry* e = find_entry(faults_sec, key)) {
-      const double v = parse_number(filename, e->line, key, e->value);
-      check_domain(filename, e->line, key, v);
+    if (const IniEntry* e = faults_sec.find(key)) {
+      const double v = doc.number(*e);
+      check_domain(doc, e->line, key, v);
       spec.faults.emplace_back(std::string(key), v);
     }
   }
 
-  for (const RawEntry& e : grid_sec.entries) {
-    if (!valid_identifier(e.key)) {
-      fail(filename, e.line,
-           "axis name '" + e.key + "' must match [a-z_][a-z0-9_]*");
-    }
+  // The sweep indexes cells with a std::size_t, so the product of the axis
+  // sizes must not wrap.
+  std::size_t cells = 1;
+  for (const IniEntry& e : grid_sec.entries) {
     ScenarioAxis axis;
     axis.name = e.key;
-    axis.categorical = contains(kModelDims, e.key);
-    const std::vector<std::string> items = split_list(e.value);
+    axis.categorical = home_of(e.key) == "model";
+    const std::vector<std::string> items = doc.list(e);
     for (const std::string& item : items) {
-      if (item.empty()) {
-        fail(filename, e.line, "axis '" + e.key + "' has an empty entry");
-      }
       if (axis.categorical) {
-        if (!valid_dim_token(e.key, item)) {
-          std::string storage;
-          fail(filename, e.line,
-               "unknown " + e.key + " '" + item + "' (expected " +
-                   std::string(dim_token_list(e.key, storage)) + ")");
-        }
+        doc.expect_token(e.line, e.key, item, dim_tokens(e.key));
         if (std::find(axis.labels.begin(), axis.labels.end(), item) !=
             axis.labels.end()) {
-          fail(filename, e.line,
-               "axis '" + e.key + "' repeats '" + item + "'");
+          doc.fail(e.line, "axis '" + e.key + "' repeats '" + item + "'");
         }
         axis.labels.push_back(item);
       } else {
-        const double v = parse_number(filename, e.line, e.key, item);
-        check_domain(filename, e.line, e.key, v);
+        const double v = doc.number(e, item);
+        check_domain(doc, e.line, e.key, v);
         axis.values.push_back(v);
       }
     }
+    if (cells > std::numeric_limits<std::size_t>::max() / items.size()) {
+      doc.fail(grid_sec.line,
+               "[grid] has more than " +
+                   std::to_string(std::numeric_limits<std::size_t>::max()) +
+                   " cells");
+    }
+    cells *= items.size();
     spec.axes.push_back(std::move(axis));
   }
 
   // ---- pass 3: cross-section consistency ----------------------------------
-  auto axis_of = [&](std::string_view key) -> const ScenarioAxis* {
-    for (const ScenarioAxis& axis : spec.axes) {
-      if (axis.name == key) return &axis;
-    }
-    return nullptr;
-  };
   for (const ScenarioAxis& axis : spec.axes) {
-    const RawSection* home = &params_sec;
-    if (axis.categorical) home = &model_sec;
-    else if (contains(kTopologyKeys, axis.name)) home = &topology_sec;
-    else if (contains(kFaultKeys, axis.name)) home = &faults_sec;
-    if (const RawEntry* fixed = find_entry(*home, axis.name)) {
-      fail(filename, fixed->line,
-           "key '" + axis.name + "' is both fixed and swept in [grid]");
+    if (const IniEntry* fixed =
+            doc.section(home_of(axis.name)).find(axis.name)) {
+      doc.fail(fixed->line,
+               "key '" + axis.name + "' is both fixed and swept in [grid]");
     }
   }
-  auto has_key = [&](std::string_view key) {
-    for (const auto& [k, v] : spec.topology) {
-      if (k == key) return true;
-    }
-    return axis_of(key) != nullptr;
-  };
-  if (spec.topology_kind == "single_bottleneck" || spec.topology_kind == "tandem") {
-    if (!has_key("connections")) {
-      fail(filename, topology_sec.line,
-           "topology kind '" + spec.topology_kind +
-               "' requires 'connections' (fixed or swept)");
+  for (std::string_view key : required_size_keys(spec.topology_kind)) {
+    if (topology_sec.find(key) == nullptr && spec.find_axis(key) == nullptr) {
+      doc.fail(topology_sec.line, "topology kind '" + spec.topology_kind +
+                                      "' requires '" + std::string(key) +
+                                      "' (fixed or swept)");
     }
   }
-  if (spec.topology_kind == "parking_lot" || spec.topology_kind == "tandem") {
-    if (!has_key("hops")) {
-      fail(filename, topology_sec.line,
-           "topology kind '" + spec.topology_kind +
-               "' requires 'hops' (fixed or swept)");
-    }
-  }
-  if (spec.topology_kind == "parking_lot" && !has_key("cross")) {
-    fail(filename, topology_sec.line,
-         "topology kind 'parking_lot' requires 'cross' (fixed or swept)");
-  }
-  const bool protocol_fixed = find_entry(model_sec, "protocol") != nullptr;
-  if (!protocol_fixed && axis_of("protocol") == nullptr) {
-    fail(filename, model_sec.seen ? model_sec.line : line_no,
-         "'protocol' must be set in [model] or swept in [grid]");
+  if (model_sec.find("protocol") == nullptr &&
+      spec.find_axis("protocol") == nullptr) {
+    doc.fail(model_sec.seen ? model_sec.line : doc.end_line(),
+             "'protocol' must be set in [model] or swept in [grid]");
   }
 
   return spec;
 }
 
+const ScenarioAxis* ScenarioSpec::find_axis(std::string_view name) const {
+  for (const ScenarioAxis& axis : axes) {
+    if (axis.name == name) return &axis;
+  }
+  return nullptr;
+}
+
 std::string ScenarioSpec::dump() const {
+  using exec::format_double;
   std::ostringstream out;
+  const auto numbers = [&](const char* header, const auto& fixed) {
+    if (!fixed.empty()) out << header;
+    for (const auto& [key, value] : fixed) {
+      out << key << " = " << format_double(value) << "\n";
+    }
+  };
   out << "[scenario]\nname = " << name << "\n";
   if (!description.empty()) out << "description = " << description << "\n";
   out << "seed = " << seed << "\n";
 
   out << "\n[topology]\nkind = " << topology_kind << "\n";
-  for (const auto& [key, value] : topology) {
-    out << key << " = " << format_double(value) << "\n";
-  }
+  numbers("", topology);
 
   if (!model.empty()) {
     out << "\n[model]\n";
@@ -470,12 +243,7 @@ std::string ScenarioSpec::dump() const {
     }
   }
 
-  if (!params.empty()) {
-    out << "\n[params]\n";
-    for (const auto& [key, value] : params) {
-      out << key << " = " << format_double(value) << "\n";
-    }
-  }
+  numbers("\n[params]\n", params);
 
   if (!axes.empty()) {
     out << "\n[grid]\n";
@@ -487,32 +255,18 @@ std::string ScenarioSpec::dump() const {
           out << axis.labels[i];
         }
       } else {
-        for (std::size_t i = 0; i < axis.values.size(); ++i) {
-          if (i > 0) out << ", ";
-          out << format_double(axis.values[i]);
-        }
+        out << exec::format_list(axis.values);
       }
       out << "\n";
     }
   }
 
-  if (!faults.empty()) {
-    out << "\n[faults]\n";
-    for (const auto& [key, value] : faults) {
-      out << key << " = " << format_double(value) << "\n";
-    }
-  }
+  numbers("\n[faults]\n", faults);
   return out.str();
 }
 
 ScenarioSpec load_scenario_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw ScenarioError("cannot read scenario file: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_scenario(buffer.str(), path);
+  return parse_scenario(exec::read_config_file(path, "scenario"), path);
 }
 
 }  // namespace ffc::scenario

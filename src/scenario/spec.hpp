@@ -2,7 +2,8 @@
 // topology x fault grids as data, not code (ROADMAP item 3; grammar and
 // examples in docs/PROTOCOLS.md).
 //
-// A ScenarioSpec is parsed from a small INI-style config file:
+// A ScenarioSpec is parsed from a small INI-style config file through the
+// shared front end (exec/ini.hpp):
 //
 //   [scenario]            name / description / seed
 //   [topology]            kind + its size/rate keys
@@ -14,28 +15,25 @@
 //   [faults]              feedback-path impairment fields
 //
 // Parsing is STRICT: unknown sections/keys, duplicates, malformed numbers,
-// out-of-domain values, and keys that are both fixed and swept all throw
-// ScenarioError with a file:line message. dump() emits the spec in a
-// canonical form (fixed section and key order, shortest round-trip number
-// formatting) and is idempotent: parse(dump(s)) dumps byte-identically,
-// which the scenario_roundtrip ctest entries pin for every committed
-// scenarios/*.ini file.
+// out-of-domain values, keys both fixed and swept, and grids of more than
+// SIZE_MAX cells throw ScenarioError with a file:line message. dump() emits
+// the canonical form (fixed section and key order, shortest round-trip
+// numbers); parse(dump(s)) dumps byte-identically, which the
+// scenario_roundtrip ctest entries pin for every committed scenarios/*.ini.
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "exec/ini.hpp"
+
 namespace ffc::scenario {
 
 /// Parse/validation failure; .what() carries "<file>:<line>: <problem>".
-class ScenarioError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+using ScenarioError = exec::ConfigError;
 
 /// One [grid] axis. Categorical axes (name is one of the [model] dimension
 /// keys) carry token labels; numeric axes carry double values.
@@ -67,6 +65,9 @@ struct ScenarioSpec {
   /// Fixed [faults] fields, in canonical order.
   std::vector<std::pair<std::string, double>> faults;
 
+  /// The [grid] axis named `name`, or nullptr if it is not swept.
+  const ScenarioAxis* find_axis(std::string_view name) const;
+
   /// Canonical INI text; parse(dump()) == *this and dump is idempotent.
   std::string dump() const;
 };
@@ -77,9 +78,5 @@ ScenarioSpec parse_scenario(std::string_view text,
 
 /// Reads and parses a scenario file; throws ScenarioError if unreadable.
 ScenarioSpec load_scenario_file(const std::string& path);
-
-/// Shortest round-trip decimal formatting (std::to_chars) -- the one
-/// formatting dump() uses, exposed for tests and reports.
-std::string format_double(double value);
 
 }  // namespace ffc::scenario

@@ -1,13 +1,13 @@
 #include "search/cem.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 
+#include "exec/ini.hpp"
 #include "exec/param_grid.hpp"
 #include "obs/metrics.hpp"
 #include "stats/rng.hpp"
@@ -23,12 +23,9 @@ namespace {
 constexpr std::uint64_t kSampleStream = std::uint64_t{1} << 32;
 constexpr std::uint64_t kRestartStream = (std::uint64_t{1} << 32) + 1;
 
+/// Every NaN prints as "nan", whatever its sign bit.
 std::string format_number(double v) {
-  if (std::isnan(v)) return "nan";
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  if (ec != std::errc{}) return "?";
-  return std::string(buf, ptr);
+  return std::isnan(v) ? "nan" : exec::format_double(v);
 }
 
 /// The per-axis sampling distribution the CEM loop refits.

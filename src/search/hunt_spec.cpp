@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
-#include <cmath>
-#include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "exec/cli.hpp"
 
 namespace ffc::search {
 
 namespace {
+
+using exec::IniEntry;
+using exec::IniSection;
 
 constexpr std::array<std::string_view, 12> kHuntKeys = {
     "name",        "description", "seed",          "fitness",
@@ -27,356 +28,112 @@ constexpr std::array<std::string_view, 4> kFitnessNames = {
     "spectral_radius", "slowest_convergence", "earliest_onset",
     "max_unfairness"};
 
-template <std::size_t N>
-bool contains(const std::array<std::string_view, N>& set,
-              std::string_view key) {
-  return std::find(set.begin(), set.end(), key) != set.end();
-}
-
-template <std::size_t N>
-std::string join_tokens(const std::array<std::string_view, N>& set) {
-  std::string out;
-  for (std::string_view token : set) {
-    if (!out.empty()) out += ", ";
-    out += token;
-  }
-  return out;
-}
-
-[[noreturn]] void fail(std::string_view file, int line,
-                       const std::string& message) {
-  std::ostringstream out;
-  out << file << ":" << line << ": " << message;
-  throw HuntError(out.str());
-}
-
-std::string_view trim(std::string_view text) {
-  while (!text.empty() && (text.front() == ' ' || text.front() == '\t')) {
-    text.remove_prefix(1);
-  }
-  while (!text.empty() &&
-         (text.back() == ' ' || text.back() == '\t' || text.back() == '\r')) {
-    text.remove_suffix(1);
-  }
-  return text;
-}
-
-bool valid_identifier(std::string_view key) {
-  if (key.empty()) return false;
-  for (char c : key) {
-    if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_')) {
-      return false;
-    }
-  }
-  return (key.front() >= 'a' && key.front() <= 'z') || key.front() == '_';
-}
-
-bool valid_name(std::string_view name) {
-  if (name.empty()) return false;
-  for (char c : name) {
-    if (!((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-          (c >= '0' && c <= '9') || c == '_' || c == '-')) {
-      return false;
-    }
-  }
-  return true;
-}
-
-double parse_number(std::string_view file, int line, std::string_view key,
-                    std::string_view value) {
-  double out = 0.0;
-  if (!exec::parse_double(value, out) || !std::isfinite(out)) {
-    fail(file, line,
-         "key '" + std::string(key) + "' expects a finite number, got '" +
-             std::string(value) + "'");
-  }
-  return out;
-}
-
-std::size_t parse_count(std::string_view file, int line, std::string_view key,
-                        std::string_view value) {
-  std::size_t out = 0;
-  if (!exec::parse_size(value, out)) {
-    fail(file, line,
-         "key '" + std::string(key) + "' expects an unsigned integer, got '" +
-             std::string(value) + "'");
-  }
-  return out;
-}
-
-std::vector<std::string> split_list(std::string_view value) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const std::size_t comma = value.find(',', start);
-    const std::size_t end = comma == std::string_view::npos ? value.size()
-                                                            : comma;
-    out.emplace_back(trim(value.substr(start, end - start)));
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-struct RawEntry {
-  std::string key;
-  std::string value;
-  int line = 0;
-};
-
-struct RawSection {
-  std::vector<RawEntry> entries;
-  int line = 0;
-  bool seen = false;
-};
-
-const RawEntry* find_entry(const RawSection& section, std::string_view key) {
-  for (const RawEntry& entry : section.entries) {
-    if (entry.key == key) return &entry;
-  }
-  return nullptr;
-}
-
-std::string format_double(double value) {
-  std::array<char, 64> buffer;
-  const auto [ptr, ec] =
-      std::to_chars(buffer.data(), buffer.data() + buffer.size(), value);
-  if (ec != std::errc()) return "nan";
-  return std::string(buffer.data(), ptr);
-}
+constexpr std::array<exec::IniSectionSchema, 4> kSchema = {{
+    {"hunt", true, kHuntKeys, {}},
+    {"oracle", true, kOracleKeys, {}},
+    {"continuous", false, {}, "axis name"},
+    {"discrete", false, {}, "axis name"},
+}};
 
 }  // namespace
 
 HuntSpec parse_hunt(std::string_view text, std::string_view filename) {
-  // ---- pass 1: split into sections, strictly ------------------------------
-  RawSection hunt_sec, oracle_sec, continuous_sec, discrete_sec;
-  auto section_of = [&](std::string_view name) -> RawSection* {
-    if (name == "hunt") return &hunt_sec;
-    if (name == "oracle") return &oracle_sec;
-    if (name == "continuous") return &continuous_sec;
-    if (name == "discrete") return &discrete_sec;
-    return nullptr;
-  };
+  // ---- pass 1: lex + vocabulary (exec/ini.hpp) ----------------------------
+  const exec::IniDocument doc(text, filename, kSchema);
+  const IniSection& hunt_sec = doc.section("hunt");
+  const IniSection& oracle_sec = doc.section("oracle");
+  const IniSection& continuous_sec = doc.section("continuous");
+  const IniSection& discrete_sec = doc.section("discrete");
 
-  RawSection* current = nullptr;
-  int line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t newline = text.find('\n', pos);
-    const std::size_t end =
-        newline == std::string_view::npos ? text.size() : newline;
-    const std::string_view line = trim(text.substr(pos, end - pos));
-    ++line_no;
-    pos = end + 1;
-    if (newline == std::string_view::npos && line.empty()) break;
-    if (line.empty() || line.front() == '#' || line.front() == ';') continue;
-    if (line.front() == '[') {
-      if (line.back() != ']') {
-        fail(filename, line_no,
-             "malformed section header '" + std::string(line) + "'");
-      }
-      const std::string_view name = trim(line.substr(1, line.size() - 2));
-      RawSection* section = section_of(name);
-      if (section == nullptr) {
-        fail(filename, line_no,
-             "unknown section [" + std::string(name) +
-                 "] (expected hunt, oracle, continuous, or discrete)");
-      }
-      if (section->seen) {
-        fail(filename, line_no,
-             "duplicate section [" + std::string(name) + "]");
-      }
-      section->seen = true;
-      section->line = line_no;
-      current = section;
-      continue;
-    }
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      fail(filename, line_no,
-           "expected 'key = value', got '" + std::string(line) + "'");
-    }
-    if (current == nullptr) {
-      fail(filename, line_no, "key before any [section] header");
-    }
-    const std::string key(trim(line.substr(0, eq)));
-    const std::string value(trim(line.substr(eq + 1)));
-    if (key.empty()) fail(filename, line_no, "empty key");
-    if (value.empty()) {
-      fail(filename, line_no, "key '" + key + "' has an empty value");
-    }
-    if (find_entry(*current, key) != nullptr) {
-      fail(filename, line_no, "duplicate key '" + key + "'");
-    }
-    current->entries.push_back({key, value, line_no});
-  }
-
-  // ---- pass 2: per-section vocabulary + value validation ------------------
+  // ---- pass 2: value validation -------------------------------------------
   HuntSpec spec;
 
-  if (!hunt_sec.seen) {
-    fail(filename, line_no, "missing required section [hunt]");
-  }
-  for (const RawEntry& e : hunt_sec.entries) {
-    if (!contains(kHuntKeys, e.key)) {
-      fail(filename, e.line, "unknown key '" + e.key + "' in [hunt]");
-    }
-  }
-  if (const RawEntry* e = find_entry(hunt_sec, "name")) {
-    if (!valid_name(e->value)) {
-      fail(filename, e->line,
-           "hunt name must match [A-Za-z0-9_-]+, got '" + e->value + "'");
-    }
-    spec.name = e->value;
-  } else {
-    fail(filename, hunt_sec.line, "[hunt] must set 'name'");
-  }
-  if (const RawEntry* e = find_entry(hunt_sec, "description")) {
+  spec.name = doc.name(doc.require("hunt", "name"), "hunt name");
+  if (const IniEntry* e = hunt_sec.find("description")) {
     spec.description = e->value;
   }
-  if (const RawEntry* e = find_entry(hunt_sec, "seed")) {
-    if (!exec::parse_u64(e->value, spec.seed)) {
-      fail(filename, e->line,
-           "key 'seed' expects an unsigned integer, got '" + e->value + "'");
-    }
+  if (const IniEntry* e = hunt_sec.find("seed")) spec.seed = doc.u64(*e);
+  const IniEntry& fitness = doc.require("hunt", "fitness");
+  doc.expect_token(fitness.line, "fitness functional", fitness.value,
+                   kFitnessNames);
+  spec.fitness = fitness_kind_from_name(fitness.value);
+  if (const IniEntry* e = hunt_sec.find("population")) {
+    spec.population = doc.count(*e, 2);
   }
-  if (const RawEntry* e = find_entry(hunt_sec, "fitness")) {
-    if (!contains(kFitnessNames, e->value)) {
-      fail(filename, e->line,
-           "unknown fitness functional '" + e->value + "' (expected " +
-               join_tokens(kFitnessNames) + ")");
-    }
-    spec.fitness = fitness_kind_from_name(e->value);
-  } else {
-    fail(filename, hunt_sec.line, "[hunt] must set 'fitness'");
-  }
-  if (const RawEntry* e = find_entry(hunt_sec, "population")) {
-    spec.population = parse_count(filename, e->line, e->key, e->value);
-    if (spec.population < 2) {
-      fail(filename, e->line, "key 'population' must be >= 2");
-    }
-  }
-  if (const RawEntry* e = find_entry(hunt_sec, "elite")) {
-    spec.elite = parse_count(filename, e->line, e->key, e->value);
-  }
+  const IniEntry* elite = hunt_sec.find("elite");
+  if (elite != nullptr) spec.elite = doc.count(*elite);
   if (spec.elite < 1 || spec.elite >= spec.population) {
-    const RawEntry* e = find_entry(hunt_sec, "elite");
-    fail(filename, e != nullptr ? e->line : hunt_sec.line,
-         "'elite' must be in [1, population)");
+    doc.fail(elite != nullptr ? elite->line : hunt_sec.line,
+             "'elite' must be in [1, population)");
   }
-  if (const RawEntry* e = find_entry(hunt_sec, "generations")) {
-    spec.generations = parse_count(filename, e->line, e->key, e->value);
-    if (spec.generations == 0) {
-      fail(filename, e->line, "key 'generations' must be >= 1");
-    }
+  if (const IniEntry* e = hunt_sec.find("generations")) {
+    spec.generations = doc.count(*e, 1);
   }
-  if (const RawEntry* e = find_entry(hunt_sec, "restarts")) {
-    spec.restarts = parse_count(filename, e->line, e->key, e->value);
-    if (spec.restarts == 0) {
-      fail(filename, e->line, "key 'restarts' must be >= 1");
-    }
+  if (const IniEntry* e = hunt_sec.find("restarts")) {
+    spec.restarts = doc.count(*e, 1);
   }
-  if (const RawEntry* e = find_entry(hunt_sec, "initial_sigma")) {
-    spec.initial_sigma = parse_number(filename, e->line, e->key, e->value);
+  if (const IniEntry* e = hunt_sec.find("initial_sigma")) {
+    spec.initial_sigma = doc.number(*e);
   }
-  if (const RawEntry* e = find_entry(hunt_sec, "sigma_floor")) {
-    spec.sigma_floor = parse_number(filename, e->line, e->key, e->value);
+  if (const IniEntry* e = hunt_sec.find("sigma_floor")) {
+    spec.sigma_floor = doc.number(*e);
   }
   if (!(spec.initial_sigma > 0.0) || !(spec.sigma_floor > 0.0) ||
       spec.sigma_floor > spec.initial_sigma) {
-    fail(filename, hunt_sec.line,
-         "'initial_sigma' and 'sigma_floor' must be positive with "
-         "sigma_floor <= initial_sigma");
+    doc.fail(hunt_sec.line,
+             "'initial_sigma' and 'sigma_floor' must be positive with "
+             "sigma_floor <= initial_sigma");
   }
-  if (const RawEntry* e = find_entry(hunt_sec, "tree_iterations")) {
-    spec.tree_iterations = parse_count(filename, e->line, e->key, e->value);
+  if (const IniEntry* e = hunt_sec.find("tree_iterations")) {
+    spec.tree_iterations = doc.count(*e);
   }
 
-  if (!oracle_sec.seen) {
-    fail(filename, line_no, "missing required section [oracle]");
+  spec.connections = doc.count(doc.require("oracle", "connections"), 2);
+  const IniEntry& beta = doc.require("oracle", "beta");
+  spec.beta = doc.number(beta);
+  if (!(spec.beta > 0.0 && spec.beta < 1.0)) {
+    doc.fail(beta.line, "key 'beta' must lie in (0, 1)");
   }
-  for (const RawEntry& e : oracle_sec.entries) {
-    if (!contains(kOracleKeys, e.key)) {
-      fail(filename, e.line, "unknown key '" + e.key + "' in [oracle]");
-    }
-  }
-  if (const RawEntry* e = find_entry(oracle_sec, "connections")) {
-    spec.connections = parse_count(filename, e->line, e->key, e->value);
-    if (spec.connections < 2) {
-      fail(filename, e->line, "key 'connections' must be >= 2");
-    }
-  } else {
-    fail(filename, oracle_sec.line, "[oracle] must set 'connections'");
-  }
-  if (const RawEntry* e = find_entry(oracle_sec, "beta")) {
-    spec.beta = parse_number(filename, e->line, e->key, e->value);
-    if (!(spec.beta > 0.0 && spec.beta < 1.0)) {
-      fail(filename, e->line, "key 'beta' must lie in (0, 1)");
-    }
-  } else {
-    fail(filename, oracle_sec.line, "[oracle] must set 'beta'");
-  }
-  if (const RawEntry* e = find_entry(oracle_sec, "discipline")) {
-    if (!contains(kDisciplines, e->value)) {
-      fail(filename, e->line,
-           "unknown discipline '" + e->value + "' (expected " +
-               join_tokens(kDisciplines) + ")");
-    }
+  if (const IniEntry* e = oracle_sec.find("discipline")) {
+    doc.expect_token(e->line, "discipline", e->value, kDisciplines);
     spec.discipline = e->value;
   }
-  if (const RawEntry* e = find_entry(oracle_sec, "feedback")) {
-    if (!contains(kFeedbacks, e->value)) {
-      fail(filename, e->line,
-           "unknown feedback mode '" + e->value + "' (expected " +
-               join_tokens(kFeedbacks) + ")");
-    }
+  if (const IniEntry* e = oracle_sec.find("feedback")) {
+    doc.expect_token(e->line, "feedback mode", e->value, kFeedbacks);
     spec.feedback = e->value;
   }
 
   // ---- axes: [continuous] first, then [discrete], each in file order ------
-  auto check_axis_name = [&](const RawEntry& e) {
-    if (!valid_identifier(e.key)) {
-      fail(filename, e.line,
-           "axis name '" + e.key + "' must match [a-z_][a-z0-9_]*");
-    }
-    for (const HuntAxis& axis : spec.axes) {
-      if (axis.name == e.key) {
-        fail(filename, e.line, "duplicate axis '" + e.key + "'");
-      }
-    }
-  };
-  for (const RawEntry& e : continuous_sec.entries) {
-    check_axis_name(e);
-    const std::vector<std::string> items = split_list(e.value);
+  for (const IniEntry& e : continuous_sec.entries) {
+    const std::vector<std::string> items = doc.list(e);
     if (items.size() != 2) {
-      fail(filename, e.line,
-           "continuous axis '" + e.key + "' expects 'lo, hi', got '" +
-               e.value + "'");
+      doc.fail(e.line, "continuous axis '" + e.key +
+                           "' expects 'lo, hi', got '" + e.value + "'");
     }
     HuntAxis axis;
     axis.name = e.key;
-    axis.lo = parse_number(filename, e.line, e.key, items[0]);
-    axis.hi = parse_number(filename, e.line, e.key, items[1]);
+    axis.lo = doc.number(e, items[0]);
+    axis.hi = doc.number(e, items[1]);
     if (!(axis.lo < axis.hi)) {
-      fail(filename, e.line,
-           "continuous axis '" + e.key + "' needs lo < hi");
+      doc.fail(e.line, "continuous axis '" + e.key + "' needs lo < hi");
     }
     spec.axes.push_back(std::move(axis));
   }
-  for (const RawEntry& e : discrete_sec.entries) {
-    check_axis_name(e);
+  for (const IniEntry& e : discrete_sec.entries) {
+    // Keys are unique within a section, so only a discrete axis can clash.
+    for (const HuntAxis& other : spec.axes) {
+      if (other.name == e.key) {
+        doc.fail(e.line, "duplicate axis '" + e.key + "'");
+      }
+    }
     HuntAxis axis;
     axis.name = e.key;
     axis.discrete = true;
-    for (const std::string& item : split_list(e.value)) {
-      if (item.empty()) {
-        fail(filename, e.line, "axis '" + e.key + "' has an empty entry");
-      }
-      const double v = parse_number(filename, e.line, e.key, item);
+    for (const std::string& item : doc.list(e)) {
+      const double v = doc.number(e, item);
       if (!axis.values.empty() && !(v > axis.values.back())) {
-        fail(filename, e.line,
-             "discrete axis '" + e.key +
-                 "' values must be strictly increasing");
+        doc.fail(e.line, "discrete axis '" + e.key +
+                             "' values must be strictly increasing");
       }
       axis.values.push_back(v);
     }
@@ -385,14 +142,14 @@ HuntSpec parse_hunt(std::string_view text, std::string_view filename) {
 
   // ---- pass 3: cross-section consistency ----------------------------------
   if (spec.axes.empty()) {
-    fail(filename, line_no,
-         "a hunt needs at least one axis ([continuous] or [discrete])");
+    doc.fail(doc.end_line(),
+             "a hunt needs at least one axis ([continuous] or [discrete])");
   }
-  const RawEntry* onset_entry = find_entry(hunt_sec, "onset_axis");
+  const IniEntry* onset_entry = hunt_sec.find("onset_axis");
   if (spec.fitness == FitnessKind::EarliestOnset) {
     if (onset_entry == nullptr) {
-      fail(filename, hunt_sec.line,
-           "fitness 'earliest_onset' requires 'onset_axis'");
+      doc.fail(hunt_sec.line,
+               "fitness 'earliest_onset' requires 'onset_axis'");
     }
     bool is_continuous_axis = false;
     for (const HuntAxis& axis : spec.axes) {
@@ -402,22 +159,22 @@ HuntSpec parse_hunt(std::string_view text, std::string_view filename) {
       }
     }
     if (!is_continuous_axis) {
-      fail(filename, onset_entry->line,
-           "'onset_axis' must name a declared continuous axis, got '" +
-               onset_entry->value + "'");
+      doc.fail(onset_entry->line,
+               "'onset_axis' must name a declared continuous axis, got '" +
+                   onset_entry->value + "'");
     }
     spec.onset_axis = onset_entry->value;
   } else if (onset_entry != nullptr) {
-    fail(filename, onset_entry->line,
-         "'onset_axis' is only meaningful with fitness 'earliest_onset'");
+    doc.fail(onset_entry->line,
+             "'onset_axis' is only meaningful with fitness 'earliest_onset'");
   }
   if (spec.tree_iterations > 0) {
     const bool any_discrete = std::any_of(
         spec.axes.begin(), spec.axes.end(),
         [](const HuntAxis& axis) { return axis.discrete; });
     if (!any_discrete) {
-      fail(filename, hunt_sec.line,
-           "'tree_iterations' > 0 requires at least one [discrete] axis");
+      doc.fail(hunt_sec.line,
+               "'tree_iterations' > 0 requires at least one [discrete] axis");
     }
   }
 
@@ -461,6 +218,7 @@ TreeOptions HuntSpec::to_tree_options(std::size_t jobs) const {
 }
 
 std::string HuntSpec::dump() const {
+  using exec::format_double;
   std::ostringstream out;
   out << "[hunt]\nname = " << name << "\n";
   if (!description.empty()) out << "description = " << description << "\n";
@@ -482,41 +240,26 @@ std::string HuntSpec::dump() const {
   out << "discipline = " << discipline << "\n";
   out << "feedback = " << feedback << "\n";
 
-  bool any_continuous = false, any_discrete = false;
-  for (const HuntAxis& axis : axes) {
-    (axis.discrete ? any_discrete : any_continuous) = true;
-  }
-  if (any_continuous) {
-    out << "\n[continuous]\n";
+  // [continuous] then [discrete], each in declaration order; a section
+  // without axes is left out.
+  for (const bool discrete : {false, true}) {
+    bool first = true;
     for (const HuntAxis& axis : axes) {
-      if (axis.discrete) continue;
-      out << axis.name << " = " << format_double(axis.lo) << ", "
-          << format_double(axis.hi) << "\n";
-    }
-  }
-  if (any_discrete) {
-    out << "\n[discrete]\n";
-    for (const HuntAxis& axis : axes) {
-      if (!axis.discrete) continue;
-      out << axis.name << " = ";
-      for (std::size_t i = 0; i < axis.values.size(); ++i) {
-        if (i > 0) out << ", ";
-        out << format_double(axis.values[i]);
+      if (axis.discrete != discrete) continue;
+      if (std::exchange(first, false)) {
+        out << (discrete ? "\n[discrete]\n" : "\n[continuous]\n");
       }
-      out << "\n";
+      out << axis.name << " = "
+          << exec::format_list(discrete ? axis.values
+                                        : std::vector{axis.lo, axis.hi})
+          << "\n";
     }
   }
   return out.str();
 }
 
 HuntSpec load_hunt_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw HuntError("cannot read hunt spec file: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_hunt(buffer.str(), path);
+  return parse_hunt(exec::read_config_file(path, "hunt spec"), path);
 }
 
 }  // namespace ffc::search

@@ -12,21 +12,21 @@
 //   [continuous]  <axis> = lo, hi            (one axis per key, in order)
 //   [discrete]    <axis> = v1, v2, ...       (strictly increasing values)
 //
-// Parsing is strict in the same way scenario/spec.hpp is: unknown
-// sections/keys, duplicate keys, malformed numbers, and cross-key
-// inconsistencies (an onset_axis that is not a declared continuous axis,
-// tree_iterations without a discrete axis) all fail with file:line
-// diagnostics. dump() emits the canonical form; parse(dump(s)) == dump(s)
-// is a fixed point pinned by tests/test_search.cpp.
+// Parsing goes through the shared INI front end (exec/ini.hpp), strict as
+// scenario/spec.hpp is: unknown sections/keys, duplicate keys, malformed
+// numbers, and cross-key inconsistencies (an onset_axis that is not a
+// declared continuous axis, tree_iterations without a discrete axis) all
+// fail with file:line diagnostics. dump() emits the canonical form;
+// parse(dump(s)) == dump(s) is a fixed point pinned by tests/test_search.cpp.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "exec/ini.hpp"
 #include "search/cem.hpp"
 #include "search/fitness.hpp"
 #include "search/space.hpp"
@@ -35,10 +35,7 @@
 namespace ffc::search {
 
 /// Parse or validation failure; what() carries file:line: message.
-class HuntError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+using HuntError = exec::ConfigError;
 
 /// One axis as declared in the spec file (continuous and discrete axes
 /// keep their own declaration order; the SearchSpace lists continuous

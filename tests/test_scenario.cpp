@@ -145,6 +145,34 @@ TEST(ScenarioParse, RequiresTopologySizeKeys) {
   EXPECT_THROW(parse_scenario(text, "bad.ini"), ScenarioError);
 }
 
+TEST(ScenarioParse, RejectsGridWhoseCellCountOverflows) {
+  // 20 numeric axes of 16 values each: 16^20 = 2^80 cells, which wraps a
+  // 64-bit std::size_t (to 0). The grid must be refused at its header
+  // line, not accepted as a 0-cell sweep.
+  std::string text =
+      "[scenario]\nname = x\n[topology]\nkind = single_bottleneck\n"
+      "connections = 4\n[model]\nprotocol = additive\n[params]\n"
+      "beta = 0.5\n[grid]\n";
+  std::string values;
+  for (int v = 1; v <= 16; ++v) {
+    values += (v > 1 ? ", " : "") + std::to_string(v);
+  }
+  for (int axis = 0; axis < 20; ++axis) {
+    text += "a" + std::to_string(axis) + " = " + values + "\n";
+  }
+  try {
+    parse_scenario(text, "huge.ini");
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("huge.ini:10: [grid] ", 0), 0u)
+        << error.what();
+  }
+  // One axis fewer than the wrap point still parses: 16^15 = 2^60 cells.
+  std::string fits = text.substr(0, text.find("a15 ="));
+  fits += "eta = 0.1\n";
+  EXPECT_EQ(parse_scenario(fits, "big.ini").axes.size(), 16u);
+}
+
 TEST(ScenarioGridTest, ExpandsRowMajorWithLastAxisFastest) {
   const ScenarioGrid grid(parse_scenario(kFullSpec, "demo.ini"));
   ASSERT_EQ(grid.grid().size(), 4u);  // protocol x signal_loss = 2 x 2
