@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -17,6 +18,17 @@
 #include "queueing/priority.hpp"
 #include "queueing/processor_sharing.hpp"
 #include "stats/rng.hpp"
+
+namespace ffc::queueing {
+
+// gtest prints a TEST_P parameter into each test's listed name, and ctest
+// registers that name. Print a discipline by its name, not its address, so
+// the registered names are the same in every build.
+void PrintTo(const ServiceDiscipline* d, std::ostream* os) {
+  *os << d->name();
+}
+
+}  // namespace ffc::queueing
 
 namespace {
 

@@ -4,10 +4,22 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
 #include "core/signal.hpp"
+
+namespace ffc::core {
+
+// gtest prints a TEST_P parameter into each test's listed name, and ctest
+// registers that name. Print a signal by its formula, not its address, so
+// the registered names are the same in every build.
+void PrintTo(const std::shared_ptr<const SignalFunction>& b, std::ostream* os) {
+  *os << b->name();
+}
+
+}  // namespace ffc::core
 
 namespace {
 
