@@ -1,6 +1,7 @@
 #include "exec/param_grid.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace ffc::exec {
@@ -17,6 +18,11 @@ double GridPoint::get(std::string_view name) const {
 }
 
 ParamGrid& ParamGrid::axis(std::string name, std::vector<double> values) {
+  if (!values.empty() &&
+      size() > std::numeric_limits<std::size_t>::max() / values.size()) {
+    throw std::length_error("ParamGrid::axis: axis '" + name +
+                            "' makes the grid size overflow std::size_t");
+  }
   axes_.push_back(GridAxis{std::move(name), std::move(values)});
   return *this;
 }

@@ -61,6 +61,8 @@ class ParamGrid {
 
   /// Appends an axis. Returns *this for chaining:
   ///   ParamGrid g; g.axis("eta", ...).axis("n", ...);
+  /// Throws std::length_error, leaving the grid unchanged, if the product
+  /// of the axis sizes would overflow std::size_t.
   ParamGrid& axis(std::string name, std::vector<double> values);
 
   std::size_t num_axes() const { return axes_.size(); }

@@ -24,7 +24,17 @@ NetworkSimulator::NetworkSimulator(network::Topology topology,
       topology_(*owned_topology_),
       discipline_(discipline) {
   build(seed, plan, 0,
-        std::vector<std::size_t>(topology_.num_gateways(), 0), 1);
+        std::vector<std::size_t>(topology_.num_gateways(), 0), 1, *this);
+}
+
+NetworkSimulator::NetworkSimulator(network::Topology topology,
+                                   SimDiscipline discipline,
+                                   std::uint64_t seed, PacketSink& sink)
+    : owned_topology_(std::move(topology)),
+      topology_(*owned_topology_),
+      discipline_(discipline) {
+  build(seed, faults::FaultPlan{}, 0,
+        std::vector<std::size_t>(topology_.num_gateways(), 0), 1, sink);
 }
 
 NetworkSimulator::NetworkSimulator(
@@ -32,14 +42,14 @@ NetworkSimulator::NetworkSimulator(
     std::uint64_t seed, const faults::FaultPlan& plan, std::size_t shard,
     const std::vector<std::size_t>& shard_of_gateway, std::size_t num_shards)
     : topology_(topology), discipline_(discipline) {
-  build(seed, plan, shard, shard_of_gateway, num_shards);
+  build(seed, plan, shard, shard_of_gateway, num_shards, *this);
 }
 
 void NetworkSimulator::build(std::uint64_t seed,
                              const faults::FaultPlan& plan,
                              std::size_t shard,
                              const std::vector<std::size_t>& shard_of_gateway,
-                             std::size_t num_shards) {
+                             std::size_t num_shards, PacketSink& sink) {
   const std::size_t num_gw = topology_.num_gateways();
   const std::size_t num_conn = topology_.num_connections();
   if (!plan.empty()) plan.validate(num_gw, num_conn);
@@ -51,11 +61,11 @@ void NetworkSimulator::build(std::uint64_t seed,
   delivered_.assign(num_conn, 0);
   source_active_.assign(num_conn, 1);
 
-  PacketSink* sink = static_cast<PacketSink*>(this);
+  PacketSink* server_sink = &sink;
   if (num_shards > 1) {
     boundary_ = std::make_unique<ShardBoundary>(*this, shard_of_gateway,
                                                 shard, num_shards);
-    sink = boundary_.get();
+    server_sink = boundary_.get();
   }
 
   // Streams split in global order: servers by gateway, then sources by
@@ -71,15 +81,15 @@ void NetworkSimulator::build(std::uint64_t seed,
     switch (discipline_) {
       case SimDiscipline::Fifo:
         servers_[a] = std::make_unique<FifoServer>(sim_, gw.mu, n_local,
-                                                   server_rng, sink);
+                                                   server_rng, server_sink);
         break;
       case SimDiscipline::FairShare:
         servers_[a] = std::make_unique<FairShareServer>(
-            sim_, gw.mu, n_local, server_rng, sink);
+            sim_, gw.mu, n_local, server_rng, server_sink);
         break;
       case SimDiscipline::FairQueueing:
         servers_[a] = std::make_unique<FairQueueingServer>(
-            sim_, gw.mu, n_local, server_rng, sink);
+            sim_, gw.mu, n_local, server_rng, server_sink);
         break;
     }
   }

@@ -37,7 +37,9 @@ enum class SimDiscipline { Fifo, FairShare, FairQueueing };
 /// The same class is the shard engine of ParallelNetworkSimulator: a shard
 /// is a NetworkSimulator that owns a subset of the gateways and sources
 /// (docs/PARALLEL.md). The public constructors build the one-shard case,
-/// which owns everything.
+/// which owns everything. It is also the engine under
+/// WindowNetworkSimulator, whose ACK-clocked sources take the servers'
+/// departures in place of the Poisson sources' forwarding.
 class NetworkSimulator : private PacketSink, private EventHandler {
  public:
   /// Builds the simulation; all sources start silent (rate 0) until
@@ -135,6 +137,7 @@ class NetworkSimulator : private PacketSink, private EventHandler {
 
  private:
   friend class ParallelNetworkSimulator;
+  friend class WindowNetworkSimulator;
 
   /// A packet crossing a shard boundary: a Propagate event for it at `time`
   /// (absolute) on the destination shard's calendar.
@@ -173,11 +176,18 @@ class NetworkSimulator : private PacketSink, private EventHandler {
                    const std::vector<std::size_t>& shard_of_gateway,
                    std::size_t num_shards);
 
-  /// The constructors' common body.
+  /// The one-shard engine with no fault plan whose servers hand every
+  /// departure to `sink` (a WindowNetworkSimulator), which must outlive it.
+  NetworkSimulator(network::Topology topology, SimDiscipline discipline,
+                   std::uint64_t seed, PacketSink& sink);
+
+  /// The constructors' common body. `sink` receives the servers'
+  /// departures; with more than one shard a ShardBoundary in front of it
+  /// routes the cross-shard ones.
   void build(std::uint64_t seed, const faults::FaultPlan& plan,
              std::size_t shard,
              const std::vector<std::size_t>& shard_of_gateway,
-             std::size_t num_shards);
+             std::size_t num_shards, PacketSink& sink);
 
   /// PacketSink: a gateway finished serving `packet`; schedule the line
   /// crossing (or final delivery) as a tagged Propagate event.

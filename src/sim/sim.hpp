@@ -1,8 +1,15 @@
 // Umbrella header for the packet-level simulation library.
 //
+// There is one packet engine, NetworkSimulator (calendar, servers, RNG
+// streams, forwarding, delivery counts), with two source kinds:
+//
 //   NetworkSimulator        -- open-loop Poisson sources over a topology
+//   WindowNetworkSimulator  -- sliding-window ACK-clocked DECbit sources,
+//                              a PacketSink + EventHandler over the engine
+//
+// and a driver on top of it:
+//
 //   ClosedLoopSimulator     -- epoch-based rate feedback over packets
-//   WindowNetworkSimulator  -- sliding-window ACK-clocked DECbit sources
 //
 // Gateway disciplines: FIFO, preemptive-priority Fair Share (Table 1
 // realized by stream splitting), and packet-by-packet Fair Queueing.

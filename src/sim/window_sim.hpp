@@ -17,16 +17,19 @@
 // the real mechanism: window control is latency-biased under FIFO (short-RTT
 // connections grab the bottleneck), and fair-queueing-style gateways repair
 // much of that bias [Dem89] -- see exp_e14_windowed_decbit.
+//
+// The packet engine is NetworkSimulator's: its calendar, servers, RNG
+// streams, forwarding and delivery counts. This class is only the
+// ACK-clocked source kind on top of it -- the servers' PacketSink and the
+// EventHandler of its own hop and ACK events.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "network/topology.hpp"
-#include "sim/network_sim.hpp"  // SimDiscipline
+#include "sim/network_sim.hpp"
 #include "sim/server.hpp"
-#include "sim/simulator.hpp"
 #include "stats/summary.hpp"
 
 namespace ffc::sim {
@@ -47,14 +50,15 @@ struct WindowOptions {
   double increase = 1.0;        ///< additive window increase
   double decrease = 0.875;      ///< multiplicative window decrease
   double min_window = 1.0;
-  double max_window = 256.0;
+  double max_window = 256.0;    ///< must be finite
   bool adapt = true;            ///< false = fixed sliding windows
 };
 
 /// Packet-level simulation of sliding-window sources with DECbit feedback.
-/// Like NetworkSimulator it implements PacketSink + EventHandler: gateway
-/// departures, hop propagation, and ACK returns are tagged events, so the
-/// warmed-up simulation runs without heap allocation.
+/// It implements PacketSink + EventHandler over a NetworkSimulator engine:
+/// gateway departures come back here, and hop propagation and ACK returns
+/// are tagged events, so the warmed-up simulation runs without heap
+/// allocation.
 class WindowNetworkSimulator : private PacketSink, private EventHandler {
  public:
   WindowNetworkSimulator(network::Topology topology,
@@ -62,7 +66,7 @@ class WindowNetworkSimulator : private PacketSink, private EventHandler {
                          std::uint64_t seed);
 
   /// Advances the simulation (sources start sending at construction).
-  void run_for(double duration);
+  void run_for(double duration) { engine_.run_for(duration); }
 
   /// Discards throughput / queue statistics gathered so far.
   void reset_metrics();
@@ -73,10 +77,13 @@ class WindowNetworkSimulator : private PacketSink, private EventHandler {
   /// Fixes connection i's window at `w` and stops adapting it -- a source
   /// that ignores congestion bits (the §3.4 heterogeneity/robustness
   /// scenario at the window level). Call before or during the run.
+  /// Requires 1 <= w <= max_window.
   void pin_window(network::ConnectionId i, double w);
 
   /// Delivered packets of i per unit time since the last metric reset.
-  double throughput(network::ConnectionId i) const;
+  double throughput(network::ConnectionId i) const {
+    return engine_.throughput(i);
+  }
 
   /// Mean round-trip time (data path + ACK return) of connection i's
   /// acknowledged packets; 0 if none.
@@ -87,11 +94,16 @@ class WindowNetworkSimulator : private PacketSink, private EventHandler {
 
   /// Time-average number of i's packets at gateway a. Throws if i does not
   /// traverse a.
-  double mean_queue(network::GatewayId a, network::ConnectionId i) const;
+  double mean_queue(network::GatewayId a, network::ConnectionId i) const {
+    return engine_.mean_queue(a, i);
+  }
 
-  std::uint64_t delivered(network::ConnectionId i) const;
-  double now() const { return sim_.now(); }
-  const network::Topology& topology() const { return topology_; }
+  /// Packets of i delivered (at their last-hop departure) since the reset.
+  std::uint64_t delivered(network::ConnectionId i) const {
+    return engine_.delivered(i);
+  }
+  double now() const { return engine_.now(); }
+  const network::Topology& topology() const { return engine_.topology(); }
 
  private:
   struct SourceState {
@@ -103,6 +115,10 @@ class WindowNetworkSimulator : private PacketSink, private EventHandler {
     std::uint64_t cycle_length = 2;  ///< ACKs per adjustment (~the window)
   };
 
+  /// Throws unless `options` and `discipline` are valid; returns `options`.
+  static WindowOptions checked(const WindowOptions& options,
+                               SimDiscipline discipline);
+
   /// PacketSink: a gateway finished serving `packet`; schedule the hop
   /// crossing (forward) or the ACK return (last hop) as a Propagate event.
   void packet_departed(Packet packet) override;
@@ -112,24 +128,19 @@ class WindowNetworkSimulator : private PacketSink, private EventHandler {
   void handle_event(SimEvent& event) override;
 
   void try_send(network::ConnectionId i);
-  void maybe_mark(Packet& packet, network::GatewayId a,
-                  std::size_t local) const;
+  /// Sets the packet's congestion bit if the gateway at its hop is
+  /// congested right now (the packet has not yet joined the queue).
+  void maybe_mark(Packet& packet) const;
   void ack_arrived(network::ConnectionId i, double created, bool bit);
   void adjust_window(network::ConnectionId i);
 
-  network::Topology topology_;
   WindowOptions options_;
-  Simulator sim_;
-
-  std::vector<std::unique_ptr<GatewayServer>> servers_;
+  NetworkSimulator engine_;
   std::vector<SourceState> sources_;
 
   std::vector<stats::OnlineStats> rtt_stats_;
-  std::vector<std::uint64_t> delivered_;
   std::vector<std::uint64_t> acks_;
   std::vector<std::uint64_t> bits_;
-  double metrics_start_ = 0.0;
-  std::uint64_t next_packet_id_ = 0;
 };
 
 }  // namespace ffc::sim

@@ -308,6 +308,33 @@ TEST(AllocFree, NetworkSimulatorWindowDoesNotAllocate) {
   }
 }
 
+TEST(AllocFree, WindowSourcesDoNotAllocate) {
+  // E14's two-connection topology under fixed windows. A fixed window
+  // bounds the packets in flight, so the warm-up takes the calendar, the
+  // slot pool and the server rings to every high-water mark the measured
+  // run reaches; ACK-clocked forwarding must then never touch the
+  // allocator.
+  const ffc::network::Topology topo(
+      {{1.0, 0.1}, {100.0, 5.0}},
+      {ffc::network::Connection{{0}}, ffc::network::Connection{{0, 1}}});
+  ffc::sim::WindowOptions opts;
+  opts.adapt = false;
+  opts.initial_window = 8.0;
+  for (auto discipline : {SimDiscipline::Fifo, SimDiscipline::FairQueueing}) {
+    ffc::sim::WindowNetworkSimulator ws(topo, discipline, opts, 42);
+    ws.run_for(20000.0);
+    const std::uint64_t before = ws.delivered(0) + ws.delivered(1);
+
+    AllocWindow window;
+    ws.run_for(80000.0);
+    const std::uint64_t allocs = window.count();
+    const std::uint64_t delivered =
+        ws.delivered(0) + ws.delivered(1) - before;
+    EXPECT_EQ(allocs, 0u) << "discipline " << static_cast<int>(discipline);
+    EXPECT_GT(delivered, 10000u);
+  }
+}
+
 /// Bytes allocated while `build` constructs an engine from a copy of
 /// `topo` (the copy itself is made outside the window).
 template <typename Build>
@@ -323,9 +350,10 @@ TEST(AllocScaling, PacketEngineConstructionIsLinearInTopologySize) {
   // G = 500 gateways, N = 10^4 single-hop connections (E = N). Any table
   // indexed by (gateway, connection) costs G * N * 8 bytes = 40 MB here,
   // per engine and per shard. Everything an engine needs is O(G + N + E)
-  // per shard: about 100 bytes per element for NetworkSimulator and each
-  // shard, about 250 for WindowNetworkSimulator, whose construction also
-  // sends every source's first window.
+  // per shard: about 90 bytes per element for NetworkSimulator and each
+  // shard, about 320 for WindowNetworkSimulator, which adds its source
+  // state to an engine's and whose construction also sends every source's
+  // first window.
   constexpr std::size_t kGateways = 500;
   constexpr std::size_t kConnections = 10000;
   constexpr std::size_t kShards = 4;

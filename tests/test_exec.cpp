@@ -11,8 +11,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <memory>
 #include <vector>
@@ -183,6 +185,26 @@ TEST(ParamGrid, EmptyAxisMakesGridEmpty) {
   grid.axis("a", {1.0, 2.0}).axis("b", {});
   EXPECT_EQ(grid.size(), 0u);
   EXPECT_THROW(grid.point(0), std::out_of_range);
+}
+
+TEST(ParamGrid, SizeOverflowIsRejectedNotWrapped) {
+  // digits - 1 two-valued axes make the largest power of two a size_t
+  // holds; one more would wrap the product to 0, a sweep of no cells.
+  constexpr int kBits = std::numeric_limits<std::size_t>::digits;
+  ParamGrid grid;
+  for (int d = 0; d + 1 < kBits; ++d) {
+    grid.axis("a" + std::to_string(d), {0.0, 1.0});
+  }
+  const std::size_t largest = std::size_t{1} << (kBits - 1);
+  ASSERT_EQ(grid.size(), largest);
+  EXPECT_THROW(grid.axis("wraps", {0.0, 1.0}), std::length_error);
+  EXPECT_EQ(grid.num_axes(), static_cast<std::size_t>(kBits - 1));
+  EXPECT_EQ(grid.size(), largest);
+  // A one-valued axis keeps the product, and an empty axis zeroes it, so
+  // neither can overflow.
+  grid.axis("single", {2.0}).axis("empty", {});
+  EXPECT_EQ(grid.size(), 0u);
+  EXPECT_NO_THROW(grid.axis("after_empty", {0.0, 1.0, 2.0}));
 }
 
 TEST(ParamGrid, UnknownAxisNameThrows) {

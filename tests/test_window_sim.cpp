@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "exec/param_grid.hpp"
@@ -131,6 +133,60 @@ TEST(WindowSim, MeanQueueRejectsConnectionOffTheGateway) {
   EXPECT_THROW(ws.mean_queue(1, 0), std::invalid_argument);
 }
 
+TEST(WindowSim, TrajectoryMatchesParentBitwise) {
+  // E14's four cells (bit rule x discipline, seed 42) over a short horizon,
+  // pinned exactly: the event order, the random streams, the marking and
+  // the window arithmetic all have to reproduce the reference run bit for
+  // bit, so any change to the packet timing shows here in well under a
+  // second instead of only in the full reproduction.
+  struct Cell {
+    BitRule rule;
+    SimDiscipline discipline;
+    std::uint64_t delivered[2];
+    double window[2];
+    double mean_rtt[2];
+    double bit_fraction[2];
+  };
+  const Cell cells[] = {
+      {BitRule::AggregateQueue, SimDiscipline::Fifo, {1847, 175},
+       {0x1.5c146b22bb371p+1, 0x1.57p+0},
+       {0x1.a6ea2f2dbda6dp+1, 0x1.c504ca2cbe9dp+3},
+       {0x1.83cfc41f99fcfp-1, 0x1.e898231bcb565p-1}},
+      {BitRule::AggregateQueue, SimDiscipline::FairQueueing, {1843, 180},
+       {0x1.662b1ec05f9f7p+0, 0x1p+0},
+       {0x1.b18065c459eecp+1, 0x1.9cb0cf419e41bp+3},
+       {0x1.8343a56f43173p-1, 0x1.f1c71c71c71c7p-1}},
+      {BitRule::OwnQueue, SimDiscipline::Fifo, {1377, 650},
+       {0x1.405d7efa33c2ap+1, 0x1.e2693209ccafep+1},
+       {0x1.28394376ea5eap+2, 0x1.fb68e376a3da3p+3},
+       {0x1.8963766cf1af5p-1, 0x1.fe6cb398064d3p-2}},
+      {BitRule::OwnQueue, SimDiscipline::FairQueueing, {1228, 800},
+       {0x1.d06fdad3695ap+1, 0x1.38bb4f2bc7781p+2},
+       {0x1.4bc4c93d28469p+2, 0x1.fd4fabcb06264p+3},
+       {0x1.849619042b5c9p-1, 0x1.1674c59d31675p-1}},
+  };
+  const Topology topo({{1.0, 0.1}, {100.0, 5.0}},
+                      {Connection{{0}}, Connection{{0, 1}}});
+  for (const Cell& cell : cells) {
+    WindowOptions opts;
+    opts.bit_rule = cell.rule;
+    WindowNetworkSimulator ws(topo, cell.discipline, opts, 42);
+    ws.run_for(1000.0);
+    ws.reset_metrics();
+    ws.run_for(2000.0);
+    for (std::size_t i = 0; i < 2; ++i) {
+      SCOPED_TRACE(testing::Message()
+                   << "rule " << static_cast<int>(cell.rule) << " discipline "
+                   << static_cast<int>(cell.discipline) << " connection "
+                   << i);
+      EXPECT_EQ(ws.delivered(i), cell.delivered[i]);
+      EXPECT_EQ(ws.window(i), cell.window[i]);
+      EXPECT_EQ(ws.mean_rtt(i), cell.mean_rtt[i]);
+      EXPECT_EQ(ws.bit_fraction(i), cell.bit_fraction[i]);
+    }
+  }
+}
+
 TEST(WindowSim, OptionValidation) {
   auto topo = ffc::network::single_bottleneck(1, 1.0);
   WindowOptions bad;
@@ -141,8 +197,23 @@ TEST(WindowSim, OptionValidation) {
   bad.min_window = 0.5;
   EXPECT_THROW(WindowNetworkSimulator(topo, SimDiscipline::Fifo, bad, 1),
                std::invalid_argument);
+  // An infinite window would keep sending forever: the cap must be finite.
+  const double inf = std::numeric_limits<double>::infinity();
+  bad = WindowOptions{};
+  bad.max_window = inf;
+  EXPECT_THROW(WindowNetworkSimulator(topo, SimDiscipline::Fifo, bad, 1),
+               std::invalid_argument);
+  bad.initial_window = inf;
+  EXPECT_THROW(WindowNetworkSimulator(topo, SimDiscipline::Fifo, bad, 1),
+               std::invalid_argument);
   WindowNetworkSimulator ws(topo, SimDiscipline::Fifo, WindowOptions{}, 1);
   EXPECT_THROW(ws.pin_window(0, 0.5), std::invalid_argument);
+  EXPECT_THROW(ws.pin_window(0, inf), std::invalid_argument);
+  EXPECT_THROW(ws.pin_window(0, WindowOptions{}.max_window + 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(ws.pin_window(0, std::nan("")), std::invalid_argument);
+  ws.pin_window(0, WindowOptions{}.max_window);  // the cap itself is allowed
+  EXPECT_DOUBLE_EQ(ws.window(0), WindowOptions{}.max_window);
   EXPECT_THROW(ws.run_for(-1.0), std::invalid_argument);
 }
 
