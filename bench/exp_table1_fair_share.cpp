@@ -42,10 +42,10 @@ void run_table1(ExperimentContext& ctx) {
     double sum = 0.0;
     std::vector<std::string> row{std::to_string(i + 1)};
     for (std::size_t j = 0; j < rates.size(); ++j) {
-      row.push_back(decomposition.share[i][j] > 0.0
-                        ? fmt(decomposition.share[i][j], 2)
+      row.push_back(decomposition.share(i, j) > 0.0
+                        ? fmt(decomposition.share(i, j), 2)
                         : "-");
-      sum += decomposition.share[i][j];
+      sum += decomposition.share(i, j);
     }
     row.push_back(fmt(sum, 2));
     table.add_row(std::move(row));
@@ -88,7 +88,7 @@ void run_table1(ExperimentContext& ctx) {
     for (std::size_t i = 0; i < rates.size(); ++i) {
       const double expected = i >= j ? rates[j] - prev : 0.0;
       worst_cell_error = std::max(
-          worst_cell_error, std::abs(decomposition.share[i][j] - expected));
+          worst_cell_error, std::abs(decomposition.share(i, j) - expected));
     }
     prev = rates[j];
   }

@@ -91,6 +91,10 @@ FixedPointResult solve_fixed_point(const FlowControlModel& model,
   if (!(options.damping > 0.0) || options.damping > 1.0) {
     throw std::invalid_argument("solve_fixed_point: damping must be in (0,1]");
   }
+  if (!(options.tolerance >= 0.0) || !std::isfinite(options.tolerance)) {
+    throw std::invalid_argument(
+        "solve_fixed_point: tolerance must be finite and >= 0");
+  }
   FixedPointResult result;
   result.rates = std::move(initial);
   for (std::size_t it = 0; it < options.max_iterations; ++it) {

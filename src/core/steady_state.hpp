@@ -53,7 +53,8 @@ struct FixedPointResult {
 /// Iterates r <- r + damping (F(r) - r) from `initial` until the update is
 /// below tolerance * max(1, |r|_inf) or the iteration budget runs out.
 /// The initial vector is validated once; the loop then runs on the model's
-/// unchecked allocation-free fast path.
+/// unchecked allocation-free fast path. Throws std::invalid_argument unless
+/// damping is in (0, 1] and tolerance is finite and >= 0.
 FixedPointResult solve_fixed_point(const FlowControlModel& model,
                                    std::vector<double> initial,
                                    const FixedPointOptions& options = {});

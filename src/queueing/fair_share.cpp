@@ -187,6 +187,28 @@ void FairShare::queue_lengths_jvp_into(std::span<const double> rates,
   }
 }
 
+std::size_t FairShareDecomposition::class_for(std::size_t k, double u) const {
+  const std::size_t n = width.size();
+  const double r = rates[k];
+  if (n <= 1 || !(r > 0.0)) return 0;
+  // cum_k(j) is nondecreasing in j (prefix sums of nonnegative widths over
+  // one positive divisor) and constant past position[k], so the first
+  // j < n-1 with u < cum_k(j) is a partition point of [0, min(pos_k, n-2)];
+  // if there is none, no later j < n-1 qualifies either.
+  const std::size_t last = std::min(position[k], n - 2);
+  std::size_t lo = 0;
+  std::size_t hi = last + 1;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (u >= prefix[mid] / r) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo <= last ? lo : n - 1;
+}
+
 FairShareDecomposition FairShare::decompose(const std::vector<double>& rates) {
   for (double r : rates) {
     if (!(r >= 0.0) || std::isinf(r)) {
@@ -195,22 +217,26 @@ FairShareDecomposition FairShare::decompose(const std::vector<double>& rates) {
   }
   const std::size_t n = rates.size();
   FairShareDecomposition d;
+  d.rates = rates;
   d.sorted_order = sorted_by_rate(rates);
-  d.share.assign(n, std::vector<double>(n, 0.0));
-  d.class_totals.assign(n, 0.0);
+  d.position.resize(n);
+  d.width.resize(n);
+  d.prefix.resize(n);
+  d.class_totals.resize(n);
 
   // Class j (sorted position j) carries rate r_(j) - r_(j-1) from every
   // connection whose rate is >= r_(j) -- i.e. sorted positions >= j.
   double prev = 0.0;
+  double acc = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
+    d.position[d.sorted_order[j]] = j;
     const double rj = rates[d.sorted_order[j]];
     const double increment = rj - prev;
     prev = rj;
-    if (increment <= 0.0) continue;  // tie with previous class: zero width
-    for (std::size_t p = j; p < n; ++p) {
-      d.share[d.sorted_order[p]][j] = increment;
-      d.class_totals[j] += increment;
-    }
+    d.width[j] = increment > 0.0 ? increment : 0.0;  // a tie: zero width
+    acc += d.width[j];
+    d.prefix[j] = acc;
+    d.class_totals[j] = static_cast<double>(n - j) * d.width[j];
   }
   return d;
 }

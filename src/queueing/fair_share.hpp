@@ -21,6 +21,13 @@
 // the rates plus prefix-sum passes (sum_k min(r_k, r_i) telescopes into a
 // prefix of the sorted rates). The naive O(N^2) min-sum survives as
 // cumulative_loads_reference for golden-equivalence tests and benchmarks.
+//
+// decompose is O(N log N) time and O(N) memory too: Table 1's share matrix
+// is stored as the sorted order plus one array of class widths, because
+// every row is a prefix of that array. The packet simulator's Fair Share
+// server keeps only this form and picks each packet's class by binary
+// search over the width prefix sums (class_for), bitwise the pick a dense
+// per-connection cumulative table would make (docs/PERFORMANCE.md).
 #pragma once
 
 #include <cstddef>
@@ -31,18 +38,43 @@
 namespace ffc::queueing {
 
 /// The Table-1 decomposition of a set of connection rates into priority
-/// substreams. Indices refer to connections in their ORIGINAL order; classes
-/// are numbered 0 (highest priority) .. N-1 (lowest).
+/// substreams, in compact form. Indices refer to connections in their
+/// ORIGINAL order; classes are numbered 0 (highest priority) .. N-1 (lowest).
+///
+/// Class j is the sorted position j: every connection whose sorted position
+/// is >= j sends width[j] = r_(j) - r_(j-1) into it, and no other connection
+/// does. So connection i's row of the N x N share matrix is a prefix of one
+/// array of class widths, and O(N) storage holds the whole matrix.
 struct FairShareDecomposition {
-  /// share(i, j) = rate connection i contributes to priority class j.
-  /// Row-major [connection][class].
-  std::vector<std::vector<double>> share;
-  /// Total arrival rate of each class (column sums).
-  std::vector<double> class_totals;
   /// Connection indices sorted by increasing rate (ties keep input order).
   std::vector<std::size_t> sorted_order;
+  /// Inverse of sorted_order: connection i's lowest-priority class.
+  std::vector<std::size_t> position;
+  /// Rate each sharer contributes to class j (0 for a class that ties the
+  /// one before it).
+  std::vector<double> width;
+  /// prefix[j] = width[0] + ... + width[j], summed left to right.
+  std::vector<double> prefix;
+  /// Total arrival rate of each class: (N - j) * width[j].
+  std::vector<double> class_totals;
+  /// The decomposed rates, original order.
+  std::vector<double> rates;
 
-  std::size_t num_connections() const { return share.size(); }
+  std::size_t num_connections() const { return sorted_order.size(); }
+
+  /// Rate connection i contributes to priority class j.
+  double share(std::size_t i, std::size_t j) const {
+    return j <= position.at(i) ? width.at(j) : 0.0;
+  }
+
+  /// The class of a packet of connection k given a uniform draw u in
+  /// [0, 1): the first class j < N-1 with u < cum_k(j), else N-1, where
+  /// cum_k(j) = prefix[min(j, position[k])] / rates[k] is connection k's
+  /// cumulative class distribution. A binary search, O(log N). A silent
+  /// connection (rate 0) maps to class 0; a draw at or above
+  /// cum_k(position[k]), possible only when that rounds below 1, maps to
+  /// N-1. Unchecked: k < num_connections().
+  std::size_t class_for(std::size_t k, double u) const;
 };
 
 class FairShare final : public ServiceDiscipline {
@@ -74,9 +106,10 @@ class FairShare final : public ServiceDiscipline {
 
   std::string_view name() const override { return "FairShare"; }
 
-  /// Computes the Table-1 priority decomposition for the given rates.
-  /// The per-connection shares sum to that connection's rate, and the class
-  /// totals sum to the aggregate arrival rate.
+  /// Computes the Table-1 priority decomposition for the given rates in
+  /// O(N log N) time and O(N) memory. The per-connection shares sum to that
+  /// connection's rate, and the class totals sum to the aggregate arrival
+  /// rate.
   static FairShareDecomposition decompose(const std::vector<double>& rates);
 
   /// sigma_i = sum_k min(r_k, r_i) / mu, the cumulative load relevant to

@@ -1,10 +1,9 @@
 #include "sim/server.hpp"
 
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
-
-#include "queueing/fair_share.hpp"
 
 namespace ffc::sim {
 
@@ -127,7 +126,9 @@ void FifoServer::on_service_complete(std::uint64_t generation) {
 PriorityServer::PriorityServer(Simulator& sim, double mu,
                                std::size_t num_local, std::size_t num_classes,
                                stats::Xoshiro256 rng, PacketSink* sink)
-    : GatewayServer(sim, mu, num_local, rng, sink), classes_(num_classes) {
+    : GatewayServer(sim, mu, num_local, rng, sink),
+      classes_(num_classes),
+      nonempty_((num_classes + 63) / 64, 0) {
   if (num_classes == 0) {
     throw std::invalid_argument("PriorityServer: need >= 1 class");
   }
@@ -140,6 +141,7 @@ void PriorityServer::arrival(Packet packet, std::size_t local_conn) {
     throw std::invalid_argument("PriorityServer: bad priority class");
   }
   classes_[klass].push_back(Job{std::move(packet), local_conn});
+  mark_nonempty(klass);
 
   if (!in_service_) {
     start_service();
@@ -148,6 +150,7 @@ void PriorityServer::arrival(Packet packet, std::size_t local_conn) {
     // fresh exponential sample on resume is distributionally exact.
     ++generation_;  // invalidates the pending completion event
     classes_[in_service_class_].push_front(std::move(*in_service_));
+    mark_nonempty(in_service_class_);
     in_service_.reset();
     start_service();
   }
@@ -165,10 +168,15 @@ void PriorityServer::on_service_factor_changed() {
 
 void PriorityServer::start_service() {
   if (service_halted()) return;
-  for (std::size_t klass = 0; klass < classes_.size(); ++klass) {
-    if (classes_[klass].empty()) continue;
-    in_service_ = std::move(classes_[klass].front());
-    classes_[klass].pop_front();
+  for (std::size_t word = 0; word < nonempty_.size(); ++word) {
+    if (nonempty_[word] == 0) continue;
+    const auto bit =
+        static_cast<std::size_t>(std::countr_zero(nonempty_[word]));
+    const std::size_t klass = word * 64 + bit;
+    RingQueue<Job>& queue = classes_[klass];
+    in_service_ = std::move(queue.front());
+    queue.pop_front();
+    if (queue.empty()) nonempty_[word] &= ~(std::uint64_t{1} << bit);
     in_service_class_ = klass;
     const std::uint64_t gen = ++generation_;
     schedule_completion_in(sample_service_time(), gen);
@@ -195,36 +203,24 @@ FairShareServer::FairShareServer(Simulator& sim, double mu,
       // The base keeps a copy of `rng`'s current state for service times;
       // derive an unrelated stream for class assignment by reseeding from a
       // draw (split() would hand back the very position the base copied).
-      class_rng_(stats::Xoshiro256(rng.next() ^ 0xa5a5a5a55a5a5a5aULL)),
-      cumulative_share_(num_local) {}
+      class_rng_(stats::Xoshiro256(rng.next() ^ 0xa5a5a5a55a5a5a5aULL)) {}
 
 void FairShareServer::set_rates(const std::vector<double>& local_rates) {
   if (local_rates.size() != num_local()) {
     throw std::invalid_argument("FairShareServer: rate size mismatch");
   }
-  const auto decomposition = queueing::FairShare::decompose(local_rates);
-  for (std::size_t k = 0; k < num_local(); ++k) {
-    auto& cum = cumulative_share_[k];
-    cum.assign(num_local(), 0.0);
-    double acc = 0.0;
-    const double total = local_rates[k];
-    for (std::size_t j = 0; j < num_local(); ++j) {
-      acc += decomposition.share[k][j];
-      cum[j] = total > 0.0 ? acc / total : 1.0;
-    }
-    if (!cum.empty()) cum.back() = 1.0;  // guard against fp undershoot
-  }
+  decomposition_ = queueing::FairShare::decompose(local_rates);
 }
 
 void FairShareServer::arrival(Packet packet, std::size_t local_conn) {
-  if (cumulative_share_.at(local_conn).empty()) {
+  if (local_conn >= num_local()) {
+    throw std::out_of_range("FairShareServer: bad local connection");
+  }
+  if (decomposition_.num_connections() != num_local()) {
     throw std::logic_error("FairShareServer: set_rates was never called");
   }
-  const double u = class_rng_.uniform01();
-  const auto& cum = cumulative_share_[local_conn];
-  std::size_t klass = 0;
-  while (klass + 1 < cum.size() && u >= cum[klass]) ++klass;
-  packet.priority_class = klass;
+  packet.priority_class =
+      decomposition_.class_for(local_conn, class_rng_.uniform01());
   PriorityServer::arrival(std::move(packet), local_conn);
 }
 

@@ -11,6 +11,12 @@
 // borrowed PacketSink -- so a warmed-up server processes packets without
 // touching the allocator. CallbackSink adapts a lambda for tests and
 // examples that don't want to implement the interface.
+//
+// The priority server finds the next class to serve in a bitmap of
+// non-empty classes (count-trailing-zeros, one word per 64 classes), and
+// the Fair Share server stores its class decomposition in O(fan-in) and
+// picks a class by binary search: per-gateway memory is linear in the
+// fan-in, and no event scans every class.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +26,7 @@
 #include <optional>
 #include <vector>
 
+#include "queueing/fair_share.hpp"
 #include "sim/event.hpp"
 #include "sim/packet.hpp"
 #include "sim/ring_queue.hpp"
@@ -209,7 +216,14 @@ class PriorityServer : public GatewayServer {
     Packet packet;
     std::size_t local_conn = 0;
   };
+  void mark_nonempty(std::size_t klass) {
+    nonempty_[klass / 64] |= std::uint64_t{1} << (klass % 64);
+  }
+
   std::vector<RingQueue<Job>> classes_;
+  /// Bit (klass % 64) of word klass / 64 is set iff classes_[klass] is
+  /// non-empty, so start_service reads one word per 64 classes.
+  std::vector<std::uint64_t> nonempty_;
   std::optional<Job> in_service_;
   std::size_t in_service_class_ = 0;
   std::uint64_t generation_ = 0;
@@ -220,7 +234,9 @@ class PriorityServer : public GatewayServer {
 /// j <= position(k) with probability (r_(j) - r_(j-1)) / r_k -- splitting a
 /// Poisson stream this way yields exactly the independent Poisson
 /// substreams of the paper's construction. Rates must be kept current via
-/// set_rates().
+/// set_rates(). The server keeps only the compact decomposition (O(fan-in)
+/// memory); set_rates is O(fan-in log fan-in) and the class pick on each
+/// arrival a binary search, O(log fan-in).
 class FairShareServer final : public PriorityServer {
  public:
   FairShareServer(Simulator& sim, double mu, std::size_t num_local,
@@ -233,8 +249,9 @@ class FairShareServer final : public PriorityServer {
 
  private:
   stats::Xoshiro256 class_rng_;
-  /// cumulative_share_[k][j]: P(class <= j) for connection k.
-  std::vector<std::vector<double>> cumulative_share_;
+  /// The Table-1 decomposition of the current local rates; empty until
+  /// set_rates is called.
+  queueing::FairShareDecomposition decomposition_;
 };
 
 }  // namespace ffc::sim

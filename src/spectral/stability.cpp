@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <stdexcept>
 
 #include "core/stability.hpp"
 #include "linalg/eigen.hpp"
@@ -130,6 +131,15 @@ SpectralReport iterative_path(const core::FlowControlModel& model,
 SpectralReport spectral_stability(const core::FlowControlModel& model,
                                   const std::vector<double>& rates,
                                   const SpectralOptions& options) {
+  // A NaN tolerance fails every comparison, which would silently turn the
+  // unit-circle test into "no manifold mode" and the verdict into "stable".
+  for (const double tol :
+       {options.manifold_tolerance, options.iterative.tolerance}) {
+    if (!(tol >= 0.0) || !std::isfinite(tol)) {
+      throw std::invalid_argument(
+          "spectral_stability: tolerances must be finite and >= 0");
+    }
+  }
   const bool triangular =
       model.style() == core::FeedbackStyle::Individual &&
       dynamic_cast<const queueing::FairShare*>(&model.discipline()) != nullptr;

@@ -95,8 +95,9 @@ struct SpectralReport {
 };
 
 /// Spectral stability of `model` at `rates` with size-dispatched solvers.
-/// Throws std::invalid_argument on a malformed rate vector (the validation
-/// happens once, at this boundary).
+/// Throws std::invalid_argument on a malformed rate vector, or on a NaN,
+/// infinite or negative manifold_tolerance or iterative.tolerance (the
+/// validation happens once, at this boundary).
 SpectralReport spectral_stability(const core::FlowControlModel& model,
                                   const std::vector<double>& rates,
                                   const SpectralOptions& options = {});

@@ -335,6 +335,10 @@ TEST(AllocFree, WindowSourcesDoNotAllocate) {
   }
 }
 
+/// The construction-memory budget per topology element (gateway,
+/// connection or path hop) of every packet engine.
+constexpr std::uint64_t kBytesPerElement = 512;
+
 /// Bytes allocated while `build` constructs an engine from a copy of
 /// `topo` (the copy itself is made outside the window).
 template <typename Build>
@@ -364,7 +368,6 @@ TEST(AllocScaling, PacketEngineConstructionIsLinearInTopologySize) {
   }
   const ffc::network::Topology topo(gateways, connections);
   const std::uint64_t elements = kGateways + 2 * kConnections;
-  constexpr std::uint64_t kBytesPerElement = 512;
 
   const std::uint64_t single = construction_bytes(
       topo, [](ffc::network::Topology t) {
@@ -388,6 +391,31 @@ TEST(AllocScaling, PacketEngineConstructionIsLinearInTopologySize) {
             std::move(t), SimDiscipline::Fifo, ffc::sim::WindowOptions{}, 7);
       });
   EXPECT_LE(windowed, kBytesPerElement * elements);
+}
+
+TEST(AllocScaling, FairShareRatesAreLinearInFanIn) {
+  // One gateway with a fan-in of 10^4 (G = 1, N = E = 10^4). A Fair Share
+  // table indexed by (connection, class) costs fan-in^2 * 8 bytes = 800 MB
+  // here. The server keeps Table 1 in its compact O(fan-in) form, so
+  // construction plus set_rates stays inside the engines' per-element
+  // budget. The rates repeat every 97 connections: exact ties throughout.
+  constexpr std::size_t kConnections = 10000;
+  const ffc::network::Topology topo =
+      ffc::network::single_bottleneck(kConnections, 1.0);
+  std::vector<double> rates(kConnections);
+  for (std::size_t i = 0; i < kConnections; ++i) {
+    rates[i] = static_cast<double>(1 + i % 97) / (98.0 * kConnections);
+  }
+  const std::uint64_t elements = 1 + 2 * kConnections;
+
+  const std::uint64_t bytes = construction_bytes(
+      topo, [&rates](ffc::network::Topology t) {
+        auto engine = std::make_unique<NetworkSimulator>(
+            std::move(t), SimDiscipline::FairShare, 7);
+        engine->set_rates(rates);
+        return engine;
+      });
+  EXPECT_LE(bytes, kBytesPerElement * elements);
 }
 
 }  // namespace

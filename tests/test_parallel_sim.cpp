@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -23,6 +24,26 @@
 #include "network/topology.hpp"
 #include "obs/metrics.hpp"
 #include "sim/network_sim.hpp"
+
+namespace ffc::sim {
+
+// gtest prints a TEST_P parameter into each test's listed name, and ctest
+// registers that name. Print a discipline by its name, not its raw bytes.
+void PrintTo(SimDiscipline discipline, std::ostream* os) {
+  switch (discipline) {
+    case SimDiscipline::Fifo:
+      *os << "Fifo";
+      return;
+    case SimDiscipline::FairShare:
+      *os << "FairShare";
+      return;
+    case SimDiscipline::FairQueueing:
+      *os << "FairQueueing";
+      return;
+  }
+}
+
+}  // namespace ffc::sim
 
 namespace {
 

@@ -4,6 +4,7 @@
 // paper's theorems rely on (triangularity; protection of small senders).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -111,11 +112,11 @@ TEST(FairShare, MatchesPriorityDecompositionGroundTruth) {
     // Class j is shared by the connections whose decomposition share is > 0.
     std::size_t sharers = 0;
     for (std::size_t k = 0; k < rates.size(); ++k) {
-      sharers += decomposition.share[k][j] > 0.0;
+      sharers += decomposition.share(k, j) > 0.0;
     }
     if (sharers == 0) continue;
     for (std::size_t k = 0; k < rates.size(); ++k) {
-      if (decomposition.share[k][j] > 0.0) {
+      if (decomposition.share(k, j) > 0.0) {
         expected[k] += class_occ[j] / static_cast<double>(sharers);
       }
     }
@@ -131,13 +132,13 @@ TEST(FairShare, Table1DecompositionStructure) {
   const std::vector<double> r{1.0, 2.0, 3.0, 4.0};
   const auto d = FairShare::decompose(r);
   // Connection 1 (index 0): all rate in class A.
-  EXPECT_DOUBLE_EQ(d.share[0][0], 1.0);
-  EXPECT_DOUBLE_EQ(d.share[0][1], 0.0);
+  EXPECT_DOUBLE_EQ(d.share(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(d.share(0, 1), 0.0);
   // Connection 4 (index 3): r1, r2-r1, r3-r2, r4-r3.
-  EXPECT_DOUBLE_EQ(d.share[3][0], 1.0);
-  EXPECT_DOUBLE_EQ(d.share[3][1], 1.0);
-  EXPECT_DOUBLE_EQ(d.share[3][2], 1.0);
-  EXPECT_DOUBLE_EQ(d.share[3][3], 1.0);
+  EXPECT_DOUBLE_EQ(d.share(3, 0), 1.0);
+  EXPECT_DOUBLE_EQ(d.share(3, 1), 1.0);
+  EXPECT_DOUBLE_EQ(d.share(3, 2), 1.0);
+  EXPECT_DOUBLE_EQ(d.share(3, 3), 1.0);
   // Class totals: N*r1, (N-1)(r2-r1), ...
   EXPECT_DOUBLE_EQ(d.class_totals[0], 4.0);
   EXPECT_DOUBLE_EQ(d.class_totals[1], 3.0);
@@ -151,8 +152,8 @@ TEST(FairShare, DecompositionRowsSumToRates) {
     const auto r = random_rates(rng, 1 + rng.uniform_index(8), 0.9, 1.0);
     const auto d = FairShare::decompose(r);
     for (std::size_t k = 0; k < r.size(); ++k) {
-      const double row_sum = std::accumulate(d.share[k].begin(),
-                                             d.share[k].end(), 0.0);
+      double row_sum = 0.0;
+      for (std::size_t j = 0; j < r.size(); ++j) row_sum += d.share(k, j);
       EXPECT_NEAR(row_sum, r[k], 1e-12);
     }
     const double class_sum = std::accumulate(d.class_totals.begin(),
@@ -192,6 +193,106 @@ TEST(FairShare, CumulativeLoadsDefinition) {
   EXPECT_NEAR(sigma[1], 0.3, 1e-12);        // 3 * 0.1
   EXPECT_NEAR(sigma[2], 0.1 + 2 * 0.2, 1e-12);
   EXPECT_NEAR(sigma[0], 0.1 + 0.2 + 0.3, 1e-12);
+}
+
+// The dense reference for FairShareDecomposition::class_for: the n x n
+// share matrix of Table 1, each row turned into a cumulative class
+// distribution, and a linear scan of that row for the first class whose
+// cumulative share exceeds the draw. This is the form the packet
+// simulator's Fair Share server used before it kept only the compact
+// decomposition; class_for must reproduce its every pick bit for bit.
+class DenseClassTable {
+ public:
+  explicit DenseClassTable(const std::vector<double>& rates) {
+    const std::size_t n = rates.size();
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return rates[a] < rates[b];
+                     });
+    std::vector<std::vector<double>> share(n, std::vector<double>(n, 0.0));
+    double prev = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double increment = rates[order[j]] - prev;
+      prev = rates[order[j]];
+      if (increment <= 0.0) continue;
+      for (std::size_t p = j; p < n; ++p) share[order[p]][j] = increment;
+    }
+    cumulative_.assign(n, std::vector<double>(n, 0.0));
+    for (std::size_t k = 0; k < n; ++k) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < n; ++j) {
+        acc += share[k][j];
+        cumulative_[k][j] = rates[k] > 0.0 ? acc / rates[k] : 1.0;
+      }
+      cumulative_[k].back() = 1.0;
+    }
+  }
+
+  std::size_t pick(std::size_t k, double u) const {
+    const auto& cum = cumulative_[k];
+    std::size_t klass = 0;
+    while (klass + 1 < cum.size() && u >= cum[klass]) ++klass;
+    return klass;
+  }
+
+  /// Connection k's cumulative share through class j (the last class is
+  /// pinned to 1).
+  double cumulative(std::size_t k, std::size_t j) const {
+    return cumulative_[k][j];
+  }
+
+ private:
+  std::vector<std::vector<double>> cumulative_;
+};
+
+TEST(FairShare, ClassForMatchesDenseTableBitwise) {
+  // Random rate vectors with exact ties and zero rates, n = 1 included.
+  // Draws: random ones, every table entry exactly (a draw on a class
+  // boundary), the double just below each, 0, and the largest double
+  // below 1.
+  Xoshiro256 rng(20240521);
+  std::size_t undershoots = 0;
+  std::size_t picks = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(trial < 20 ? 2 : 40);
+    std::vector<double> rates = random_rates(rng, n, 0.95, 1.0);
+    for (double& r : rates) {
+      const double roll = rng.uniform01();
+      if (roll < 0.15) {
+        r = 0.0;
+      } else if (roll < 0.4) {
+        r = rates[rng.uniform_index(n)];  // an exact tie (or a zero)
+      }
+    }
+    const auto d = FairShare::decompose(rates);
+    const DenseClassTable dense(rates);
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t pos = d.position[k];
+      if (rates[k] > 0.0 && d.prefix[pos] / rates[k] < 1.0) ++undershoots;
+      std::vector<double> draws{0.0, std::nextafter(1.0, 0.0)};
+      for (int i = 0; i < 8; ++i) draws.push_back(rng.uniform01());
+      for (std::size_t j = 0; j < n; ++j) {
+        const double c = dense.cumulative(k, j);
+        if (c < 1.0) draws.push_back(c);
+        if (c > 0.0) draws.push_back(std::nextafter(c, 0.0));
+      }
+      // A draw above the connection's last cumulative share: it lands in
+      // class n-1 whenever that share rounds below 1.
+      const double top = rates[k] > 0.0 ? d.prefix[pos] / rates[k] : 1.0;
+      if (top < 1.0) draws.push_back(std::nextafter(top, 1.0));
+      for (double u : draws) {
+        ASSERT_EQ(d.class_for(k, u), dense.pick(k, u))
+            << "trial " << trial << " n " << n << " connection " << k
+            << " u " << u;
+        ++picks;
+      }
+    }
+  }
+  EXPECT_GT(picks, 10000u);
+  // The fp-undershoot branch must actually be exercised.
+  EXPECT_GT(undershoots, 0u);
 }
 
 // ------------------------------------------------------------------------

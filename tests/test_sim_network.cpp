@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "faults/fault_plan.hpp"
 #include "network/builders.hpp"
 #include "queueing/fair_share.hpp"
 #include "queueing/fifo.hpp"
@@ -206,6 +209,63 @@ TEST(NetworkSim, DeterministicForFixedSeed) {
   EXPECT_EQ(a.delivered(0), b.delivered(0));
   EXPECT_EQ(a.delivered(1), b.delivered(1));
   EXPECT_DOUBLE_EQ(a.mean_queue(0, 1), b.mean_queue(0, 1));
+}
+
+TEST(FairShareSim, TrajectoryMatchesParentBitwise) {
+  // Four Fair Share gateways: three share multi-hop connections with tied
+  // rates and a silent one; the fourth has a fan-in of 70, so its classes
+  // span two words of the non-empty-class bitmap, and its rates tie in
+  // pairs. Churn re-decomposes the gateways mid-run, and an outage and a
+  // degradation halt and re-time service. The mean queues are pinned to
+  // the reference run of the dense-table class pick bit for bit: the class
+  // picks, the service order and every random stream must reproduce it.
+  std::vector<ffc::network::Connection> connections{
+      {{0}}, {{0, 1}}, {{1}}, {{1, 2}}, {{0, 1, 2}}, {{2}}, {{2}}};
+  std::vector<double> rates{0.2, 0.15, 0.2, 0.15, 0.2, 0.3, 0.0};
+  for (std::size_t k = 0; k < 70; ++k) {
+    connections.push_back({{3}});
+    rates.push_back(0.00055 * static_cast<double>(1 + k % 35));
+  }
+  const Topology topo({{1.0, 0.5}, {1.2, 0.3}, {0.9, 0.2}, {1.0, 0.1}},
+                      connections);
+  ffc::faults::FaultPlan plan;
+  plan.churn = {{1, 300.0, 900.0},
+                {5, 600.0, 1400.0},
+                {10, 200.0, std::numeric_limits<double>::infinity()},
+                {40, 400.0, 1200.0}};
+  plan.gateway_faults = {{1, 1000.0, 50.0, 0.0}, {3, 700.0, 100.0, 0.5}};
+  NetworkSimulator sim(topo, SimDiscipline::FairShare, 2024, plan);
+  sim.set_rates(rates);
+  sim.run_for(500.0);
+  sim.reset_metrics();
+  sim.run_for(1500.0);
+
+  EXPECT_EQ(sim.events_processed(), 13513u);
+  EXPECT_EQ(sim.packets_delivered_total(), 3422u);
+  const double totals[] = {0x1.ccb39c49c12c3p-1, 0x1.8e59111d05db7p+0,
+                           0x1.0d4c6bd8e56f2p+0, 0x1.caa0dc7d9f08ap+1};
+  for (std::size_t a = 0; a < 4; ++a) {
+    EXPECT_EQ(sim.mean_total_queue(a), totals[a]) << "gateway " << a;
+  }
+  struct Cell {
+    std::size_t gateway;
+    std::size_t connection;
+    double queue;
+  };
+  const Cell cells[] = {
+      {0, 0, 0x1.7b161ab663c6dp-2},  {0, 1, 0x1.7189ee7d1a124p-3},
+      {0, 4, 0x1.658c269e91886p-2},  {1, 1, 0x1.94df049b4fb39p-3},
+      {1, 2, 0x1.6b0bb878d1176p-1},  {1, 3, 0x1.ee9f2d7ac4899p-3},
+      {1, 4, 0x1.a18dba776b207p-2},  {2, 3, 0x1.b6128f986f88bp-3},
+      {2, 4, 0x1.ae83b95538d73p-2},  {2, 5, 0x1.aba4ae4225212p-2},
+      {2, 6, 0x0p+0},                {3, 8, 0x1.e45e065ef7777p-11},
+      {3, 41, 0x1.cc72dd12dd2a5p-4}, {3, 64, 0x1.f386631d1df88p-4},
+      {3, 72, 0x1.57cd1c99ad73fp-2}, {3, 76, 0x1.0df3c9a71c1e1p-2},
+  };
+  for (const Cell& cell : cells) {
+    EXPECT_EQ(sim.mean_queue(cell.gateway, cell.connection), cell.queue)
+        << "gateway " << cell.gateway << " connection " << cell.connection;
+  }
 }
 
 TEST(NetworkSim, Validation) {

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -367,6 +368,33 @@ TEST(SpectralStability, AutoDispatchBoundaryIsPinnedAt128) {
   EXPECT_TRUE(at.used_iterative);
   EXPECT_TRUE(at.analytic_jvp);
   EXPECT_EQ(at.model_evaluations, 1u);
+}
+
+TEST(SpectralStability, OptionValidation) {
+  // A NaN manifold tolerance used to report an unstable point "stable";
+  // every bad tolerance now fails at the entry point, on both paths.
+  auto model = th::single_gateway_model(2, th::fair_share(),
+                                        FeedbackStyle::Individual);
+  const std::vector<double> rates{0.2, 0.25};
+  for (double tol : {std::numeric_limits<double>::quiet_NaN(), -1e-6,
+                     std::numeric_limits<double>::infinity()}) {
+    for (auto method : {ffc::spectral::SpectralOptions::Method::Dense,
+                        ffc::spectral::SpectralOptions::Method::Iterative}) {
+      ffc::spectral::SpectralOptions manifold;
+      manifold.method = method;
+      manifold.manifold_tolerance = tol;
+      EXPECT_THROW(ffc::spectral::spectral_stability(model, rates, manifold),
+                   std::invalid_argument)
+          << "manifold_tolerance " << tol;
+      ffc::spectral::SpectralOptions iterative;
+      iterative.method = method;
+      iterative.iterative.tolerance = tol;
+      EXPECT_THROW(
+          ffc::spectral::spectral_stability(model, rates, iterative),
+          std::invalid_argument)
+          << "iterative.tolerance " << tol;
+    }
+  }
 }
 
 TEST(SpectralStability, AutoFallsBackToFdWhenUnsupported) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/steady_state.hpp"
@@ -148,6 +149,14 @@ TEST(FixedPoint, OptionValidation) {
   EXPECT_THROW(solve_fixed_point(model, {0.1}, bad), std::invalid_argument);
   bad.damping = 1.5;
   EXPECT_THROW(solve_fixed_point(model, {0.1}, bad), std::invalid_argument);
+  for (double tol : {std::numeric_limits<double>::quiet_NaN(), -1e-10,
+                     std::numeric_limits<double>::infinity()}) {
+    FixedPointOptions bad_tol;
+    bad_tol.tolerance = tol;
+    EXPECT_THROW(solve_fixed_point(model, {0.1}, bad_tol),
+                 std::invalid_argument)
+        << "tolerance " << tol;
+  }
 }
 
 TEST(Newton, RefinesCoarseFixedPointToMachinePrecision) {

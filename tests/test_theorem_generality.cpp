@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <tuple>
 
 #include "core/ffc.hpp"
@@ -30,6 +31,12 @@ struct Combo {
   std::shared_ptr<const RateAdjustment> adjuster;
   std::string label;
 };
+
+// gtest prints a TEST_P parameter into each test's listed name, and ctest
+// registers that name. Print a combination by its label, not its bytes
+// (which hold heap addresses), so the registered names are the same in
+// every build.
+void PrintTo(const Combo& combo, std::ostream* os) { *os << combo.label; }
 
 std::vector<Combo> combos() {
   std::vector<std::pair<SignalPtr, std::string>> signals{
