@@ -288,7 +288,7 @@ BENCHMARK(BM_CumulativeLoadsReference)->Arg(64)->Arg(256)->Arg(1024);
 void BM_IndividualCongestion(benchmark::State& state) {
   const auto queues = bench_rates(static_cast<std::size_t>(state.range(0)));
   core::CongestionWorkspace ws;
-  std::vector<double> out;
+  std::vector<double> out(queues.size());
   core::congestion_measures_into(core::FeedbackStyle::Individual, queues, ws,
                                  out);
   for (auto _ : state) {

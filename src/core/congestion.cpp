@@ -19,7 +19,7 @@ void check_queues(const std::vector<double>& queues) {
 
 // Argsort with index tie-break: reproduces stable_sort's permutation
 // without its temporary allocation (this runs in the per-step fast path).
-void argsort_into(const std::vector<double>& values,
+void argsort_into(std::span<const double> values,
                   std::vector<std::size_t>& order) {
   order.resize(values.size());
   std::iota(order.begin(), order.end(), 0);
@@ -29,11 +29,10 @@ void argsort_into(const std::vector<double>& values,
   });
 }
 
-void individual_congestion_into(const std::vector<double>& queues,
+void individual_congestion_into(std::span<const double> queues,
                                 CongestionWorkspace& ws,
-                                std::vector<double>& out) {
+                                std::span<double> out) {
   const std::size_t n = queues.size();
-  out.resize(n);
   argsort_into(queues, ws.order);
 
   // sum_k min(Q_k, Q_i) over the sorted order: queues at or below Q_i
@@ -71,7 +70,7 @@ double aggregate_congestion(const std::vector<double>& queues) {
 std::vector<double> individual_congestion(const std::vector<double>& queues) {
   check_queues(queues);
   CongestionWorkspace ws;
-  std::vector<double> out;
+  std::vector<double> out(queues.size());
   individual_congestion_into(queues, ws, out);
   return out;
 }
@@ -88,23 +87,13 @@ std::vector<double> individual_congestion_reference(
   return c;
 }
 
-std::vector<double> congestion_measures(FeedbackStyle style,
-                                        const std::vector<double>& queues) {
-  check_queues(queues);
-  CongestionWorkspace ws;
-  std::vector<double> out;
-  congestion_measures_into(style, queues, ws, out);
-  return out;
-}
-
 void congestion_measures_into(FeedbackStyle style,
-                              const std::vector<double>& queues,
-                              CongestionWorkspace& ws,
-                              std::vector<double>& out) {
+                              std::span<const double> queues,
+                              CongestionWorkspace& ws, std::span<double> out) {
   if (style == FeedbackStyle::Aggregate) {
     double total = 0.0;
     for (double q : queues) total += q;
-    out.assign(queues.size(), total);
+    std::fill(out.begin(), out.end(), total);
     return;
   }
   individual_congestion_into(queues, ws, out);

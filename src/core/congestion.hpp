@@ -48,20 +48,16 @@ std::vector<double> individual_congestion(const std::vector<double>& queues);
 std::vector<double> individual_congestion_reference(
     const std::vector<double>& queues);
 
-/// Dispatches on `style`: returns the per-connection congestion measures
-/// (aggregate replicates C^a for every connection).
-std::vector<double> congestion_measures(FeedbackStyle style,
-                                        const std::vector<double>& queues);
-
-/// Unchecked, allocation-free fast path: writes the measures into `out`
-/// (resized to queues.size()), reusing the workspace's sort buffer. The
-/// caller guarantees the queues are nonnegative and non-NaN (entries may be
-/// +infinity) -- FlowControlModel's observables satisfy this by
-/// construction.
+/// Dispatches on `style`: writes the per-connection congestion measures
+/// into `out` (aggregate replicates C^a for every connection), reusing the
+/// workspace's sort buffer. `out` must already have queues.size() entries
+/// (it may be a slice of a flat SoA buffer). Unchecked and allocation-free
+/// once ws is warm: the caller guarantees the queues are nonnegative and
+/// non-NaN (entries may be +infinity) -- FlowControlModel's observables and
+/// the packet simulator's measured queues satisfy this by construction.
 void congestion_measures_into(FeedbackStyle style,
-                              const std::vector<double>& queues,
-                              CongestionWorkspace& ws,
-                              std::vector<double>& out);
+                              std::span<const double> queues,
+                              CongestionWorkspace& ws, std::span<double> out);
 
 /// Directional derivative of the congestion measures: given the queue
 /// perturbations `dq` (the discipline JVP at the same point), writes

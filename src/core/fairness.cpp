@@ -1,5 +1,6 @@
 #include "core/fairness.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -23,10 +24,12 @@ double jain_index(const std::vector<double>& rates) {
 
 FairnessReport check_fairness(const FlowControlModel& model,
                               const std::vector<double>& rates, double tol) {
-  const NetworkState state = model.observe(rates);
+  ModelWorkspace ws;
+  model.observe(rates, ws);
   FairnessReport report;
   report.jain_index = jain_index(rates);
   const auto& topo = model.topology();
+  const network::CsrIncidence& csr = topo.incidence();
 
   // The criterion's "bottleneck" is the gateway that actually CONSTRAINS a
   // connection, which the individual congestion measure C^a_i identifies
@@ -34,34 +37,29 @@ FairnessReport check_fairness(const FlowControlModel& model,
   // identical, even ones where the connection holds a tiny share). So the
   // bottleneck relation is always derived from individual measures here,
   // regardless of the feedback style the model signals with.
-  std::vector<std::vector<double>> individual(topo.num_gateways());
+  std::vector<double> individual(csr.num_entries());
   for (network::GatewayId a = 0; a < topo.num_gateways(); ++a) {
-    individual[a] = individual_congestion(state.gateways[a].queues);
+    const std::size_t offset = csr.gateway_offset(a);
+    congestion_measures_into(FeedbackStyle::Individual,
+                             {ws.queues.data() + offset, csr.fan_in(a)},
+                             ws.congestion,
+                             {individual.data() + offset, csr.fan_in(a)});
   }
 
   for (network::ConnectionId i = 0; i < topo.num_connections(); ++i) {
+    const auto path = csr.path(i);
+    const auto slots = csr.slots(i);
     // Find this connection's most-constraining congestion along its path.
     double worst = -1.0;
-    for (network::GatewayId a : topo.path(i)) {
-      const auto& members = topo.connections_through(a);
-      for (std::size_t k = 0; k < members.size(); ++k) {
-        if (members[k] == i) {
-          worst = std::max(worst, individual[a][k]);
-        }
-      }
-    }
-    for (network::GatewayId a : topo.path(i)) {
-      const auto& members = topo.connections_through(a);
-      std::size_t self = members.size();
-      for (std::size_t k = 0; k < members.size(); ++k) {
-        if (members[k] == i) self = k;
-      }
-      const double here = individual[a][self];
+    for (std::size_t slot : slots) worst = std::max(worst, individual[slot]);
+    for (std::size_t h = 0; h < path.size(); ++h) {
+      const double here = individual[slots[h]];
       const bool is_bottleneck =
           std::isinf(worst) ? std::isinf(here)
                             : here >= worst - tol * (1.0 + std::fabs(worst));
       if (!is_bottleneck) continue;
-      for (network::ConnectionId j : members) {
+      const network::GatewayId a = path[h];
+      for (network::ConnectionId j : csr.connections_through(a)) {
         if (rates[j] > rates[i] * (1.0 + tol) + tol * topo.gateway(a).mu) {
           report.violations.push_back({i, a, j, rates[j] - rates[i]});
         }

@@ -20,6 +20,23 @@ FlowControlModel::FlowControlModel(
       signal_(std::move(signal)),
       style_(style),
       adjusters_(std::move(adjusters)) {
+  validate_members();
+}
+
+FlowControlModel::FlowControlModel(
+    network::Topology topology,
+    std::shared_ptr<const queueing::ServiceDiscipline> discipline,
+    std::shared_ptr<const SignalFunction> signal, FeedbackStyle style,
+    std::shared_ptr<const RateAdjustment> adjuster)
+    : topology_(std::move(topology)),
+      discipline_(std::move(discipline)),
+      signal_(std::move(signal)),
+      style_(style),
+      adjusters_(topology_.num_connections(), std::move(adjuster)) {
+  validate_members();
+}
+
+void FlowControlModel::validate_members() {
   if (!discipline_) {
     throw std::invalid_argument("FlowControlModel: null discipline");
   }
@@ -31,44 +48,8 @@ FlowControlModel::FlowControlModel(
   for (const auto& adj : adjusters_) {
     if (!adj) throw std::invalid_argument("FlowControlModel: null adjuster");
   }
-  cache_path_latencies();
-}
-
-namespace {
-
-std::vector<std::shared_ptr<const RateAdjustment>> replicate_adjuster(
-    const network::Topology& topology,
-    std::shared_ptr<const RateAdjustment> adjuster) {
-  return std::vector<std::shared_ptr<const RateAdjustment>>(
-      topology.num_connections(), std::move(adjuster));
-}
-
-}  // namespace
-
-FlowControlModel::FlowControlModel(
-    network::Topology topology,
-    std::shared_ptr<const queueing::ServiceDiscipline> discipline,
-    std::shared_ptr<const SignalFunction> signal, FeedbackStyle style,
-    std::shared_ptr<const RateAdjustment> adjuster)
-    : topology_(std::move(topology)),
-      discipline_(std::move(discipline)),
-      signal_(std::move(signal)),
-      style_(style),
-      adjusters_(replicate_adjuster(topology_, std::move(adjuster))) {
-  if (!discipline_) {
-    throw std::invalid_argument("FlowControlModel: null discipline");
-  }
-  if (!signal_) throw std::invalid_argument("FlowControlModel: null signal");
-  for (const auto& adj : adjusters_) {
-    if (!adj) throw std::invalid_argument("FlowControlModel: null adjuster");
-  }
-  cache_path_latencies();
-}
-
-void FlowControlModel::cache_path_latencies() {
-  const std::size_t num_conn = topology_.num_connections();
-  path_latency_.resize(num_conn);
-  for (network::ConnectionId i = 0; i < num_conn; ++i) {
+  path_latency_.resize(topology_.num_connections());
+  for (network::ConnectionId i = 0; i < path_latency_.size(); ++i) {
     path_latency_[i] = topology_.path_latency(i);
   }
 }
@@ -87,6 +68,25 @@ void FlowControlModel::validate_boundary(
   }
 }
 
+void signal_stage_into(const network::CsrIncidence& csr, FeedbackStyle style,
+                       const SignalFunction& signal, ModelWorkspace& ws,
+                       std::vector<double>& combined) {
+  ws.measures.resize(csr.num_entries());
+  ws.signals.resize(csr.num_entries());
+  for (network::GatewayId a = 0; a < csr.num_gateways(); ++a) {
+    const std::size_t offset = csr.gateway_offset(a);
+    const std::size_t n_local = csr.fan_in(a);
+    const std::span<double> measures(ws.measures.data() + offset, n_local);
+    congestion_measures_into(style, {ws.queues.data() + offset, n_local},
+                             ws.congestion, measures);
+    // Batch signal application over the slice: ONE virtual call per gateway
+    // instead of one per connection, so the concrete signal's contiguous
+    // loop vectorizes (tools/check_vectorization.sh).
+    signal.apply_into(measures, {ws.signals.data() + offset, n_local});
+  }
+  network::reduce_max_over_paths_into(csr, ws.signals, combined);
+}
+
 void FlowControlModel::observe_into(const std::vector<double>& rates,
                                     ModelWorkspace& ws) const {
   const network::CsrIncidence& csr = topology_.incidence();
@@ -97,41 +97,39 @@ void FlowControlModel::observe_into(const std::vector<double>& rates,
   state.gateways.resize(num_gw);
   state.bottlenecks.resize(num_conn);
   for (auto& b : state.bottlenecks) b.clear();
-  ws.signals.resize(entries);
+  ws.queues.resize(entries);
   ws.sojourns.resize(entries);
 
   // Distribute the rate vector into the flat gateway-major SoA buffer; each
   // gateway then reads its Gamma(a) slice as a span without copying.
   network::gather_by_gateway_into(csr, rates, ws.local_rates);
 
-  // Per-gateway observables, all written into reused buffers. Sojourns land
-  // directly in the flat SoA buffer; signals are mirrored into it so the
-  // per-connection stage below is a pure CSR reduction.
+  // Per-gateway queues, mirrored into the flat SoA buffer the signal stage
+  // reads; sojourns land directly in theirs.
   for (network::GatewayId a = 0; a < num_gw; ++a) {
     const std::size_t offset = csr.gateway_offset(a);
     const std::size_t n_local = csr.fan_in(a);
     const std::span<const double> local(ws.local_rates.data() + offset,
                                         n_local);
     const double mu = topology_.gateway(a).mu;
-    GatewayObservation& obs = state.gateways[a];
-    discipline_->queue_lengths_into(local, mu, ws.discipline, obs.queues);
-    congestion_measures_into(style_, obs.queues, ws.congestion, obs.congestion);
-    obs.signals.resize(obs.congestion.size());
-    // Batch signal application straight into the flat SoA slice: ONE virtual
-    // call per gateway instead of one per connection, so the concrete
-    // signal's contiguous loop vectorizes (tools/check_vectorization.sh).
-    const std::span<double> sig_slice(ws.signals.data() + offset, n_local);
-    signal_->apply_into(obs.congestion, sig_slice);
-    std::copy(sig_slice.begin(), sig_slice.end(), obs.signals.begin());
+    std::vector<double>& queues = state.gateways[a].queues;
+    discipline_->queue_lengths_into(local, mu, ws.discipline, queues);
+    std::copy(queues.begin(), queues.end(), ws.queues.begin() + offset);
     discipline_->sojourn_times_into(
-        local, mu, obs.queues, ws.discipline,
+        local, mu, queues, ws.discipline,
         std::span<double>(ws.sojourns.data() + offset, n_local));
   }
 
-  // Per-connection combination as SoA reductions over the CSR slot map:
-  // bottleneck signal b_i = max over the path, round-trip delay d_i = path
-  // latency (cached) + sum of per-hop sojourns.
-  network::reduce_max_over_paths_into(csr, ws.signals, state.combined_signals);
+  signal_stage_into(csr, style_, *signal_, ws, state.combined_signals);
+  for (network::GatewayId a = 0; a < num_gw; ++a) {
+    const double* measures = ws.measures.data() + csr.gateway_offset(a);
+    const double* signals = ws.signals.data() + csr.gateway_offset(a);
+    state.gateways[a].congestion.assign(measures, measures + csr.fan_in(a));
+    state.gateways[a].signals.assign(signals, signals + csr.fan_in(a));
+  }
+
+  // Per-connection delay d_i = path latency (cached) + sum of per-hop
+  // sojourns, as an SoA reduction over the CSR slot map.
   network::reduce_sum_over_paths_into(csr, ws.sojourns, state.delays);
   for (network::ConnectionId i = 0; i < num_conn; ++i) {
     state.delays[i] += path_latency_[i];
@@ -210,15 +208,8 @@ double FlowControlModel::queue_of(const NetworkState& state,
   if (a >= topology_.num_gateways()) {
     throw std::out_of_range("FlowControlModel::queue_of: bad gateway id");
   }
-  if (i < topology_.num_connections()) {
-    // Scan the connection's own path (short) instead of the gateway's
-    // membership list (O(N^a) at a shared bottleneck).
-    const network::CsrIncidence& csr = topology_.incidence();
-    const auto path = csr.path(i);
-    const auto locals = csr.local_indices(i);
-    for (std::size_t h = 0; h < path.size(); ++h) {
-      if (path[h] == a) return state.gateways.at(a).queues.at(locals[h]);
-    }
+  if (const auto k = topology_.incidence().local_index(i, a)) {
+    return state.gateways.at(a).queues.at(*k);
   }
   throw std::invalid_argument(
       "FlowControlModel::queue_of: connection not at gateway");

@@ -54,7 +54,7 @@ struct NetworkState {
 /// models -- buffers are resized per call). One workspace serves one thread;
 /// sweep tasks each own theirs.
 ///
-/// The three flat buffers are structure-of-arrays views over the topology's
+/// The flat buffers are structure-of-arrays views over the topology's
 /// E incidence entries in the CSR gateway-major layout (docs/SCALING.md):
 /// gateway a reads/writes the slice starting at incidence().gateway_offset(a)
 /// and connections reduce over their path via the CSR slot map.
@@ -62,11 +62,23 @@ struct ModelWorkspace {
   NetworkState state;               ///< observe() result
   std::vector<double> next;         ///< step() result
   std::vector<double> local_rates;  ///< flat SoA per-entry rates (E)
+  std::vector<double> queues;       ///< flat SoA per-entry queues (E)
+  std::vector<double> measures;     ///< flat SoA per-entry congestion (E)
   std::vector<double> signals;      ///< flat SoA per-entry signals (E)
   std::vector<double> sojourns;     ///< flat SoA per-entry sojourns (E)
   queueing::DisciplineWorkspace discipline;
   CongestionWorkspace congestion;
 };
+
+/// The model's signal stage on ws.queues (per-entry Q^a_i, CSR gateway-
+/// major): writes the congestion measures to ws.measures, the signals
+/// b^a_i = B(C^a_i) to ws.signals and b_i = max_{a in y(i)} b^a_i to
+/// `combined`. FlowControlModel::observe runs it on analytic queues,
+/// sim::ClosedLoopSimulator on measured ones. Unchecked (queues >= 0, not
+/// NaN) and allocation-free once ws is warm.
+void signal_stage_into(const network::CsrIncidence& csr, FeedbackStyle style,
+                       const SignalFunction& signal, ModelWorkspace& ws,
+                       std::vector<double>& combined);
 
 class FlowControlModel {
  public:
@@ -137,7 +149,9 @@ class FlowControlModel {
   FlowControlModel with_topology(network::Topology topology) const;
 
  private:
-  void cache_path_latencies();
+  /// Constructor checks (non-null members, one adjuster per connection);
+  /// then caches the path latencies.
+  void validate_members();
   /// Boundary validation: counts as THE one validation for this entry point
   /// (see queueing::validation_count), then checks size/finiteness/sign.
   void validate_boundary(const std::vector<double>& rates) const;

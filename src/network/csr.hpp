@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -71,6 +72,16 @@ class CsrIncidence {
   std::span<const std::size_t> local_indices(ConnectionId i) const {
     return {conn_local_.data() + conn_row_[i],
             conn_row_[i + 1] - conn_row_[i]};
+  }
+
+  /// Gamma(a)-local index of connection i at gateway a, found on i's path
+  /// in O(|y(i)|), not in O(N^a); nullopt if i is no connection through a.
+  std::optional<std::size_t> local_index(ConnectionId i, GatewayId a) const {
+    if (i >= num_connections()) return std::nullopt;
+    for (std::size_t e = conn_row_[i]; e < conn_row_[i + 1]; ++e) {
+      if (conn_gw_[e] == a) return conn_local_[e];
+    }
+    return std::nullopt;
   }
 
   /// Flat gateway-major SoA position of connection i's entry at each hop:

@@ -54,10 +54,12 @@ ClosedLoopSimulator::ClosedLoopSimulator(
   for (const auto& adj : adjusters_) {
     if (!adj) throw std::invalid_argument("ClosedLoop: null adjuster");
   }
-  if (!(options_.epoch_duration > 0.0)) {
-    throw std::invalid_argument("ClosedLoop: epoch_duration must be > 0");
+  if (!(options_.epoch_duration > 0.0) ||
+      std::isinf(options_.epoch_duration)) {
+    throw std::invalid_argument(
+        "ClosedLoop: epoch_duration must be finite and > 0");
   }
-  if (options_.warmup_fraction < 0.0 || options_.warmup_fraction >= 1.0) {
+  if (!(options_.warmup_fraction >= 0.0 && options_.warmup_fraction < 1.0)) {
     throw std::invalid_argument("ClosedLoop: warmup_fraction in [0, 1)");
   }
 }
@@ -86,40 +88,16 @@ EpochRecord ClosedLoopSimulator::run_one_epoch() {
 
   EpochRecord record;
   record.rates = rates_;
-  record.signals.assign(rates_.size(), 0.0);
-  record.delays.assign(rates_.size(), 0.0);
-
-  // Per-gateway measured queues -> congestion -> signals, exactly as the
-  // analytic model forms them.
-  std::vector<std::vector<double>> gateway_signals(topo.num_gateways());
-  for (network::GatewayId a = 0; a < topo.num_gateways(); ++a) {
-    const auto& members = topo.connections_through(a);
-    std::vector<double> queues(members.size());
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      queues[k] = sim_.mean_queue(a, members[k]);
-    }
-    const std::vector<double> congestion =
-        core::congestion_measures(style_, queues);
-    gateway_signals[a].resize(members.size());
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      gateway_signals[a][k] = (*signal_)(congestion[k]);
-    }
-  }
-
+  // The model's signal stage on the measured queues.
+  sim_.mean_queues_into(stage_.queues);
+  core::signal_stage_into(topo.incidence(), style_, *signal_, stage_,
+                          record.signals);
+  record.delays.resize(rates_.size());
   for (network::ConnectionId i = 0; i < rates_.size(); ++i) {
-    double best = 0.0;
-    for (network::GatewayId a : topo.path(i)) {
-      const auto& members = topo.connections_through(a);
-      const std::size_t k = static_cast<std::size_t>(
-          std::find(members.begin(), members.end(), i) - members.begin());
-      best = std::max(best, gateway_signals[a][k]);
-    }
-    record.signals[i] = best;
     // If the connection delivered nothing this epoch, fall back to its pure
     // propagation latency (the adjuster still needs a finite delay).
-    const double measured = sim_.mean_delay(i);
     record.delays[i] =
-        sim_.delivered(i) > 0 ? measured : topo.path_latency(i);
+        sim_.delivered(i) > 0 ? sim_.mean_delay(i) : topo.path_latency(i);
   }
 
   // The signals the adjusters ACT on: the measured ones unless the plan

@@ -3,20 +3,20 @@
 // The analytic model assumes queues equilibrate instantly between rate
 // updates. This driver realizes the same synchronous protocol on the
 // packet-level simulator: run an epoch of simulated time at fixed rates,
-// measure the per-connection average queues at each gateway, form the
-// congestion measures / signals / bottleneck combination exactly as the
-// model does, and apply the rate-adjustment algorithms. Comparing the rate
+// read every gateway's measured mean queues in one pass, run the model's
+// own signal stage on them (core::signal_stage_into, the congestion ->
+// signal -> bottleneck code FlowControlModel::observe runs on its analytic
+// queues), and apply the rate-adjustment algorithms. Comparing the rate
 // trajectory against FlowControlModel iterations tests how much the
-// instant-equilibration approximation matters.
+// instant-equilibration approximation matters. A warm epoch allocates
+// nothing beyond the EpochRecord it returns.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "core/congestion.hpp"
-#include "core/rate_adjustment.hpp"
-#include "core/signal.hpp"
+#include "core/model.hpp"
 #include "faults/fault_plan.hpp"
 #include "sim/network_sim.hpp"
 #include "stats/rng.hpp"
@@ -102,6 +102,8 @@ class ClosedLoopSimulator {
   std::vector<std::shared_ptr<const core::RateAdjustment>> adjusters_;
   ClosedLoopOptions options_;
   std::vector<double> rates_;
+  /// The signal stage's buffers, reused across epochs.
+  core::ModelWorkspace stage_;
 
   faults::FaultPlan plan_;
   bool impaired_ = false;

@@ -1,6 +1,5 @@
 #include "sim/network_sim.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -323,8 +322,9 @@ void NetworkSimulator::ShardBoundary::packet_departed(Packet packet) {
 }
 
 void NetworkSimulator::check_duration(double duration) {
-  if (!(duration >= 0.0)) {
-    throw std::invalid_argument("NetworkSimulator: duration must be >= 0");
+  if (!(duration >= 0.0) || std::isinf(duration)) {
+    throw std::invalid_argument(
+        "NetworkSimulator: duration must be finite and >= 0");
   }
 }
 
@@ -345,15 +345,27 @@ void NetworkSimulator::reset_metrics() {
 
 double NetworkSimulator::mean_queue(network::GatewayId a,
                                     network::ConnectionId i) const {
-  const auto members = topology_.connections_through(a);
-  const auto it = std::find(members.begin(), members.end(), i);
-  if (it == members.end()) {
-    throw std::invalid_argument(
-        "NetworkSimulator::mean_queue: connection not at gateway");
+  if (a >= topology_.num_gateways()) {
+    throw std::out_of_range("NetworkSimulator::mean_queue: bad gateway id");
   }
-  servers_[a]->flush_metrics();
-  return servers_[a]->mean_occupancy(
-      static_cast<std::size_t>(it - members.begin()));
+  if (const auto k = topology_.incidence().local_index(i, a)) {
+    servers_[a]->flush_metrics();
+    return servers_[a]->mean_occupancy(*k);
+  }
+  throw std::invalid_argument(
+      "NetworkSimulator::mean_queue: connection not at gateway");
+}
+
+void NetworkSimulator::mean_queues_into(std::vector<double>& flat) const {
+  const network::CsrIncidence& csr = topology_.incidence();
+  flat.resize(csr.num_entries());
+  for (network::GatewayId a = 0; a < servers_.size(); ++a) {
+    servers_[a]->flush_metrics();
+    const std::size_t offset = csr.gateway_offset(a);
+    for (std::size_t k = 0; k < csr.fan_in(a); ++k) {
+      flat[offset + k] = servers_[a]->mean_occupancy(k);
+    }
+  }
 }
 
 double NetworkSimulator::mean_total_queue(network::GatewayId a) const {

@@ -75,6 +75,11 @@ class NetworkSimulator : private PacketSink, private EventHandler {
   /// simulated Q^a_i). Throws if i does not traverse a.
   double mean_queue(network::GatewayId a, network::ConnectionId i) const;
 
+  /// Every mean_queue at once, into `flat` (resized to E) in the CSR
+  /// gateway-major layout: flat[gateway_offset(a) + k] is the k-th
+  /// connection of Gamma(a), the input of core::signal_stage_into.
+  void mean_queues_into(std::vector<double>& flat) const;
+
   /// Time-average total occupancy at gateway a.
   double mean_total_queue(network::GatewayId a) const;
 

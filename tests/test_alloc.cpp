@@ -26,6 +26,7 @@
 #include "linalg/sparse_eigen.hpp"
 #include "network/builders.hpp"
 #include "network/topology.hpp"
+#include "sim/feedback_sim.hpp"
 #include "sim/network_sim.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/simulator.hpp"
@@ -332,6 +333,41 @@ TEST(AllocFree, WindowSourcesDoNotAllocate) {
         ws.delivered(0) + ws.delivered(1) - before;
     EXPECT_EQ(allocs, 0u) << "discipline " << static_cast<int>(discipline);
     EXPECT_GT(delivered, 10000u);
+  }
+}
+
+TEST(AllocFree, ClosedLoopEpochAllocationsDoNotGrowWithTopology) {
+  // A warm closed-loop epoch allocates only what it returns (the record
+  // vector and the EpochRecord's three vectors): the measured queues,
+  // congestion measures and signals live in buffers the loop reuses, so
+  // the count is the same on a 2-gateway and a 32-gateway parking lot.
+  for (auto style : {FeedbackStyle::Aggregate, FeedbackStyle::Individual}) {
+    std::uint64_t counts[2];
+    const std::size_t gateways[2] = {2, 32};
+    for (std::size_t k = 0; k < 2; ++k) {
+      const auto topo = ffc::network::parking_lot(gateways[k], 1, 1.0, 0.5);
+      const std::size_t n = topo.num_connections();
+      ffc::sim::ClosedLoopOptions opts;
+      opts.epoch_duration = 200.0;
+      ffc::sim::ClosedLoopSimulator loop(
+          topo, SimDiscipline::Fifo,
+          std::make_shared<ffc::core::RationalSignal>(), style,
+          {n, std::make_shared<ffc::core::AdditiveTsi>(0.1, 0.5)}, 7, opts);
+      loop.network().set_delay_sampling(false);
+      // Warm up ABOVE the measured load (rho = 0.9 against 0.6 per hop) so
+      // the DES rings, calendar and slot pool, and the loop's own buffers,
+      // reach every high-water mark the measured epoch stays inside.
+      loop.run(std::vector<double>(n, 0.45), 3);
+      const std::vector<double> measured(n, 0.3);
+      AllocWindow window;
+      const auto records = loop.run(measured, 1);
+      counts[k] = window.count();
+      EXPECT_EQ(records.size(), 1u);
+      EXPECT_EQ(counts[k], 4u) << "G = " << gateways[k];
+    }
+    EXPECT_EQ(counts[0], counts[1])
+        << "style " << static_cast<int>(style) << ": " << counts[0]
+        << " allocations at G = 2, " << counts[1] << " at G = 32";
   }
 }
 

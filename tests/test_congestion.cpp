@@ -4,13 +4,15 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "core/congestion.hpp"
 
 namespace {
 
 using ffc::core::aggregate_congestion;
-using ffc::core::congestion_measures;
+using ffc::core::congestion_measures_into;
+using ffc::core::CongestionWorkspace;
 using ffc::core::FeedbackStyle;
 using ffc::core::individual_congestion;
 
@@ -73,13 +75,19 @@ TEST(Individual, OrderedLikeQueues) {
 }
 
 TEST(Dispatch, AggregateReplicates) {
-  const auto c = congestion_measures(FeedbackStyle::Aggregate, {1.0, 2.0});
+  const std::vector<double> q{1.0, 2.0};
+  CongestionWorkspace ws;
+  std::vector<double> c(q.size());
+  congestion_measures_into(FeedbackStyle::Aggregate, q, ws, c);
   EXPECT_DOUBLE_EQ(c[0], 3.0);
   EXPECT_DOUBLE_EQ(c[1], 3.0);
 }
 
 TEST(Dispatch, IndividualDelegates) {
-  const auto c = congestion_measures(FeedbackStyle::Individual, {1.0, 2.0});
+  const std::vector<double> q{1.0, 2.0};
+  CongestionWorkspace ws;
+  std::vector<double> c(q.size());
+  congestion_measures_into(FeedbackStyle::Individual, q, ws, c);
   EXPECT_DOUBLE_EQ(c[0], 2.0);
   EXPECT_DOUBLE_EQ(c[1], 3.0);
 }

@@ -14,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <vector>
@@ -358,6 +360,9 @@ TEST(ParallelSim, RejectsInvalidRatesAndDurations) {
   EXPECT_THROW(sim.set_rates({0.1}), std::invalid_argument);
   EXPECT_THROW(sim.set_rates({0.1, -0.2}), std::invalid_argument);
   EXPECT_THROW(sim.run_for(-1.0), std::invalid_argument);
+  EXPECT_THROW(sim.run_for(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(sim.run_for(std::nan("")), std::invalid_argument);
 }
 
 }  // namespace

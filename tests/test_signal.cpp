@@ -1,7 +1,9 @@
 // Tests for the congestion signalling functions B(C).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <ostream>
@@ -179,6 +181,26 @@ TEST_P(SignalAxioms, RejectsBadArguments) {
   EXPECT_THROW(b(-0.1), std::invalid_argument);
   EXPECT_THROW(b.inverse(-0.1), std::invalid_argument);
   EXPECT_THROW(b.inverse(1.1), std::invalid_argument);
+}
+
+TEST_P(SignalAxioms, BatchMatchesScalarBitwise) {
+  // The model's signal stage applies B through apply_into, one call per
+  // gateway; the closed-form families override it with vectorizable loops.
+  // Each entry must be bit for bit the scalar b(C), at zero, subnormal,
+  // small, large, tied and infinite congestion, in and past a vector width.
+  const SignalFunction& b = *GetParam();
+  const std::vector<double> congestion{
+      0.0,  std::numeric_limits<double>::denorm_min(),
+      1e-300, 1e-8, 0.37, 0.5, 0.5, 0.5, 1.0, 3.0, 42.0, 1e8, 1e300,
+      std::numeric_limits<double>::max(), kInf, 2.0, 2.0, kInf, 0.0};
+  std::vector<double> batch(congestion.size(), -1.0);
+  b.apply_into(congestion, batch);
+  for (std::size_t k = 0; k < congestion.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[k]),
+              std::bit_cast<std::uint64_t>(b(congestion[k])))
+        << "C = " << congestion[k] << ": batch " << batch[k] << ", scalar "
+        << b(congestion[k]);
+  }
 }
 
 TEST_P(SignalAxioms, TimeScaleInvariantAsRequired) {

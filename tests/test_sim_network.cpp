@@ -274,7 +274,38 @@ TEST(NetworkSim, Validation) {
   EXPECT_THROW(sim.set_rates({0.1, 0.2}), std::invalid_argument);
   EXPECT_THROW(sim.set_rates({-0.1}), std::invalid_argument);
   EXPECT_THROW(sim.run_for(-1.0), std::invalid_argument);
+  // An infinite duration would never return; NaN compares false to all.
+  EXPECT_THROW(sim.run_for(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(sim.run_for(std::nan("")), std::invalid_argument);
   EXPECT_THROW(sim.mean_queue(5, 0), std::out_of_range);
+  EXPECT_THROW(sim.mean_queue(0, 1), std::invalid_argument);
+}
+
+TEST(NetworkSim, MeanQueuesIntoMatchesMeanQueue) {
+  // The bulk read is every per-entry mean_queue at once, in the CSR
+  // gateway-major layout; a connection not at a gateway is rejected by the
+  // per-entry read, found on its own path.
+  const Topology topo = ffc::network::parking_lot(3, 2, 1.0, 0.2);
+  NetworkSimulator sim(topo, SimDiscipline::FairShare, 77);
+  sim.set_rates({0.1, 0.2, 0.3, 0.15, 0.25, 0.1, 0.2});
+  sim.run_for(200.0);
+  sim.reset_metrics();
+  sim.run_for(800.0);
+  std::vector<double> flat;
+  sim.mean_queues_into(flat);
+  const auto& csr = topo.incidence();
+  ASSERT_EQ(flat.size(), csr.num_entries());
+  for (std::size_t a = 0; a < topo.num_gateways(); ++a) {
+    const auto members = csr.connections_through(a);
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      EXPECT_EQ(flat[csr.gateway_offset(a) + k], sim.mean_queue(a, members[k]))
+          << "gateway " << a << " connection " << members[k];
+      EXPECT_GT(flat[csr.gateway_offset(a) + k], 0.0);
+    }
+  }
+  EXPECT_THROW(sim.mean_queue(0, 3), std::invalid_argument);
+  EXPECT_THROW(sim.mean_queue(0, 7), std::invalid_argument);
 }
 
 }  // namespace

@@ -215,6 +215,8 @@ TEST(WindowSim, OptionValidation) {
   ws.pin_window(0, WindowOptions{}.max_window);  // the cap itself is allowed
   EXPECT_DOUBLE_EQ(ws.window(0), WindowOptions{}.max_window);
   EXPECT_THROW(ws.run_for(-1.0), std::invalid_argument);
+  EXPECT_THROW(ws.run_for(inf), std::invalid_argument);
+  EXPECT_THROW(ws.run_for(std::nan("")), std::invalid_argument);
 }
 
 TEST(WindowSim, DeterministicForSeed) {
