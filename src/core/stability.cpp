@@ -4,14 +4,28 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "linalg/eigen.hpp"
 
 namespace ffc::core {
 
+void validate_step_options(double relative_step, double step_floor,
+                           const char* caller) {
+  for (const double v : {relative_step, step_floor}) {
+    if (!(v > 0.0) || !std::isfinite(v)) {
+      throw std::invalid_argument(
+          std::string(caller) +
+          ": relative_step and step_floor must be finite and > 0");
+    }
+  }
+}
+
 linalg::Matrix jacobian(const FlowControlModel& model,
                         const std::vector<double>& rates,
                         const JacobianOptions& options) {
+  validate_step_options(options.relative_step, options.step_floor,
+                        "jacobian");
   const std::size_t n = rates.size();
   if (n != model.topology().num_connections()) {
     throw std::invalid_argument("jacobian: rate vector size mismatch");

@@ -29,7 +29,16 @@ struct JacobianOptions {
   enum class Scheme { Central, Forward, Backward } scheme = Scheme::Central;
 };
 
-/// Numerical Jacobian of F at `rates`.
+/// Throws std::invalid_argument unless a finite-difference step's
+/// `relative_step` and `step_floor` are both finite and > 0: a zero or NaN
+/// step turns every difference quotient into 0 or NaN, and a negative one
+/// flips the probes, so a bad step would otherwise surface as a wrong
+/// Jacobian (or a misleading rate error), not as an error. `caller` prefixes
+/// the message.
+void validate_step_options(double relative_step, double step_floor,
+                           const char* caller);
+
+/// Numerical Jacobian of F at `rates`. Validates the step options.
 linalg::Matrix jacobian(const FlowControlModel& model,
                         const std::vector<double>& rates,
                         const JacobianOptions& options = {});

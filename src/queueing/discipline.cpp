@@ -1,7 +1,10 @@
 #include "queueing/discipline.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 
 namespace ffc::queueing {
@@ -53,6 +56,79 @@ void ServiceDiscipline::queue_lengths_jvp_into(
   throw std::logic_error(
       "ServiceDiscipline::queue_lengths_jvp_into: discipline is not "
       "differentiable");
+}
+
+void ServiceDiscipline::queue_lengths_jvp_ordered_into(
+    std::span<const double> /*rates*/, double /*mu*/,
+    std::span<const double> /*queues*/, std::span<const double> /*dx*/,
+    std::span<const std::uint32_t> /*order*/, std::span<double> /*dq*/) const {
+  throw std::logic_error(
+      "ServiceDiscipline::queue_lengths_jvp_ordered_into: discipline is not "
+      "tie-sensitive");
+}
+
+void rate_order_into(std::span<const double> rates,
+                     std::span<std::uint32_t> order,
+                     std::vector<RateTieRun>& runs) {
+  const std::size_t n = rates.size();
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("rate_order_into: 2^32 or more connections");
+  }
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    if (rates[a] != rates[b]) return rates[a] < rates[b];
+    return a < b;
+  });
+  std::size_t p = 0;
+  while (p < n) {
+    std::size_t end = p + 1;
+    while (end < n && rates[order[end]] == rates[order[p]]) ++end;
+    if (end - p > 1) {
+      runs.push_back({static_cast<std::uint32_t>(p),
+                      static_cast<std::uint32_t>(end)});
+    }
+    p = end;
+  }
+}
+
+void order_tie_runs_by_direction(std::span<const double> dx,
+                                 std::span<const RateTieRun> runs,
+                                 std::vector<DirectionKey>& keys,
+                                 std::span<std::uint32_t> order) {
+  for (const RateTieRun& run : runs) {
+    keys.resize(run.end - run.begin);
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      const std::uint32_t i = order[run.begin + k];
+      keys[k] = {dx[i], i};
+    }
+    std::sort(keys.begin(), keys.end(),
+              [](const DirectionKey& a, const DirectionKey& b) {
+                if (a.dx != b.dx) return a.dx < b.dx;
+                return a.index < b.index;
+              });
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      order[run.begin + k] = keys[k].index;
+    }
+  }
+}
+
+void mirror_tie_runs(std::span<const double> dx,
+                     std::span<const RateTieRun> runs,
+                     std::span<std::uint32_t> order) {
+  for (const RateTieRun& run : runs) {
+    // Reversing the run reverses the groups and leaves each group in
+    // descending index; reversing each group back restores ascending.
+    const auto first = order.begin() + run.begin;
+    const auto last = order.begin() + run.end;
+    std::reverse(first, last);
+    auto group = first;
+    while (group != last) {
+      auto end = group + 1;
+      while (end != last && dx[*end] == dx[*group]) ++end;
+      std::reverse(group, end);
+      group = end;
+    }
+  }
 }
 
 void ServiceDiscipline::sojourn_times_into(std::span<const double> rates,

@@ -20,6 +20,7 @@
 //     across calls, so a steady-state iterate performs no heap allocation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -27,6 +28,21 @@
 #include <vector>
 
 namespace ffc::queueing {
+
+/// A run of exact rate ties in a rate order: positions [begin, end), with
+/// end - begin > 1. Positions and local indices are 32-bit, so a gateway
+/// carries fewer than 2^32 connections.
+struct RateTieRun {
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+};
+
+/// One entry of a tie run being re-sorted by direction: the key and the
+/// local index it belongs to, contiguous so the sort stays in cache.
+struct DirectionKey {
+  double dx = 0.0;
+  std::uint32_t index = 0;
+};
 
 /// Reusable scratch buffers for the allocation-free discipline fast path.
 /// Buffers grow to the largest gateway seen and then stay put; a default-
@@ -36,7 +52,46 @@ struct DisciplineWorkspace {
   std::vector<double> probe_queues;  ///< queues at the probed rates
   std::vector<double> scratch;       ///< per-connection doubles
   std::vector<std::size_t> order;    ///< sort permutation
+  std::vector<std::uint32_t> jvp_order;  ///< perturbed order of a JVP
+  std::vector<RateTieRun> tie_runs;      ///< rate tie runs of jvp_order
+  std::vector<DirectionKey> keys;        ///< tie-run sort scratch
 };
+
+// The perturbed rate order of a tie-sensitive JVP (docs/THEORY.md section
+// 8). A sorted discipline's one-sided derivative along dx is its recursion
+// in the order (rate, dx, index): ascending rates, exact rate ties broken
+// the way r + h dx breaks them for every small h > 0, then by index. The
+// comparator is a strict total order, so the permutation is unique and any
+// algorithm that produces it yields the same bits. At a fixed base point
+// only the tie runs depend on dx, so the order is built once per base
+// (rate_order_into) and then only the runs are re-sorted per direction
+// (order_tie_runs_by_direction) or mirrored for -dx (mirror_tie_runs).
+
+/// Writes the local indices of `rates` sorted by (rate, index) into `order`
+/// (rates.size() entries) and APPENDS its exact-tie runs, in position
+/// order, to `runs`. O(m log m). Throws std::length_error if the gateway has
+/// 2^32 or more connections.
+void rate_order_into(std::span<const double> rates,
+                     std::span<std::uint32_t> order,
+                     std::vector<RateTieRun>& runs);
+
+/// Turns a (rate, index) order into the (rate, dx, index) order in place:
+/// re-sorts each of its tie runs by (dx, index) through `keys` (grown to the
+/// longest run; allocation-free once it has that capacity). O(sum of
+/// k log k) over the runs; signed zeros compare equal, as in the
+/// comparator.
+void order_tie_runs_by_direction(std::span<const double> dx,
+                                 std::span<const RateTieRun> runs,
+                                 std::vector<DirectionKey>& keys,
+                                 std::span<std::uint32_t> order);
+
+/// Turns the (rate, dx, index) order into the (rate, -dx, index) order in
+/// place, in O(m): negation is exact, so inside each tie run the groups of
+/// equal dx come in reverse, each still in ascending index. `dx` may be
+/// either direction; only equality within a run is read.
+void mirror_tie_runs(std::span<const double> dx,
+                     std::span<const RateTieRun> runs,
+                     std::span<std::uint32_t> order);
 
 /// Interface for analytic service disciplines.
 class ServiceDiscipline {
@@ -88,13 +143,25 @@ class ServiceDiscipline {
                                       DisciplineWorkspace& ws,
                                       std::span<double> dq) const;
 
+  /// The same directional derivative as queue_lengths_jvp_into, with the
+  /// perturbed (rate, dx, index) order supplied by the caller: `order` must
+  /// be that permutation of the local indices (see rate_order_into). Lets a
+  /// caller that applies many directions at one base point keep the base
+  /// order and re-sort only the tie runs. Only meaningful when
+  /// jvp_tie_sensitive(); the default throws std::logic_error.
+  virtual void queue_lengths_jvp_ordered_into(
+      std::span<const double> rates, double mu,
+      std::span<const double> queues, std::span<const double> dx,
+      std::span<const std::uint32_t> order, std::span<double> dq) const;
+
   /// True iff queue_lengths_jvp_into returns the exact (one-sided)
   /// derivative everywhere in the preconditions' domain.
   virtual bool differentiable() const { return false; }
 
   /// True iff the queue map has kinks at exact rate ties (sorted disciplines
   /// like FairShare). Tie-free base points of tie-insensitive disciplines
-  /// admit the single-pass smooth JVP path (spectral/analytic.hpp).
+  /// admit the single-pass smooth JVP path (spectral/analytic.hpp). A
+  /// tie-sensitive discipline implements queue_lengths_jvp_ordered_into.
   virtual bool jvp_tie_sensitive() const { return false; }
 
   /// Human-readable name ("FIFO", "FairShare", ...).

@@ -27,12 +27,6 @@ void sorted_by_rate_into(std::span<const double> rates,
   });
 }
 
-std::vector<std::size_t> sorted_by_rate(const std::vector<double>& rates) {
-  std::vector<std::size_t> order;
-  sorted_by_rate_into(rates, order);
-  return order;
-}
-
 }  // namespace
 
 void FairShare::cumulative_loads_into(const std::vector<double>& rates,
@@ -147,22 +141,22 @@ void FairShare::queue_lengths_jvp_into(std::span<const double> rates,
                                        std::span<const double> dx,
                                        DisciplineWorkspace& ws,
                                        std::span<double> dq) const {
-  const std::size_t n = rates.size();
-  if (n == 0) return;
-
   // The perturbed sort: rates ascending, exact rate ties broken by dx (the
   // order r + h dx assumes for every small h > 0), then by index. For a
   // tie-free base this is the plain rate sort, so the direction does not
-  // change the permutation and repeated applications stay cache-friendly.
-  std::vector<std::size_t>& order = ws.order;
-  order.resize(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (rates[a] != rates[b]) return rates[a] < rates[b];
-    if (dx[a] != dx[b]) return dx[a] < dx[b];
-    return a < b;
-  });
+  // change the permutation.
+  ws.jvp_order.resize(rates.size());
+  ws.tie_runs.clear();
+  rate_order_into(rates, ws.jvp_order, ws.tie_runs);
+  order_tie_runs_by_direction(dx, ws.tie_runs, ws.keys, ws.jvp_order);
+  queue_lengths_jvp_ordered_into(rates, mu, queues, dx, ws.jvp_order, dq);
+}
 
+void FairShare::queue_lengths_jvp_ordered_into(
+    std::span<const double> rates, double mu, std::span<const double> queues,
+    std::span<const double> dx, std::span<const std::uint32_t> order,
+    std::span<double> dq) const {
+  const std::size_t n = rates.size();
   double prefix_rate = 0.0;  // sum of sorted rates up to and including p
   double prefix_dx = 0.0;    // sum of sorted dx up to and including p
   double prefix_dq = 0.0;    // sum of dQ over finite sorted positions < p
@@ -210,15 +204,21 @@ std::size_t FairShareDecomposition::class_for(std::size_t k, double u) const {
 }
 
 FairShareDecomposition FairShare::decompose(const std::vector<double>& rates) {
+  FairShareDecomposition d;
+  decompose_into(rates, d);
+  return d;
+}
+
+void FairShare::decompose_into(std::span<const double> rates,
+                               FairShareDecomposition& d) {
   for (double r : rates) {
     if (!(r >= 0.0) || std::isinf(r)) {
       throw std::invalid_argument("FairShare::decompose: bad rate");
     }
   }
   const std::size_t n = rates.size();
-  FairShareDecomposition d;
-  d.rates = rates;
-  d.sorted_order = sorted_by_rate(rates);
+  d.rates.assign(rates.begin(), rates.end());
+  sorted_by_rate_into(rates, d.sorted_order);
   d.position.resize(n);
   d.width.resize(n);
   d.prefix.resize(n);
@@ -238,7 +238,6 @@ FairShareDecomposition FairShare::decompose(const std::vector<double>& rates) {
     d.prefix[j] = acc;
     d.class_totals[j] = static_cast<double>(n - j) * d.width[j];
   }
-  return d;
 }
 
 }  // namespace ffc::queueing

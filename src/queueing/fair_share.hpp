@@ -95,12 +95,19 @@ class FairShare final : public ServiceDiscipline {
   /// and dQ = 0 on the saturated suffix (sigma >= 1, infinite queues).
   /// Connections tied in BOTH rate and dx provably receive identical dQ
   /// through the recursion, so the index tie-break never leaks into values
-  /// (docs/THEORY.md section 8).
+  /// (docs/THEORY.md section 8). Builds the order in ws (rate_order_into,
+  /// then order_tie_runs_by_direction) and runs the ordered recursion below.
   void queue_lengths_jvp_into(std::span<const double> rates, double mu,
                               std::span<const double> queues,
                               std::span<const double> dx,
                               DisciplineWorkspace& ws,
                               std::span<double> dq) const override;
+  /// The recursion above in a caller-supplied (rate, dx, index) order. O(m).
+  void queue_lengths_jvp_ordered_into(std::span<const double> rates, double mu,
+                                      std::span<const double> queues,
+                                      std::span<const double> dx,
+                                      std::span<const std::uint32_t> order,
+                                      std::span<double> dq) const override;
   bool differentiable() const override { return true; }
   bool jvp_tie_sensitive() const override { return true; }
 
@@ -111,6 +118,13 @@ class FairShare final : public ServiceDiscipline {
   /// connection's rate, and the class totals sum to the aggregate arrival
   /// rate.
   static FairShareDecomposition decompose(const std::vector<double>& rates);
+
+  /// decompose() into `out`, reusing its buffers: allocation-free once they
+  /// have the capacity of `rates`, and bitwise the same decomposition. The
+  /// same validation: throws std::invalid_argument on a negative, NaN or
+  /// infinite rate.
+  static void decompose_into(std::span<const double> rates,
+                             FairShareDecomposition& out);
 
   /// sigma_i = sum_k min(r_k, r_i) / mu, the cumulative load relevant to
   /// connection i (original index order). Validated wrapper; O(N log N).

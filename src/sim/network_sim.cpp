@@ -196,12 +196,12 @@ void NetworkSimulator::refresh_fair_share_rates() {
   for (network::GatewayId a = 0; a < topology_.num_gateways(); ++a) {
     if (!servers_[a]) continue;
     const auto& members = topology_.connections_through(a);
-    std::vector<double> local_rates(members.size());
+    local_rates_.resize(members.size());
     for (std::size_t k = 0; k < members.size(); ++k) {
       const network::ConnectionId i = members[k];
-      local_rates[k] = source_active_[i] ? rates_[i] : 0.0;
+      local_rates_[k] = source_active_[i] ? rates_[i] : 0.0;
     }
-    static_cast<FairShareServer*>(servers_[a].get())->set_rates(local_rates);
+    static_cast<FairShareServer*>(servers_[a].get())->set_rates(local_rates_);
   }
 }
 

@@ -252,6 +252,8 @@ class NetworkSimulator : private PacketSink, private EventHandler {
   std::vector<std::unique_ptr<GatewayServer>> servers_;
 
   std::vector<double> rates_;
+  /// Scratch for one gateway's effective rates in refresh_fair_share_rates.
+  std::vector<double> local_rates_;
   std::vector<stats::Xoshiro256> source_rng_;  ///< seeded iff source owned
   std::vector<std::uint64_t> source_generation_;
 

@@ -205,11 +205,11 @@ FairShareServer::FairShareServer(Simulator& sim, double mu,
       // draw (split() would hand back the very position the base copied).
       class_rng_(stats::Xoshiro256(rng.next() ^ 0xa5a5a5a55a5a5a5aULL)) {}
 
-void FairShareServer::set_rates(const std::vector<double>& local_rates) {
+void FairShareServer::set_rates(std::span<const double> local_rates) {
   if (local_rates.size() != num_local()) {
     throw std::invalid_argument("FairShareServer: rate size mismatch");
   }
-  decomposition_ = queueing::FairShare::decompose(local_rates);
+  queueing::FairShare::decompose_into(local_rates, decomposition_);
 }
 
 void FairShareServer::arrival(Packet packet, std::size_t local_conn) {

@@ -24,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "queueing/fair_share.hpp"
@@ -243,7 +244,8 @@ class FairShareServer final : public PriorityServer {
                   stats::Xoshiro256 rng, PacketSink* sink);
 
   /// Updates the per-connection rates driving the class decomposition.
-  void set_rates(const std::vector<double>& local_rates);
+  /// Reuses the decomposition's buffers: allocation-free once warm.
+  void set_rates(std::span<const double> local_rates);
 
   void arrival(Packet packet, std::size_t local_conn) override;
 

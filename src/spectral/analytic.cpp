@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "network/csr.hpp"
+#include "queueing/discipline.hpp"
 
 namespace ffc::spectral {
 
@@ -65,12 +66,8 @@ void AnalyticJacobianOperator::precompute() {
   const core::SignalFunction& sig = model_->signal();
 
   dsig_coef_.resize(csr.num_entries());
-  for (network::GatewayId a = 0; a < num_gw; ++a) {
-    const std::size_t offset = csr.gateway_offset(a);
-    const std::vector<double>& cong = st.gateways[a].congestion;
-    for (std::size_t k = 0; k < cong.size(); ++k) {
-      dsig_coef_[offset + k] = sig.derivative(cong[k]);
-    }
+  for (std::size_t e = 0; e < dsig_coef_.size(); ++e) {
+    dsig_coef_[e] = sig.derivative(ws_.measures[e]);
   }
 
   adj_dr_.resize(n);
@@ -95,26 +92,41 @@ void AnalyticJacobianOperator::precompute() {
     boundary = boundary || u == 0.0;
   }
 
+  // A tie-sensitive discipline's perturbed order is (rate, dx, index). The
+  // base rate order is fixed for the operator's lifetime, so it is sorted
+  // once here; each pass then only re-sorts (or mirrors) the tie runs.
+  const std::size_t entries = csr.num_entries();
+  const bool rate_ties_matter = model_->discipline().jvp_tie_sensitive();
+  if (rate_ties_matter) {
+    rate_order_.resize(entries);
+    jvp_order_.resize(entries);
+    tie_runs_.clear();
+    run_offset_.resize(num_gw + 1);
+    for (network::GatewayId a = 0; a < num_gw; ++a) {
+      const std::size_t offset = csr.gateway_offset(a);
+      const std::size_t m = csr.fan_in(a);
+      run_offset_[a] = tie_runs_.size();
+      queueing::rate_order_into({ws_.local_rates.data() + offset, m},
+                                {rate_order_.data() + offset, m}, tie_runs_);
+    }
+    run_offset_[num_gw] = tie_runs_.size();
+    std::size_t longest = 0;
+    for (const queueing::RateTieRun& run : tie_runs_) {
+      longest = std::max<std::size_t>(longest, run.end - run.begin);
+    }
+    keys_.reserve(longest);
+  }
+
   // Smoothness: one directional pass suffices iff no layer sits on a kink
   // the direction could tip. Rate ties only matter to tie-sensitive
   // disciplines (Fair Share's sort); queue ties only to the individual
   // measure's sort; FIFO + aggregate is smooth even fully tied.
-  bool ties = false;
-  const bool rate_ties_matter = model_->discipline().jvp_tie_sensitive();
-  const bool queue_ties_matter = model_->style() == core::FeedbackStyle::Individual;
-  if (rate_ties_matter || queue_ties_matter) {
+  bool ties = rate_ties_matter && !tie_runs_.empty();
+  if (!ties && model_->style() == core::FeedbackStyle::Individual) {
     std::vector<double> scratch;
     for (network::GatewayId a = 0; a < num_gw && !ties; ++a) {
-      const std::size_t offset = csr.gateway_offset(a);
-      const std::size_t m = csr.fan_in(a);
-      if (rate_ties_matter &&
-          has_duplicates({ws_.local_rates.data() + offset, m}, scratch)) {
-        ties = true;
-      }
-      if (queue_ties_matter &&
-          has_duplicates(st.gateways[a].queues, scratch)) {
-        ties = true;
-      }
+      ties = has_duplicates(
+          {ws_.queues.data() + csr.gateway_offset(a), csr.fan_in(a)}, scratch);
     }
   }
   bool multi_bottleneck = false;
@@ -123,7 +135,6 @@ void AnalyticJacobianOperator::precompute() {
   }
   smooth_ = !ties && !multi_bottleneck && !boundary;
 
-  const std::size_t entries = csr.num_entries();
   dx_flat_.resize(entries);
   dq_flat_.resize(entries);
   dc_flat_.resize(entries);
@@ -136,12 +147,15 @@ void AnalyticJacobianOperator::precompute() {
 }
 
 void AnalyticJacobianOperator::directional(const std::vector<double>& x,
+                                           Side side,
                                            std::vector<double>& out) const {
   const network::Topology& topo = model_->topology();
   const network::CsrIncidence& csr = topo.incidence();
   const std::size_t num_gw = topo.num_gateways();
   const std::size_t n = base_.size();
   const core::NetworkState& st = ws_.state;
+  const queueing::ServiceDiscipline& discipline = model_->discipline();
+  const bool ordered = !rate_order_.empty();
 
   network::gather_by_gateway_into(csr, x, dx_flat_);
 
@@ -153,11 +167,31 @@ void AnalyticJacobianOperator::directional(const std::vector<double>& x,
     const std::span<const double> local(ws_.local_rates.data() + offset, m);
     const std::span<const double> dx(dx_flat_.data() + offset, m);
     const std::span<double> dq(dq_flat_.data() + offset, m);
-    const std::vector<double>& queues = st.gateways[a].queues;
-    model_->discipline().queue_lengths_jvp_into(
-        local, topo.gateway(a).mu, queues, dx, ws_.discipline, dq);
-    core::congestion_jvp_into(model_->style(), queues, dq, ws_.congestion,
-                              {dc_flat_.data() + offset, m});
+    const std::span<double> dc(dc_flat_.data() + offset, m);
+    const std::span<const double> queues(ws_.queues.data() + offset, m);
+    const double mu = topo.gateway(a).mu;
+    if (!ordered) {
+      discipline.queue_lengths_jvp_into(local, mu, queues, dx, ws_.discipline,
+                                        dq);
+      core::congestion_jvp_into(model_->style(), queues, dq, ws_.congestion,
+                                dc);
+      continue;
+    }
+    // The perturbed rate order: the base order with its tie runs sorted by
+    // dx (Plus), or that order mirrored for -x (Minus, right after Plus).
+    const std::span<std::uint32_t> order(jvp_order_.data() + offset, m);
+    const std::span<const queueing::RateTieRun> runs(
+        tie_runs_.data() + run_offset_[a], run_offset_[a + 1] - run_offset_[a]);
+    if (side == Side::Plus) {
+      std::copy_n(rate_order_.data() + offset, m, order.begin());
+      queueing::order_tie_runs_by_direction(dx, runs, keys_, order);
+    } else {
+      queueing::mirror_tie_runs(dx, runs, order);
+    }
+    discipline.queue_lengths_jvp_ordered_into(local, mu, queues, dx, order,
+                                              dq);
+    core::congestion_jvp_into(model_->style(), queues, dq, ws_.congestion, dc,
+                              order);
   }
 
   // Signal layer: db^a = B'(C) dC per entry, branch-free.
@@ -223,7 +257,7 @@ void AnalyticJacobianOperator::directional(const std::vector<double>& x,
 void AnalyticJacobianOperator::apply(const linalg::Vector& x,
                                      linalg::Vector& y) const {
   const std::size_t n = base_.size();
-  directional(x, d_plus_);
+  directional(x, Side::Plus, d_plus_);
   y.resize(n);
   if (smooth_) {
     // D is linear at a smooth base point: one pass IS the derivative.
@@ -233,7 +267,7 @@ void AnalyticJacobianOperator::apply(const linalg::Vector& x,
     // every kink, e.g. s/2 across the truncation boundary.
     xneg_.resize(n);
     for (std::size_t i = 0; i < n; ++i) xneg_[i] = -x[i];
-    directional(xneg_, d_minus_);
+    directional(xneg_, Side::Minus, d_minus_);
     for (std::size_t i = 0; i < n; ++i) {
       y[i] = 0.5 * (d_plus_[i] - d_minus_[i]);
     }

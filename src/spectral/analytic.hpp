@@ -24,18 +24,29 @@
 // base points (no ties anywhere -- detected once at construction) one pass
 // suffices because D is linear there.
 //
-// Cost per application: one pass touches each CSR entry O(1) times plus one
-// O(m log m) sort per tie-sensitive gateway layer -- strictly less work than
-// ONE model evaluation, vs the FD operator's two, with zero step-size noise.
+// Cost per application: one pass touches each CSR entry O(1) times; the only
+// sorts left are inside exact rate-tie runs. The base rates are fixed, so a
+// tie-sensitive discipline's (rate, index) order and its tie runs are sorted
+// once at construction; the +x pass copies that order and re-sorts each run
+// by (dx, index), and the -x pass mirrors it in O(m) (negation reverses the
+// groups of equal dx). The individual congestion measure takes that order as
+// a candidate, verified with std::is_sorted under its exact (Q, dq, index)
+// comparator and fully sorted only if the check fails. Every comparator is a
+// strict total order, so the result is bitwise the full sorts' (docs/
+// THEORY.md section 8). FIFO / PS keep no order and pay none of this. Strictly
+// less work than ONE model evaluation, vs the FD operator's two, with zero
+// step-size noise.
 // The FD operator remains as the independent oracle the property tests pit
 // this operator against (tests/test_spectral.cpp).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/model.hpp"
 #include "linalg/sparse_eigen.hpp"
+#include "queueing/discipline.hpp"
 
 namespace ffc::spectral {
 
@@ -84,17 +95,32 @@ class AnalyticJacobianOperator final : public linalg::LinearOperator {
     Boundary,  ///< r + f == 0: one-sided max(0, dx + df)
   };
 
+  /// Which side of the branch average a directional pass computes. A Minus
+  /// pass must directly follow the Plus pass of the same x: it mirrors that
+  /// pass's perturbed rate order instead of sorting again.
+  enum class Side : unsigned char { Plus, Minus };
+
   void precompute();
   /// One-sided directional derivative D(x) with ties resolved by x.
-  void directional(const std::vector<double>& x,
+  void directional(const std::vector<double>& x, Side side,
                    std::vector<double>& out) const;
 
   const core::FlowControlModel* model_;
   std::vector<double> base_;
-  /// Base evaluation: ws_.state / local_rates / signals / sojourns hold the
+  /// Base evaluation: the flat ws_.local_rates / queues / measures /
+  /// signals / sojourns and ws_.state's per-connection vectors hold the
   /// observables at base_ for the operator's lifetime; directional passes
   /// only consume the discipline/congestion scratch (sort orders).
   mutable core::ModelWorkspace ws_;
+  /// Tie-sensitive disciplines only (empty otherwise): every gateway's base
+  /// rate order, (rate, local index), flat in the CSR gateway-major layout,
+  /// and its exact-tie runs; gateway a's runs are tie_runs_[run_offset_[a]]
+  /// up to tie_runs_[run_offset_[a + 1]].
+  std::vector<std::uint32_t> rate_order_;
+  std::vector<queueing::RateTieRun> tie_runs_;
+  std::vector<std::size_t> run_offset_;
+  mutable std::vector<std::uint32_t> jvp_order_;  ///< perturbed order (E)
+  mutable std::vector<queueing::DirectionKey> keys_;  ///< longest tie run
   std::vector<double> dsig_coef_;  ///< B'(C) per CSR entry (0 where C = inf)
   std::vector<double> adj_dr_;     ///< adjuster df/dr per connection
   std::vector<double> adj_db_;     ///< adjuster df/db per connection

@@ -4,12 +4,16 @@
 #include <cmath>
 #include <limits>
 
+#include "core/stability.hpp"
+
 namespace ffc::spectral {
 
 ModelJacobianOperator::ModelJacobianOperator(
     const core::FlowControlModel& model, std::vector<double> base_rates,
     const JvpOptions& options)
     : model_(&model), options_(options) {
+  core::validate_step_options(options_.relative_step, options_.step_floor,
+                              "ModelJacobianOperator");
   rebase(std::move(base_rates));
 }
 

@@ -43,7 +43,8 @@ struct JvpOptions {
 class ModelJacobianOperator final : public linalg::LinearOperator {
  public:
   /// Validates `base_rates` once (size, finiteness, nonnegativity) by
-  /// evaluating F(base) through the model's checked entry point.
+  /// evaluating F(base) through the model's checked entry point. Throws
+  /// std::invalid_argument unless both step options are finite and > 0.
   ModelJacobianOperator(const core::FlowControlModel& model,
                         std::vector<double> base_rates,
                         const JvpOptions& options = {});

@@ -140,6 +140,11 @@ SpectralReport spectral_stability(const core::FlowControlModel& model,
           "spectral_stability: tolerances must be finite and >= 0");
     }
   }
+  // A zero or NaN step made the FD operator return y = 0 (radius 0,
+  // "stable"); checked on every path so the options are valid whichever
+  // operator Auto picks.
+  core::validate_step_options(options.jvp.relative_step,
+                              options.jvp.step_floor, "spectral_stability");
   const bool triangular =
       model.style() == core::FeedbackStyle::Individual &&
       dynamic_cast<const queueing::FairShare*>(&model.discipline()) != nullptr;

@@ -59,7 +59,9 @@ struct SpectralOptions {
     FiniteDifference,  ///< always the central-difference ModelJacobianOperator
   };
   Jvp jvp_mode = Jvp::Auto;
-  JvpOptions jvp;  ///< finite-difference step control (FD operator only)
+  /// Finite-difference step control (FD operator only); both values must
+  /// be finite and > 0 on every path.
+  JvpOptions jvp;
   /// Solver budgets and tolerance. The default tolerance sits at the
   /// finite-difference noise floor of the matrix-free operator (~1e-7
   /// relative with the default jvp step): asking the eigensolver for more

@@ -9,7 +9,9 @@
 // below any structural disagreement a wrong derivative would produce.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstddef>
 #include <limits>
 #include <memory>
@@ -281,6 +283,120 @@ TEST(AnalyticJacobianOperator, RebaseMatchesFreshOperator) {
   }
 }
 
+/// The seeded direction of ApplyMatchesParentBitwise: odd seeds draw from
+/// {-1, -0.0, +0.0, 0.5} (equal dx and both signed zeros inside rate tie
+/// runs), even seeds are continuous.
+std::vector<double> recorded_direction(std::size_t n, std::uint64_t seed) {
+  static constexpr double kLevels[] = {-1.0, -0.0, 0.0, 0.5};
+  Xoshiro256 rng(seed);
+  std::vector<double> x(n);
+  for (auto& e : x) {
+    e = seed % 2 ? kLevels[rng.uniform_index(4)] : rng.uniform(-1.0, 1.0);
+  }
+  return x;
+}
+
+TEST(AnalyticJacobianOperator, ApplyMatchesParentBitwise) {
+  // apply() outputs at the fair points of a parking lot and a random
+  // topology, recorded (as hex floats) from the operator that fully sorted
+  // every gateway in both branch passes, before the cached base rate order,
+  // the tie-run re-sorts, the mirrored -x order and the verified congestion
+  // candidate. Every permutation is unique, so every bit must match.
+  static const std::vector<std::vector<double>> kRecorded = {
+      // parking lot, Fair Share, individual: directions 1, 2, 3
+      {-0x0p+0, 0x1.999999999999ap-3, -0x1.9999999999996p-3, -0x1p-54,
+       -0x1p-54, 0x0p+0, 0x0p+0},
+      {-0x1.cc47c3113fecp-4, 0x1.80c4af3d1d09bp-2, -0x1.d6fcc8135f95p-5,
+       0x1.787109c79fb4cp-3, 0x1.135922adc2795p-3, -0x1.5d1ba9c03b72p-8,
+       0x1.4b5984e1b204cp-2},
+      {-0x1.9999999999996p-3, 0x1.999999999999ap-3, 0x1.999999999999ap-3,
+       0x1.999999999999ap-3, 0x1.999999999999ap-3, 0x1.3333333333332p-2,
+       0x1.999999999999ap-4},
+      // parking lot, Fair Share, aggregate: directions 1, 2, 3
+      {0x0p+0, 0x1.999999999999ap-2, -0x1.3333333333333p-1,
+       0x1.9999999999998p-4, 0x1.9999999999998p-4, 0x0p+0, 0x0p+0},
+      {-0x1.355db73bfa0a4p-1, 0x1.aef4490c3294cp-1, -0x1.ee64450ce29bp-3,
+       0x1.ddf63a6754dd6p-2, 0x1.5f98598700532p-2, -0x1.dc329d72cb82p-4,
+       0x1.697b1cbc863fp-1},
+      {-0x1.6666666666666p-1, 0x1.999999999999ap-2, 0x1.999999999999ap-2,
+       0x1.999999999999ap-2, 0x1.999999999999ap-2, 0x1.6666666666666p-1,
+       0x1.999999999999ap-3},
+      // parking lot, FIFO, individual: directions 1, 2, 3
+      {0x0p+0, 0x1.3333333333333p-2, -0x1.9999999999999p-2,
+       0x1.9999999999998p-4, 0x1.9999999999998p-4, 0x0p+0, 0x0p+0},
+      {-0x1.c7c8e35a9b88ep-3, 0x1.37ab5055608cdp-1, -0x1.3211bb88dd402p-3,
+       0x1.d1533d841935fp-2, 0x1.6c3b566a3bfa8p-2, -0x1.16c953d4311e8p-5,
+       0x1.3f615e4b6fe0bp-1},
+      {-0x1.ffffffffffffep-3, 0x1.3333333333334p-2, 0x1.3333333333333p-2,
+       0x1.999999999999ap-2, 0x1.999999999999ap-2, 0x1.4cccccccccccep-1,
+       0x1.0000000000001p-2},
+      // random topology, Fair Share, individual: directions 1, 2, 3
+      {-0x1p-54, 0x0p+0, 0x1.d723b87990158p-3, -0x1.d723b87990158p-4,
+       -0x1.d723b8799014p-4, -0x1.22bec26b897bfp-2, -0x1.22bec26b897bfp-2,
+       0x1p-53, 0x0p+0},
+      {0x1.0ce3133c44b1ap-2, -0x1.8cad0904614ep-6, 0x1.ccb617eba652cp-3,
+       -0x1.1a855ce58ba4p-5, -0x1.8fa8121cb264p-8, -0x1.763b71a9670f8p-2,
+       0x1.c96986323f03p-3, 0x1.aba58f5a73e9cp-3, 0x1.e220fffd67b2p-6},
+      {0x1.9f82204576e7ap-2, 0x1.67e088115db9ep-3, 0x1.67e088115dbap-3,
+       0x1.67e088115dbap-3, 0x1.67e088115db9cp-3, 0x1.2457d84d712f8p-1,
+       0x1.b41e23a14e39ep-3, 0x1.67e088115db9cp-3, 0x1.67e088115db9cp-3},
+      // random topology, Fair Share, aggregate: directions 1, 2, 3
+      {-0x1.22bec26b897bep-3, 0x1.999999999999cp-56, -0x1p+0,
+       0x1.6ea09eca3b422p-2, 0x1.6ea09eca3b422p-2, -0x1.22bec26b897bfp-2,
+       -0x1.22bec26b897bfp-2, 0x1.999999999999cp-56, 0x1.999999999999cp-56},
+      {-0x1.62e835d007e01p-1, 0x1.386337b2dddf7p-1, -0x1.e45445391ab82p-2,
+       0x1.32431f889a625p-1, 0x1.e6285e30e03a6p-2, -0x1.edc4c7b303764p-2,
+       0x1.5c3e1922bbe84p-2, -0x1.9c76ff86c6eeep-2, 0x1.82051a0d329c2p-2},
+      {-0x1.81b005ae37621p-1, 0x1.67e088115db9cp-2, 0x1.67e088115db9cp-2,
+       0x1.f93fe9472277cp-3, 0x1.f93fe9472277cp-3, 0x1.48afb09ae25fp-1,
+       0x1.22bec26b897bfp-3, 0x1.67e088115db9cp-2, 0x1.67e088115db9cp-2},
+      // random topology, FIFO, individual: directions 1, 2, 3
+      {0x0p+0, 0x0p+0, -0x1.8a3711e19bfbp-2, 0x1.8a3711e19bfbp-3,
+       0x1.8a3711e19bfbp-3, -0x1.22bec26b897bfp-2, -0x1.22bec26b897bfp-2,
+       0x0p+0, 0x0p+0},
+      {-0x1.7eef370791b7cp-3, 0x1.2bfdcf6abad5p-2, -0x1.fbf272868f1dp-4,
+       0x1.3d99da685e53ep-2, 0x1.0cf3efa253641p-2, -0x1.b2001cae3542cp-2,
+       0x1.20796e1dedb4ep-2, -0x1.8d486fb319f5p-4, 0x1.a0272a0d09178p-3},
+      {-0x1.f13aaf5256be8p-4, 0x1.0de8660d064b5p-2, 0x1.0de8660d064b5p-2,
+       0x1.0de8660d064b5p-2, 0x1.0de8660d064b4p-2, 0x1.3683c47429c74p-1,
+       0x1.6b6e73066bdaep-3, 0x1.0de8660d064b4p-2, 0x1.0de8660d064b4p-2},
+  };
+  Xoshiro256 topo_rng(20260807);
+  ffc::network::RandomTopologyParams params;
+  params.num_gateways = 4;
+  params.num_connections = 9;
+  params.max_path_length = 3;
+  params.mu_min = 1.0;
+  params.mu_max = 2.0;
+  const ffc::network::Topology topologies[2] = {
+      ffc::network::parking_lot(3, 2),
+      ffc::network::random_topology(topo_rng, params)};
+  std::size_t k = 0;
+  for (const auto& topo : topologies) {
+    for (int config = 0; config < 3; ++config) {
+      auto model = th::make_model(
+          topo, config == 2 ? th::fifo() : th::fair_share(),
+          config == 1 ? FeedbackStyle::Aggregate : FeedbackStyle::Individual,
+          0.4, 0.5);
+      const std::vector<double> fair = ffc::core::fair_steady_state(model);
+      const AnalyticJacobianOperator op(model, fair);
+      EXPECT_FALSE(op.smooth());  // tied fair rates: both branch passes
+      for (std::uint64_t seed = 1; seed <= 3; ++seed, ++k) {
+        std::vector<double> y;
+        op.apply(recorded_direction(fair.size(), seed), y);
+        ASSERT_EQ(y.size(), kRecorded[k].size()) << "case " << k;
+        for (std::size_t i = 0; i < y.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(y[i]),
+                    std::bit_cast<std::uint64_t>(kRecorded[k][i]))
+              << "case " << k << " component " << i << ": " << y[i]
+              << " vs " << kRecorded[k][i];
+        }
+      }
+    }
+  }
+  EXPECT_EQ(k, kRecorded.size());
+}
+
 TEST(ModelJacobianOperator, RebaseMatchesFreshOperator) {
   // The FD operator's nominal step is a function of the base; rebase() must
   // recompute it so a re-centred operator is BITWISE a fresh one (the ctor
@@ -372,7 +488,8 @@ TEST(SpectralStability, AutoDispatchBoundaryIsPinnedAt128) {
 
 TEST(SpectralStability, OptionValidation) {
   // A NaN manifold tolerance used to report an unstable point "stable";
-  // every bad tolerance now fails at the entry point, on both paths.
+  // every bad tolerance and step now fails at the entry point, on both
+  // paths.
   auto model = th::single_gateway_model(2, th::fair_share(),
                                         FeedbackStyle::Individual);
   const std::vector<double> rates{0.2, 0.25};
@@ -394,6 +511,45 @@ TEST(SpectralStability, OptionValidation) {
           std::invalid_argument)
           << "iterative.tolerance " << tol;
     }
+  }
+  // A zero or NaN finite-difference step made the iterative FD path report
+  // radius 0, "stable" and converged at a true radius of 1 (a FIFO /
+  // aggregate bottleneck), -1e-5 reported 0.999, and the dense path threw a
+  // misleading rate error. Every bad step now fails up front, on both paths
+  // and in every finite-difference entry point.
+  for (double bad : {0.0, std::numeric_limits<double>::quiet_NaN(), -1e-5,
+                     std::numeric_limits<double>::infinity()}) {
+    for (auto method : {ffc::spectral::SpectralOptions::Method::Dense,
+                        ffc::spectral::SpectralOptions::Method::Iterative}) {
+      ffc::spectral::SpectralOptions step;
+      step.method = method;
+      step.jvp_mode = ffc::spectral::SpectralOptions::Jvp::FiniteDifference;
+      step.jvp.relative_step = bad;
+      EXPECT_THROW(ffc::spectral::spectral_stability(model, rates, step),
+                   std::invalid_argument)
+          << "jvp.relative_step " << bad;
+      step.jvp = {};
+      step.jvp.step_floor = bad;
+      EXPECT_THROW(ffc::spectral::spectral_stability(model, rates, step),
+                   std::invalid_argument)
+          << "jvp.step_floor " << bad;
+    }
+    EXPECT_THROW(ModelJacobianOperator(model, rates, {bad, 1e-7}),
+                 std::invalid_argument)
+        << "relative_step " << bad;
+    EXPECT_THROW(ModelJacobianOperator(model, rates, {1e-5, bad}),
+                 std::invalid_argument)
+        << "step_floor " << bad;
+    ffc::core::JacobianOptions jac;
+    jac.relative_step = bad;
+    EXPECT_THROW(ffc::core::analyze_stability(model, rates, jac),
+                 std::invalid_argument)
+        << "JacobianOptions::relative_step " << bad;
+    jac = {};
+    jac.step_floor = bad;
+    EXPECT_THROW(ffc::core::unilateral_stability(model, rates, jac),
+                 std::invalid_argument)
+        << "JacobianOptions::step_floor " << bad;
   }
 }
 
