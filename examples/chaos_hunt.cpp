@@ -26,9 +26,7 @@
 #include "core/ffc.hpp"
 #include "exec/cli.hpp"
 #include "network/builders.hpp"
-#include "queueing/fair_share.hpp"
-#include "queueing/fifo.hpp"
-#include "queueing/processor_sharing.hpp"
+#include "queueing/discipline.hpp"
 #include "report/table.hpp"
 #include "search/cem.hpp"
 #include "search/hunt_spec.hpp"
@@ -45,15 +43,6 @@ int usage() {
   return EXIT_FAILURE;
 }
 
-std::shared_ptr<queueing::ServiceDiscipline> make_discipline(
-    const std::string& token) {
-  if (token == "fair_share") return std::make_shared<queueing::FairShare>();
-  if (token == "processor_sharing") {
-    return std::make_shared<queueing::ProcessorSharing>();
-  }
-  return std::make_shared<queueing::Fifo>();
-}
-
 /// The oracle: spectral analysis of the spec's bottleneck family at one
 /// candidate. Returns NaN when the fixed point does not converge.
 struct SpectralProbe {
@@ -65,10 +54,9 @@ struct SpectralProbe {
 SpectralProbe probe(const search::HuntSpec& spec, double eta, double beta) {
   core::FlowControlModel model(
       network::single_bottleneck(spec.connections, double(spec.connections)),
-      make_discipline(spec.discipline),
+      queueing::make_discipline(spec.discipline),
       std::make_shared<core::QuadraticSignal>(),
-      spec.feedback == "individual" ? core::FeedbackStyle::Individual
-                                    : core::FeedbackStyle::Aggregate,
+      core::feedback_style(spec.feedback),
       std::make_shared<core::AdditiveTsi>(eta, beta));
   core::FixedPointOptions fp;
   fp.damping = 0.5;

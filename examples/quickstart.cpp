@@ -63,15 +63,17 @@ int main(int argc, char** argv) {
 
   report::TextTable table({"step", "r_0", "r_last", "b_0", "b_last"});
   table.set_title("Synchronous dynamics (individual feedback, Fair Share)");
+  core::ModelWorkspace ws;
   for (int step = 0; step <= 60; ++step) {
-    const auto state = model.observe(rates);
+    model.step(rates, ws);  // observes at `rates`, then updates
+    const auto& signals = ws.state.combined_signals;
     if (step % 10 == 0) {
       table.add_row({std::to_string(step), report::fmt(rates.front(), 4),
                      report::fmt(rates.back(), 4),
-                     report::fmt(state.combined_signals.front(), 3),
-                     report::fmt(state.combined_signals.back(), 3)});
+                     report::fmt(signals.front(), 3),
+                     report::fmt(signals.back(), 3)});
     }
-    rates = model.step(rates, state);
+    rates = ws.next;
   }
   table.print(std::cout);
 

@@ -88,12 +88,17 @@ AsyncResult run_async(const FlowControlModel& model,
   std::vector<double> rates = std::move(initial);
   RateHistory history(rates);
 
+  // Observations at the current and at the lagged rates, each into a
+  // workspace reused across updates.
+  ModelWorkspace fresh;
+  ModelWorkspace lagged;
+
   // Initial per-source schedules, staggered across one nominal period.
-  const NetworkState initial_state = model.observe(rates);
+  model.observe(rates, fresh);
   std::vector<double> next_update(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double period =
-        options.rtt_paced ? clamp_period(initial_state.delays[i])
+        options.rtt_paced ? clamp_period(fresh.state.delays[i])
                           : options.fixed_period;
     next_update[i] = rng.uniform01() * period;
   }
@@ -126,8 +131,8 @@ AsyncResult run_async(const FlowControlModel& model,
 
     // The source observes the network as it was `lag` ago; the fault plan
     // can add a fixed extra staleness on top of the RTT-proportional lag.
-    const NetworkState fresh = model.observe(rates);
-    const double own_delay = fresh.delays[who];
+    model.observe(rates, fresh);
+    const double own_delay = fresh.state.delays[who];
     double lag =
         options.feedback_delay_factor *
         (std::isfinite(own_delay) ? own_delay : clamp_period(own_delay));
@@ -135,8 +140,11 @@ AsyncResult run_async(const FlowControlModel& model,
       lag += plan.signal_delay_time;
       ++result.fault_counters.signals_delayed;
     }
-    const NetworkState observed =
-        lag > 0.0 ? model.observe(history.at(now - lag)) : fresh;
+    const NetworkState* observed = &fresh.state;
+    if (lag > 0.0) {
+      model.observe(history.at(now - lag), lagged);
+      observed = &lagged.state;
+    }
 
     // Loss drops this update entirely (the source holds its rate until its
     // next tick); duplication processes the same signal twice.
@@ -154,8 +162,8 @@ AsyncResult run_async(const FlowControlModel& model,
     }
     for (int apply = 0; apply < applications; ++apply) {
       const double f = model.adjuster(who)(rates[who],
-                                           observed.combined_signals[who],
-                                           observed.delays[who]);
+                                           observed->combined_signals[who],
+                                           observed->delays[who]);
       const double updated = std::max(0.0, rates[who] + f);
       const double movement =
           std::fabs(updated - rates[who]) / std::max(scale, rates[who]);

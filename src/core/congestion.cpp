@@ -4,8 +4,16 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace ffc::core {
+
+FeedbackStyle feedback_style(std::string_view token) {
+  if (token == kFeedbackTokens[0]) return FeedbackStyle::Aggregate;
+  if (token == kFeedbackTokens[1]) return FeedbackStyle::Individual;
+  throw std::invalid_argument("feedback_style: unknown feedback style '" +
+                              std::string(token) + "'");
+}
 
 namespace {
 

@@ -16,9 +16,11 @@
 // golden-equivalence tests and benchmarks.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 namespace ffc::core {
@@ -28,6 +30,13 @@ enum class FeedbackStyle {
   Aggregate,
   Individual,
 };
+
+/// The config-file tokens naming the feedback styles (scenario and hunt
+/// specs), in enum order, and the style a token names; feedback_style
+/// throws std::invalid_argument on any other token.
+inline constexpr std::array<std::string_view, 2> kFeedbackTokens = {
+    "aggregate", "individual"};
+FeedbackStyle feedback_style(std::string_view token);
 
 /// Reusable scratch for the allocation-free congestion fast path.
 struct CongestionWorkspace {

@@ -41,7 +41,7 @@ FairnessReport check_fairness(const FlowControlModel& model,
   for (network::GatewayId a = 0; a < topo.num_gateways(); ++a) {
     const std::size_t offset = csr.gateway_offset(a);
     congestion_measures_into(FeedbackStyle::Individual,
-                             {ws.queues.data() + offset, csr.fan_in(a)},
+                             {ws.state.queues.data() + offset, csr.fan_in(a)},
                              ws.congestion,
                              {individual.data() + offset, csr.fan_in(a)});
   }

@@ -69,79 +69,57 @@ void FlowControlModel::validate_boundary(
 }
 
 void signal_stage_into(const network::CsrIncidence& csr, FeedbackStyle style,
-                       const SignalFunction& signal, ModelWorkspace& ws,
-                       std::vector<double>& combined) {
-  ws.measures.resize(csr.num_entries());
-  ws.signals.resize(csr.num_entries());
+                       const SignalFunction& signal, ModelWorkspace& ws) {
+  NetworkState& state = ws.state;
+  state.congestion.resize(csr.num_entries());
+  state.signals.resize(csr.num_entries());
   for (network::GatewayId a = 0; a < csr.num_gateways(); ++a) {
     const std::size_t offset = csr.gateway_offset(a);
     const std::size_t n_local = csr.fan_in(a);
-    const std::span<double> measures(ws.measures.data() + offset, n_local);
-    congestion_measures_into(style, {ws.queues.data() + offset, n_local},
+    const std::span<double> measures(state.congestion.data() + offset,
+                                     n_local);
+    congestion_measures_into(style, {state.queues.data() + offset, n_local},
                              ws.congestion, measures);
     // Batch signal application over the slice: ONE virtual call per gateway
     // instead of one per connection, so the concrete signal's contiguous
     // loop vectorizes (tools/check_vectorization.sh).
-    signal.apply_into(measures, {ws.signals.data() + offset, n_local});
+    signal.apply_into(measures, {state.signals.data() + offset, n_local});
   }
-  network::reduce_max_over_paths_into(csr, ws.signals, combined);
+  network::reduce_max_over_paths_into(csr, state.signals,
+                                      state.combined_signals);
 }
 
 void FlowControlModel::observe_into(const std::vector<double>& rates,
                                     ModelWorkspace& ws) const {
   const network::CsrIncidence& csr = topology_.incidence();
-  const std::size_t num_gw = topology_.num_gateways();
-  const std::size_t num_conn = topology_.num_connections();
-  const std::size_t entries = csr.num_entries();
   NetworkState& state = ws.state;
-  state.gateways.resize(num_gw);
-  state.bottlenecks.resize(num_conn);
-  for (auto& b : state.bottlenecks) b.clear();
-  ws.queues.resize(entries);
-  ws.sojourns.resize(entries);
+  state.queues.resize(csr.num_entries());
+  ws.sojourns.resize(csr.num_entries());
 
   // Distribute the rate vector into the flat gateway-major SoA buffer; each
-  // gateway then reads its Gamma(a) slice as a span without copying.
+  // gateway then reads its Gamma(a) slice as a span without copying, and
+  // writes its queues and sojourns straight into the matching slices.
   network::gather_by_gateway_into(csr, rates, ws.local_rates);
-
-  // Per-gateway queues, mirrored into the flat SoA buffer the signal stage
-  // reads; sojourns land directly in theirs.
-  for (network::GatewayId a = 0; a < num_gw; ++a) {
+  for (network::GatewayId a = 0; a < topology_.num_gateways(); ++a) {
     const std::size_t offset = csr.gateway_offset(a);
     const std::size_t n_local = csr.fan_in(a);
     const std::span<const double> local(ws.local_rates.data() + offset,
                                         n_local);
+    const std::span<double> queues(state.queues.data() + offset, n_local);
     const double mu = topology_.gateway(a).mu;
-    std::vector<double>& queues = state.gateways[a].queues;
     discipline_->queue_lengths_into(local, mu, ws.discipline, queues);
-    std::copy(queues.begin(), queues.end(), ws.queues.begin() + offset);
     discipline_->sojourn_times_into(
         local, mu, queues, ws.discipline,
         std::span<double>(ws.sojourns.data() + offset, n_local));
   }
 
-  signal_stage_into(csr, style_, *signal_, ws, state.combined_signals);
-  for (network::GatewayId a = 0; a < num_gw; ++a) {
-    const double* measures = ws.measures.data() + csr.gateway_offset(a);
-    const double* signals = ws.signals.data() + csr.gateway_offset(a);
-    state.gateways[a].congestion.assign(measures, measures + csr.fan_in(a));
-    state.gateways[a].signals.assign(signals, signals + csr.fan_in(a));
-  }
+  signal_stage_into(csr, style_, *signal_, ws);
 
   // Per-connection delay d_i = path latency (cached) + sum of per-hop
   // sojourns, as an SoA reduction over the CSR slot map.
   network::reduce_sum_over_paths_into(csr, ws.sojourns, state.delays);
-  for (network::ConnectionId i = 0; i < num_conn; ++i) {
+  for (network::ConnectionId i = 0; i < state.delays.size(); ++i) {
     state.delays[i] += path_latency_[i];
-    // Bottlenecks: every gateway achieving the max.
-    const auto path = csr.path(i);
-    const auto slots = csr.slots(i);
-    const double best = state.combined_signals[i];
-    for (std::size_t h = 0; h < path.size(); ++h) {
-      if (ws.signals[slots[h]] == best) {
-        state.bottlenecks[i].push_back(path[h]);
-      }
-    }
   }
 }
 
@@ -190,26 +168,15 @@ const std::vector<double>& FlowControlModel::step_unchecked(
   return ws.next;
 }
 
-std::vector<double> FlowControlModel::step(const std::vector<double>& rates,
-                                           const NetworkState& state) const {
-  validate_boundary(rates);
-  std::vector<double> next(rates.size());
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    const double f = (*adjusters_[i])(rates[i], state.combined_signals[i],
-                                      state.delays[i]);
-    next[i] = std::max(0.0, rates[i] + f);
-  }
-  return next;
-}
-
 double FlowControlModel::queue_of(const NetworkState& state,
                                   network::ConnectionId i,
                                   network::GatewayId a) const {
   if (a >= topology_.num_gateways()) {
     throw std::out_of_range("FlowControlModel::queue_of: bad gateway id");
   }
-  if (const auto k = topology_.incidence().local_index(i, a)) {
-    return state.gateways.at(a).queues.at(*k);
+  const network::CsrIncidence& csr = topology_.incidence();
+  if (const auto k = csr.local_index(i, a)) {
+    return state.queues.at(csr.gateway_offset(a) + *k);
   }
   throw std::invalid_argument(
       "FlowControlModel::queue_of: connection not at gateway");

@@ -6,6 +6,11 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+
+#include "queueing/fair_share.hpp"
+#include "queueing/fifo.hpp"
+#include "queueing/processor_sharing.hpp"
 
 namespace ffc::queueing {
 
@@ -47,6 +52,17 @@ void validate_rates(std::span<const double> rates, double mu) {
       throw std::invalid_argument("ServiceDiscipline: rates must be finite");
     }
   }
+}
+
+std::shared_ptr<const ServiceDiscipline> make_discipline(
+    std::string_view token) {
+  if (token == "fifo") return std::make_shared<Fifo>();
+  if (token == "fair_share") return std::make_shared<FairShare>();
+  if (token == "processor_sharing") {
+    return std::make_shared<ProcessorSharing>();
+  }
+  throw std::invalid_argument("make_discipline: unknown discipline '" +
+                              std::string(token) + "'");
 }
 
 void ServiceDiscipline::queue_lengths_jvp_into(
@@ -156,6 +172,7 @@ void ServiceDiscipline::sojourn_times_into(std::span<const double> rates,
     return;
   }
   ws.probed.resize(n);
+  ws.probe_queues.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     ws.probed[i] = rates[i] == 0.0 ? kProbeFraction * mu : rates[i];
   }
@@ -171,7 +188,7 @@ std::vector<double> ServiceDiscipline::sojourn_times(
     const std::vector<double>& rates, double mu) const {
   validate_rates(rates, mu);
   DisciplineWorkspace ws;
-  std::vector<double> queues;
+  std::vector<double> queues(rates.size());
   queue_lengths_into(rates, mu, ws, queues);
   std::vector<double> out(rates.size());
   sojourn_times_into(rates, mu, queues, ws, out);

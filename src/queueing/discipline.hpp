@@ -20,6 +20,7 @@
 //     across calls, so a steady-state iterate performs no heap allocation.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -99,17 +100,17 @@ class ServiceDiscipline {
   virtual ~ServiceDiscipline() = default;
 
   /// Mean number of packets of each connection in the system, written into
-  /// `out` (resized to rates.size()) in the same order as `rates`. Entries
+  /// `out` (rates.size() entries) in the same order as `rates`. Entries
   /// may be +infinity when the relevant load is at or beyond capacity.
-  /// `rates` is a span so the model layer can pass slices of one flat
-  /// structure-of-arrays buffer (docs/SCALING.md) without copying.
+  /// Both are spans so the model layer can pass slices of its flat
+  /// structure-of-arrays buffers (docs/SCALING.md) without copying.
   ///
   /// UNCHECKED fast path: the caller must guarantee mu > 0 and all rates
   /// finite and >= 0 (the validated wrapper below does). Implementations
   /// must not allocate once the workspace buffers have warmed up.
   virtual void queue_lengths_into(std::span<const double> rates, double mu,
                                   DisciplineWorkspace& ws,
-                                  std::vector<double>& out) const = 0;
+                                  std::span<double> out) const = 0;
 
   /// Validated, allocating convenience wrapper around queue_lengths_into.
   /// Requires mu > 0 and all rates finite and >= 0. Defined inline below so
@@ -200,6 +201,14 @@ std::uint64_t validation_count();
 /// Enables/disables the validation counter. Off (the default) the hook is a
 /// relaxed load and branch -- no atomic contention on the hot path.
 void set_validation_counting(bool enabled);
+
+/// The config-file tokens naming the analytic disciplines (scenario and hunt
+/// specs), and the discipline a token names; make_discipline throws
+/// std::invalid_argument on any other token.
+inline constexpr std::array<std::string_view, 3> kDisciplineTokens = {
+    "fifo", "fair_share", "processor_sharing"};
+std::shared_ptr<const ServiceDiscipline> make_discipline(
+    std::string_view token);
 
 namespace detail {
 /// Bumps validation_count() without validating -- for boundary checks that

@@ -80,9 +80,8 @@ std::vector<double> FairShare::cumulative_loads_reference(
 
 void FairShare::queue_lengths_into(std::span<const double> rates, double mu,
                                    DisciplineWorkspace& ws,
-                                   std::vector<double>& out) const {
+                                   std::span<double> out) const {
   const std::size_t n = rates.size();
-  out.assign(n, 0.0);
   if (n == 0) return;
 
   sorted_by_rate_into(rates, ws.order);

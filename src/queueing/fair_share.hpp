@@ -81,7 +81,7 @@ class FairShare final : public ServiceDiscipline {
  public:
   void queue_lengths_into(std::span<const double> rates, double mu,
                           DisciplineWorkspace& ws,
-                          std::vector<double>& out) const override;
+                          std::span<double> out) const override;
 
   /// Closed-form directional derivative of the queue recursion. Sorting by
   /// (rate, dx, index) resolves exact rate ties the way an infinitesimal

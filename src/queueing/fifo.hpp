@@ -20,11 +20,10 @@ class Fifo final : public ServiceDiscipline {
   // devirtualize and inline it outright.
   void queue_lengths_into(std::span<const double> rates, double mu,
                           DisciplineWorkspace& /*ws*/,
-                          std::vector<double>& out) const override {
+                          std::span<double> out) const override {
     double total = 0.0;
     for (double r : rates) total += r;
 
-    out.resize(rates.size());
     if (total >= mu) {
       // Overloaded gateway: every active connection's queue diverges; an
       // idle connection has no packets.

@@ -15,21 +15,26 @@
 // way FIFO does.
 #pragma once
 
-#include "queueing/discipline.hpp"
+#include "queueing/fifo.hpp"
 
 namespace ffc::queueing {
 
+/// The queue map is FIFO's function, so PS runs FIFO's kernels: bitwise
+/// identical to FIFO (ProcessorSharing.MeanOccupancyEqualsFifo pins this).
 class ProcessorSharing final : public ServiceDiscipline {
  public:
   void queue_lengths_into(std::span<const double> rates, double mu,
                           DisciplineWorkspace& ws,
-                          std::vector<double>& out) const override;
-  /// Identical to FIFO's closed form (the queue map is the same function).
+                          std::span<double> out) const override {
+    Fifo().queue_lengths_into(rates, mu, ws, out);
+  }
   void queue_lengths_jvp_into(std::span<const double> rates, double mu,
                               std::span<const double> queues,
                               std::span<const double> dx,
                               DisciplineWorkspace& ws,
-                              std::span<double> dq) const override;
+                              std::span<double> dq) const override {
+    Fifo().queue_lengths_jvp_into(rates, mu, queues, dx, ws, dq);
+  }
   bool differentiable() const override { return true; }
   std::string_view name() const override { return "ProcessorSharing"; }
 };

@@ -4,9 +4,7 @@
 #include <vector>
 
 #include "network/builders.hpp"
-#include "queueing/fair_share.hpp"
-#include "queueing/fifo.hpp"
-#include "queueing/processor_sharing.hpp"
+#include "queueing/discipline.hpp"
 
 namespace ffc::scenario {
 
@@ -46,15 +44,6 @@ const double* find_fixed(const ScenarioSpec& spec, std::string_view key) {
     if (k == key) return &v;
   }
   return nullptr;
-}
-
-std::shared_ptr<const queueing::ServiceDiscipline> make_discipline(
-    std::string_view token) {
-  if (token == "fair_share") return std::make_shared<queueing::FairShare>();
-  if (token == "processor_sharing") {
-    return std::make_shared<queueing::ProcessorSharing>();
-  }
-  return std::make_shared<queueing::Fifo>();
 }
 
 }  // namespace
@@ -211,10 +200,8 @@ ScenarioCase ScenarioGrid::materialize(const exec::GridPoint& point) const {
     signal = std::make_shared<core::RationalSignal>();
   }
 
-  const std::string feedback = choice("feedback", point);
-  const core::FeedbackStyle style = feedback == "individual"
-                                        ? core::FeedbackStyle::Individual
-                                        : core::FeedbackStyle::Aggregate;
+  const core::FeedbackStyle style =
+      core::feedback_style(choice("feedback", point));
 
   faults::FaultPlan plan;
   plan.signal_loss_prob = value_or("signal_loss", 0.0);
@@ -226,7 +213,8 @@ ScenarioCase ScenarioGrid::materialize(const exec::GridPoint& point) const {
       {},
       {},
       core::FlowControlModel(std::move(topology),
-                             make_discipline(choice("discipline", point)),
+                             queueing::make_discipline(
+                                 choice("discipline", point)),
                              signal, style, adjuster),
       std::move(plan),
       std::move(signal),

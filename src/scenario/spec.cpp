@@ -6,6 +6,9 @@
 #include <limits>
 #include <sstream>
 
+#include "core/congestion.hpp"
+#include "queueing/discipline.hpp"
+
 namespace ffc::scenario {
 
 namespace {
@@ -32,10 +35,6 @@ constexpr std::array<std::string_view, 3> kTopologyKinds = {
 constexpr std::array<std::string_view, 7> kProtocols = {
     "additive", "multiplicative", "limd", "window_limd",
     "rcp",      "rcp1",           "aimd"};
-constexpr std::array<std::string_view, 3> kDisciplines = {
-    "fifo", "fair_share", "processor_sharing"};
-constexpr std::array<std::string_view, 2> kFeedbacks = {"aggregate",
-                                                        "individual"};
 constexpr std::array<std::string_view, 6> kSignals = {
     "rational", "quadratic", "exponential", "power", "smoothstep", "binary"};
 
@@ -65,8 +64,8 @@ std::string_view home_of(std::string_view key) {
 
 TokenSet dim_tokens(std::string_view dim) {
   if (dim == "protocol") return kProtocols;
-  if (dim == "discipline") return kDisciplines;
-  if (dim == "feedback") return kFeedbacks;
+  if (dim == "discipline") return queueing::kDisciplineTokens;
+  if (dim == "feedback") return core::kFeedbackTokens;
   return kSignals;
 }
 

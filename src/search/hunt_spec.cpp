@@ -5,7 +5,9 @@
 #include <sstream>
 #include <utility>
 
+#include "core/congestion.hpp"
 #include "exec/cli.hpp"
+#include "queueing/discipline.hpp"
 
 namespace ffc::search {
 
@@ -20,10 +22,6 @@ constexpr std::array<std::string_view, 12> kHuntKeys = {
     "restarts",    "initial_sigma", "sigma_floor", "tree_iterations"};
 constexpr std::array<std::string_view, 4> kOracleKeys = {
     "connections", "beta", "discipline", "feedback"};
-constexpr std::array<std::string_view, 3> kDisciplines = {
-    "fifo", "fair_share", "processor_sharing"};
-constexpr std::array<std::string_view, 2> kFeedbacks = {"aggregate",
-                                                        "individual"};
 constexpr std::array<std::string_view, 4> kFitnessNames = {
     "spectral_radius", "slowest_convergence", "earliest_onset",
     "max_unfairness"};
@@ -95,11 +93,13 @@ HuntSpec parse_hunt(std::string_view text, std::string_view filename) {
     doc.fail(beta.line, "key 'beta' must lie in (0, 1)");
   }
   if (const IniEntry* e = oracle_sec.find("discipline")) {
-    doc.expect_token(e->line, "discipline", e->value, kDisciplines);
+    doc.expect_token(e->line, "discipline", e->value,
+                     queueing::kDisciplineTokens);
     spec.discipline = e->value;
   }
   if (const IniEntry* e = oracle_sec.find("feedback")) {
-    doc.expect_token(e->line, "feedback mode", e->value, kFeedbacks);
+    doc.expect_token(e->line, "feedback mode", e->value,
+                     core::kFeedbackTokens);
     spec.feedback = e->value;
   }
 

@@ -89,9 +89,9 @@ EpochRecord ClosedLoopSimulator::run_one_epoch() {
   EpochRecord record;
   record.rates = rates_;
   // The model's signal stage on the measured queues.
-  sim_.mean_queues_into(stage_.queues);
-  core::signal_stage_into(topo.incidence(), style_, *signal_, stage_,
-                          record.signals);
+  sim_.mean_queues_into(stage_.state.queues);
+  core::signal_stage_into(topo.incidence(), style_, *signal_, stage_);
+  record.signals = stage_.state.combined_signals;
   record.delays.resize(rates_.size());
   for (network::ConnectionId i = 0; i < rates_.size(); ++i) {
     // If the connection delivered nothing this epoch, fall back to its pure

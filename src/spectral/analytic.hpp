@@ -107,10 +107,10 @@ class AnalyticJacobianOperator final : public linalg::LinearOperator {
 
   const core::FlowControlModel* model_;
   std::vector<double> base_;
-  /// Base evaluation: the flat ws_.local_rates / queues / measures /
-  /// signals / sojourns and ws_.state's per-connection vectors hold the
-  /// observables at base_ for the operator's lifetime; directional passes
-  /// only consume the discipline/congestion scratch (sort orders).
+  /// Base evaluation: ws_.state (the observation in the CSR layout) and the
+  /// per-entry ws_.local_rates / sojourns hold the observables at base_ for
+  /// the operator's lifetime; directional passes only consume the
+  /// discipline/congestion scratch (sort orders).
   mutable core::ModelWorkspace ws_;
   /// Tie-sensitive disciplines only (empty otherwise): every gateway's base
   /// rate order, (rate, local index), flat in the CSR gateway-major layout,

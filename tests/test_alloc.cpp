@@ -357,6 +357,46 @@ TEST(AllocFree, WindowSourcesDoNotAllocate) {
   }
 }
 
+TEST(AllocFree, ColdModelStepAllocationsDoNotGrowWithTopology) {
+  // A first step(r, ws) on a fresh workspace sizes each buffer once: the
+  // observation's per-entry and per-connection vectors, the sojourns, the
+  // next iterate and the discipline/congestion scratch. No buffer is kept
+  // per gateway or per connection, so the count is the same at G = 2,
+  // N = 4 and at G = 32, N = 64. Gateway a carries a one-hop connection
+  // and a two-hop one on to gateway a + 1 (mod G): every fan-in is 3, so
+  // the per-gateway scratch grows once at either size.
+  const auto ring = [](std::size_t gateways) {
+    std::vector<ffc::network::Connection> connections;
+    for (std::size_t a = 0; a < gateways; ++a) {
+      connections.push_back({{a}});
+      connections.push_back({{a, (a + 1) % gateways}});
+    }
+    return ffc::network::Topology(
+        std::vector<ffc::network::Gateway>(gateways, {1.0, 0.1}),
+        std::move(connections));
+  };
+  for (bool fair : {false, true}) {
+    for (auto style : {FeedbackStyle::Aggregate, FeedbackStyle::Individual}) {
+      std::uint64_t counts[2];
+      const std::size_t gateways[2] = {2, 32};
+      for (std::size_t k = 0; k < 2; ++k) {
+        const auto model = th::make_model(
+            ring(gateways[k]), fair ? th::fair_share() : th::fifo(), style);
+        const std::vector<double> rates(model.topology().num_connections(),
+                                        0.1);
+        ModelWorkspace ws;
+        AllocWindow window;
+        model.step(rates, ws);
+        counts[k] = window.count();
+      }
+      EXPECT_EQ(counts[0], counts[1])
+          << (fair ? "Fair Share" : "FIFO") << ", style "
+          << static_cast<int>(style) << ": " << counts[0]
+          << " allocations at G = 2, " << counts[1] << " at G = 32";
+    }
+  }
+}
+
 TEST(AllocFree, ClosedLoopEpochAllocationsDoNotGrowWithTopology) {
   // A warm closed-loop epoch allocates only what it returns (the record
   // vector and the EpochRecord's three vectors): the measured queues,

@@ -1,7 +1,7 @@
 // Pins the claims layer: verdict semantics (exact boundaries, NaN policy),
-// registry ordering + duplicate rejection, JSON shape, the generated-artifact
-// writers, and the determinism contract of the full reproduction run
-// (claims.json at --jobs 4 is byte-identical to --jobs 1).
+// registry ordering + duplicate rejection, JSON shape and the generated-
+// artifact writers. The full run's determinism contract is
+// test_reproduction.cpp's.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +15,6 @@
 #include "obs/metrics.hpp"
 #include "report/json.hpp"
 #include "report/markdown.hpp"
-#include "repro/experiments.hpp"
 
 namespace {
 
@@ -288,32 +287,6 @@ TEST(Artifacts, WritersAreDeterministic) {
   ffc::claims::write_claims_json(tiny_manifest(), a);
   ffc::claims::write_claims_json(tiny_manifest(), b);
   EXPECT_EQ(a.str(), b.str());
-}
-
-// ---------- the full reproduction run ---------------------------------------
-
-TEST(Reproduction, ClaimsJsonIsByteIdenticalAcrossJobs) {
-  // The determinism contract of the tentpole: fanning the 21 experiments
-  // across 4 threads must not change a byte of either artifact.
-  std::ostringstream err;
-  ffc::repro::ReproOptions one;
-  one.sweep.jobs = 1;
-  const auto m1 = ffc::repro::run_reproduction(one, err);
-  ffc::repro::ReproOptions four;
-  four.sweep.jobs = 4;
-  const auto m4 = ffc::repro::run_reproduction(four, err);
-
-  std::ostringstream j1, j4, md1, md4;
-  ffc::claims::write_claims_json(m1, j1);
-  ffc::claims::write_claims_json(m4, j4);
-  ffc::claims::write_reproduction_markdown(m1, md1);
-  ffc::claims::write_reproduction_markdown(m4, md4);
-  EXPECT_EQ(j1.str(), j4.str());
-  EXPECT_EQ(md1.str(), md4.str());
-
-  // And the run itself reproduces the paper.
-  EXPECT_TRUE(m1.all_passed());
-  EXPECT_EQ(m1.experiments.size(), 21u);
 }
 
 }  // namespace

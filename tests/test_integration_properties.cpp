@@ -46,19 +46,21 @@ TEST(ModelInvariants, ObservationsAreWellFormed) {
       std::vector<double> r(topo.num_connections());
       for (double& x : r) x = rng.uniform(0.0, 0.5);
       const auto state = model.observe(r);
+      const auto bottlenecks = th::bottleneck_gateways(topo, state);
       for (std::size_t i = 0; i < r.size(); ++i) {
         EXPECT_GE(state.combined_signals[i], 0.0);
         EXPECT_LE(state.combined_signals[i], 1.0);
         EXPECT_GE(state.delays[i], topo.path_latency(i) - 1e-12)
             << "delay below pure propagation";
-        EXPECT_FALSE(state.bottlenecks[i].empty());
+        EXPECT_FALSE(bottlenecks[i].empty());
         // Every reported bottleneck gateway is on the path.
-        for (auto a : state.bottlenecks[i]) {
+        for (auto a : bottlenecks[i]) {
           const auto& path = topo.path(i);
           EXPECT_NE(std::find(path.begin(), path.end(), a), path.end());
         }
       }
       // Queues are nonnegative and work-conserving per gateway.
+      const auto& csr = topo.incidence();
       for (std::size_t a = 0; a < topo.num_gateways(); ++a) {
         double rho = 0.0;
         for (auto j : topo.connections_through(a)) {
@@ -66,7 +68,8 @@ TEST(ModelInvariants, ObservationsAreWellFormed) {
         }
         double total = 0.0;
         bool infinite = false;
-        for (double q : state.gateways[a].queues) {
+        for (std::size_t k = 0; k < csr.fan_in(a); ++k) {
+          const double q = state.queues[csr.gateway_offset(a) + k];
           EXPECT_GE(q, 0.0);
           infinite = infinite || std::isinf(q);
           total += q;
@@ -103,11 +106,9 @@ TEST(ModelInvariants, ObservationScalesWithNetwork) {
       EXPECT_NEAR(base.combined_signals[i], scaled.combined_signals[i],
                   1e-10);
     }
-    for (std::size_t a = 0; a < topo.num_gateways(); ++a) {
-      for (std::size_t k = 0; k < base.gateways[a].queues.size(); ++k) {
-        EXPECT_NEAR(base.gateways[a].queues[k],
-                    scaled.gateways[a].queues[k], 1e-9);
-      }
+    ASSERT_EQ(base.queues.size(), scaled.queues.size());
+    for (std::size_t e = 0; e < base.queues.size(); ++e) {
+      EXPECT_NEAR(base.queues[e], scaled.queues[e], 1e-9);
     }
   }
 }
@@ -139,10 +140,11 @@ TEST(SteadyStateInvariants, BottleneckUtilizationEqualsRhoSs) {
         }
         EXPECT_LT(rho[a], 0.5 + 1e-5) << "gateway above rho_ss";
       }
-      const auto state = model.observe(result.rates);
+      const auto bottlenecks =
+          th::bottleneck_gateways(topo, model.observe(result.rates));
       for (std::size_t i = 0; i < result.rates.size(); ++i) {
         bool some_bottleneck_at_rho_ss = false;
-        for (auto a : state.bottlenecks[i]) {
+        for (auto a : bottlenecks[i]) {
           some_bottleneck_at_rho_ss =
               some_bottleneck_at_rho_ss || std::fabs(rho[a] - 0.5) < 1e-4;
         }

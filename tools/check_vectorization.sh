@@ -52,7 +52,7 @@ cat > "$probe" <<'EOF'
 #include "queueing/fifo.hpp"
 void ffc_vec_probe(const ffc::queueing::Fifo& f, std::span<const double> r,
                    double mu, ffc::queueing::DisciplineWorkspace& ws,
-                   std::vector<double>& out, std::span<const double> dx,
+                   std::span<double> out, std::span<const double> dx,
                    std::span<double> dq) {
   f.queue_lengths_into(r, mu, ws, out);
   f.queue_lengths_jvp_into(r, mu, out, dx, ws, dq);

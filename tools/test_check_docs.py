@@ -296,6 +296,41 @@ class CheckAtlasTest(unittest.TestCase):
             self.assertIn("no atlas sentinel block", errors[0])
 
 
+class CompareArtifactsTest(unittest.TestCase):
+    ARTIFACTS = {"REPRODUCTION.md": "# report\n", "claims.json": "{}\n"}
+
+    def test_matching_artifacts_pass(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = make_repo(tmp, {
+                **self.ARTIFACTS,
+                **{f"fresh/{k}": v for k, v in self.ARTIFACTS.items()},
+            })
+            self.assertEqual(
+                check_docs.compare_artifacts(root, root / "fresh"), [])
+
+    def test_stale_artifact_is_reported_with_diff(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = make_repo(tmp, {
+                **self.ARTIFACTS,
+                "fresh/REPRODUCTION.md": "# report v2\n",
+                "fresh/claims.json": "{}\n",
+            })
+            errors = check_docs.compare_artifacts(root, root / "fresh")
+            self.assertEqual(len(errors), 1)
+            self.assertIn("REPRODUCTION.md", errors[0])
+            self.assertIn("+# report v2", errors[0])
+
+    def test_missing_fresh_artifact_is_reported(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = make_repo(tmp, {
+                **self.ARTIFACTS,
+                "fresh/claims.json": "{}\n",
+            })
+            errors = check_docs.compare_artifacts(root, root / "fresh")
+            self.assertEqual(len(errors), 1)
+            self.assertIn("REPRODUCTION.md: missing in", errors[0])
+
+
 class RepoSelfCheck(unittest.TestCase):
     def test_this_repository_passes_both_gates(self):
         root = pathlib.Path(__file__).resolve().parent.parent
