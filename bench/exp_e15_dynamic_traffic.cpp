@@ -39,6 +39,7 @@ std::size_t steps_to_reach(const FlowControlModel& model,
                            std::vector<double>& rates,
                            const std::vector<double>& target,
                            std::size_t max_steps) {
+  core::ModelWorkspace ws;
   for (std::size_t t = 0; t < max_steps; ++t) {
     bool close = true;
     for (std::size_t i = 0; i < rates.size(); ++i) {
@@ -46,7 +47,7 @@ std::size_t steps_to_reach(const FlowControlModel& model,
               std::fabs(rates[i] - target[i]) <= 0.01 * (target[i] + 1e-9);
     }
     if (close) return t;
-    rates = model.step(rates);
+    rates = model.step(rates, ws);
   }
   return max_steps;
 }

@@ -243,6 +243,7 @@ void run_e8(ExperimentContext& ctx) {
     table.set_title("\nClosed loop vs synchronous model (individual + Fair "
                     "Share, eta = 0.15)");
     std::vector<double> r = r0;
+    core::ModelWorkspace ws;
     double worst_gap = 0.0;
     for (std::size_t e = 0; e < kClosedLoopEpochs; ++e) {
       const double sim_r0 = flat[2 * e];
@@ -253,7 +254,7 @@ void run_e8(ExperimentContext& ctx) {
         table.add_row({std::to_string(e), fmt(r[0], 4), fmt(sim_r0, 4),
                        fmt(r[2], 4), fmt(sim_r2, 4)});
       }
-      r = model.step(r);
+      r = model.step(r, ws);
     }
     table.print(out);
     bool converged_fair = true;

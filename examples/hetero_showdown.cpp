@@ -79,9 +79,10 @@ int main(int argc, char** argv) {
                                  std::make_shared<core::RationalSignal>(),
                                  design.style, adjusters);
     std::vector<double> r{0.2, 0.2};
+    core::ModelWorkspace ws;
     for (int t = 0; t <= 400; ++t) {
       if (t % 4 == 0) plot.add_point(t, r[0], design.glyph);
-      r = model.step(r);
+      r = model.step(r, ws);
     }
     const auto robust = core::check_robustness(model, r, 1e-2);
     const char* verdict =

@@ -95,6 +95,14 @@ void mirror_tie_runs(std::span<const double> dx,
                      std::span<std::uint32_t> order);
 
 /// Interface for analytic service disciplines.
+///
+/// Contract (label equivariance): a discipline sees its connections only
+/// through their rates, never through their labels or positions. Permuting
+/// `rates` permutes queue_lengths_into's output, and every derivative's,
+/// by the same permutation. spectral_stability's exchangeable certificate
+/// relies on this to conclude DF = aI + b 11^T at a tied symmetric
+/// bottleneck (docs/THEORY.md section 8); DisciplineAxioms.SymmetricInRates
+/// pins it for every discipline.
 class ServiceDiscipline {
  public:
   virtual ~ServiceDiscipline() = default;

@@ -24,6 +24,8 @@ Four independent gates, all run by the `check-docs` CMake target and the
      entry reads its fixture's). Both artifacts are pure functions of the
      build (no timestamps), so any diff means someone edited a generated
      file by hand or forgot to regenerate after changing an experiment.
+     The comparison covers the whole report, so it also covers E19's
+     stability-region atlas block inside REPRODUCTION.md.
 
   4. Scenario configs. Every committed scenarios/*.ini must be referenced
      (linked) from at least one checked document -- a config nobody
@@ -35,16 +37,6 @@ Four independent gates, all run by the `check-docs` CMake target and the
      check is strict parse + completeness + canonical parse->dump
      round-trip; a config whose dialect has no linter on the command line
      is only checked for documentation links.
-
-  5. Staleness of the committed chaos atlas. With --atlas-binary given
-     (BIN = the exp_e19_chaos_atlas experiment binary), the atlas table
-     committed inside REPRODUCTION.md -- the block between the
-     `<!-- atlas:begin -->` and `<!-- atlas:end -->` sentinels -- must be
-     byte-identical to the block a fresh run of BIN prints to stdout.
-     The experiment's output is --jobs-invariant, so any diff means the
-     search code or its committed hunt spec changed without regenerating
-     REPRODUCTION.md. (Gate 3 also catches this via the full report;
-     this gate isolates the atlas with a targeted, much cheaper run.)
 
 Exit code 0 iff every gate passes. No dependencies beyond the standard
 library.
@@ -204,64 +196,6 @@ def check_scenarios(repo_root: pathlib.Path,
     return errors
 
 
-ATLAS_BEGIN = "<!-- atlas:begin -->"
-ATLAS_END = "<!-- atlas:end -->"
-
-
-def extract_atlas_block(text: str) -> str | None:
-    """The sentinel-delimited atlas block, sentinels included.
-
-    Returns None when either sentinel is missing (or out of order), so
-    callers can distinguish "no atlas" from "empty atlas".
-    """
-    begin = text.find(ATLAS_BEGIN)
-    if begin < 0:
-        return None
-    end = text.find(ATLAS_END, begin)
-    if end < 0:
-        return None
-    return text[begin:end + len(ATLAS_END)]
-
-
-def check_atlas(repo_root: pathlib.Path, atlas_binary: str) -> list[str]:
-    """Gate 5: the committed E19 atlas equals a fresh regeneration."""
-    committed_path = repo_root / "REPRODUCTION.md"
-    if not committed_path.is_file():
-        return ["REPRODUCTION.md: missing at the repo root; cannot check "
-                "the committed atlas"]
-    committed = extract_atlas_block(
-        committed_path.read_text(encoding="utf-8"))
-    if committed is None:
-        return [f"REPRODUCTION.md: no `{ATLAS_BEGIN}` .. `{ATLAS_END}` "
-                "block -- regenerate with ffc_repro (E19 emits it)"]
-    proc = subprocess.run([atlas_binary], capture_output=True, text=True)
-    if proc.returncode != 0:
-        return [
-            f"{atlas_binary} exited {proc.returncode}; cannot check the "
-            "atlas. stderr tail:\n"
-            + "\n".join(proc.stderr.splitlines()[-10:])
-        ]
-    fresh = extract_atlas_block(proc.stdout)
-    if fresh is None:
-        return [f"{atlas_binary}: stdout carries no atlas sentinel block "
-                "-- the experiment and this gate disagree on the markers"]
-    if committed != fresh:
-        diff = list(
-            difflib.unified_diff(
-                committed.splitlines(), fresh.splitlines(),
-                fromfile="committed/REPRODUCTION.md(atlas)",
-                tofile="regenerated/atlas", lineterm="", n=1,
-            )
-        )
-        head = "\n".join(diff[:20])
-        return [
-            "REPRODUCTION.md: committed atlas block differs from a fresh "
-            f"exp_e19 run ({len(diff)} diff lines). Regenerate with: "
-            f"ffc_repro --output-dir . First lines:\n{head}"
-        ]
-    return []
-
-
 def compare_artifacts(repo_root: pathlib.Path,
                       fresh_dir: pathlib.Path) -> list[str]:
     """Committed REPRODUCTION.md / claims.json vs a fresh ffc_repro run's."""
@@ -309,9 +243,6 @@ def main() -> int:
     parser.add_argument("--hunt-lint", default=None,
                         help="path to chaos_hunt; runs `--check` on every "
                              "committed scenarios/*.ini opening with [hunt]")
-    parser.add_argument("--atlas-binary", default=None,
-                        help="path to exp_e19_chaos_atlas; enables the "
-                             "atlas-staleness gate")
     args = parser.parse_args()
     repo_root = pathlib.Path(args.repo_root).resolve()
     if not (repo_root / "README.md").is_file():
@@ -322,8 +253,6 @@ def main() -> int:
     errors = check_links(repo_root) + check_orphans(repo_root)
     errors += check_scenarios(repo_root, args.scenario_lint, args.hunt_lint)
     n_docs = len(doc_files(repo_root))
-    if args.atlas_binary:
-        errors += check_atlas(repo_root, args.atlas_binary)
     if args.repro_dir:
         errors += compare_artifacts(repo_root, pathlib.Path(args.repro_dir))
 
@@ -337,8 +266,6 @@ def main() -> int:
         gates += " + scenario lint"
     if args.hunt_lint:
         gates += " + hunt lint"
-    if args.atlas_binary:
-        gates += " + atlas staleness"
     if args.repro_dir:
         gates += " + reproduction staleness"
     print(f"check-docs: OK ({n_docs} documents, gates: {gates})")

@@ -234,68 +234,6 @@ class LeadingSectionTest(unittest.TestCase):
             self.assertEqual(check_docs.leading_section(root / "a.ini"), "")
 
 
-class CheckAtlasTest(unittest.TestCase):
-    ATLAS = ("<!-- atlas:begin -->\n| a | b |\n|---|---|\n| 1 | 2 |\n"
-             "<!-- atlas:end -->")
-
-    def fake_binary(self, root: pathlib.Path, stdout: str,
-                    exit_code: int = 0) -> str:
-        path = root / "exp_e19.sh"
-        path.write_text(
-            f"#!/bin/sh\ncat <<'EOF'\n{stdout}\nEOF\nexit {exit_code}\n",
-            encoding="utf-8")
-        path.chmod(0o755)
-        return str(path)
-
-    def test_matching_atlas_passes(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = make_repo(tmp, {
-                "REPRODUCTION.md": f"# report\n\n{self.ATLAS}\n\ntail\n",
-            })
-            binary = self.fake_binary(root, f"preamble\n{self.ATLAS}\nrest")
-            self.assertEqual(check_docs.check_atlas(root, binary), [])
-
-    def test_stale_atlas_is_reported_with_diff(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = make_repo(tmp, {
-                "REPRODUCTION.md": f"{self.ATLAS}\n",
-            })
-            fresh = self.ATLAS.replace("| 1 | 2 |", "| 1 | 3 |")
-            binary = self.fake_binary(root, fresh)
-            errors = check_docs.check_atlas(root, binary)
-            self.assertEqual(len(errors), 1)
-            self.assertIn("differs", errors[0])
-            self.assertIn("| 1 | 3 |", errors[0])
-
-    def test_missing_committed_block_is_reported(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = make_repo(tmp, {"REPRODUCTION.md": "no atlas here\n"})
-            binary = self.fake_binary(root, self.ATLAS)
-            errors = check_docs.check_atlas(root, binary)
-            self.assertEqual(len(errors), 1)
-            self.assertIn("no `<!-- atlas:begin -->`", errors[0])
-
-    def test_binary_failure_is_reported(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = make_repo(tmp, {
-                "REPRODUCTION.md": f"{self.ATLAS}\n",
-            })
-            binary = self.fake_binary(root, "partial", exit_code=7)
-            errors = check_docs.check_atlas(root, binary)
-            self.assertEqual(len(errors), 1)
-            self.assertIn("exited 7", errors[0])
-
-    def test_binary_without_sentinels_is_reported(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = make_repo(tmp, {
-                "REPRODUCTION.md": f"{self.ATLAS}\n",
-            })
-            binary = self.fake_binary(root, "claims only, no atlas")
-            errors = check_docs.check_atlas(root, binary)
-            self.assertEqual(len(errors), 1)
-            self.assertIn("no atlas sentinel block", errors[0])
-
-
 class CompareArtifactsTest(unittest.TestCase):
     ARTIFACTS = {"REPRODUCTION.md": "# report\n", "claims.json": "{}\n"}
 
@@ -319,6 +257,23 @@ class CompareArtifactsTest(unittest.TestCase):
             self.assertEqual(len(errors), 1)
             self.assertIn("REPRODUCTION.md", errors[0])
             self.assertIn("+# report v2", errors[0])
+
+    def test_edited_atlas_cell_is_reported(self):
+        # The whole-report comparison covers E19's sentinel-wrapped atlas
+        # block too: one edited cell fails it.
+        atlas = ("# report\n<!-- atlas:begin -->\n| cell | onset |\n"
+                 "|---|---|\n| FIFO | 1.414 |\n<!-- atlas:end -->\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            root = make_repo(tmp, {
+                "REPRODUCTION.md": atlas.replace("1.414", "1.415"),
+                "claims.json": "{}\n",
+                "fresh/REPRODUCTION.md": atlas,
+                "fresh/claims.json": "{}\n",
+            })
+            errors = check_docs.compare_artifacts(root, root / "fresh")
+            self.assertEqual(len(errors), 1)
+            self.assertIn("-| FIFO | 1.415 |", errors[0])
+            self.assertIn("+| FIFO | 1.414 |", errors[0])
 
     def test_missing_fresh_artifact_is_reported(self):
         with tempfile.TemporaryDirectory() as tmp:
