@@ -113,7 +113,7 @@ BENCHMARK_CAPTURE(model_step_workspace, fairshare_individual,
 // is the regime the CSR/SoA engine exists for -- O(E) construction and O(N)
 // (FIFO) / O(N log N) (FairShare sort) per step, where the pre-CSR
 // index_paths() construction alone was O(N^2). Iterations are pinned so a
-// bench-json run stays bounded; the items/s trend across the three decades
+// hand run stays bounded; the items/s trend across the three decades
 // is the scaling claim (flat = linear, a gentle droop at FairShare = the
 // sort's log factor).
 void model_step_large(benchmark::State& state, core::FeedbackStyle style,
@@ -189,7 +189,7 @@ BENCHMARK(BM_SparseSpectralRadius)->Arg(1000000)->Iterations(1);
 // model evaluations) against the central-difference operator (two full
 // model evaluations per application). Same binary, same host, same warm
 // buffers -- the items/s ratio IS the per-application speedup the iterative
-// eigensolver inherits (docs/PERFORMANCE.md BENCH_PR8).
+// eigensolver inherits (docs/PERFORMANCE.md, the committed BENCH_PR8.json).
 core::FlowControlModel jvp_bench_model(std::size_t n) {
   return core::FlowControlModel(
       network::single_bottleneck(n, static_cast<double>(n)),

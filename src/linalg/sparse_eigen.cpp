@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "linalg/eigen.hpp"
 
@@ -193,7 +194,7 @@ StageResult arnoldi_stage(const LinearOperator& op,
   // orthogonal to the deflated set).
   ws.restart = ws.v;
 
-  for (std::size_t cycle = 0; cycle <= opts.arnoldi_restarts; ++cycle) {
+  for (std::size_t cycle = 0;; ++cycle) {
     ws.basis[0] = ws.restart;
     std::size_t mm = m;          // achieved subspace size
     bool breakdown = false;
@@ -287,7 +288,9 @@ StageResult arnoldi_stage(const LinearOperator& op,
       return result;
     }
 
-    // Explicit restart with the best available direction.
+    // Explicit restart with the best available direction, unless this was
+    // the last cycle (tested before the increment: no wrap at SIZE_MAX).
+    if (cycle == opts.arnoldi_restarts) return result;
     ws.restart = ws.v;
     project_out(ws.deflated, ws.restart);
     if (!normalize(ws.restart)) {
@@ -298,7 +301,6 @@ StageResult arnoldi_stage(const LinearOperator& op,
       }
     }
   }
-  return result;
 }
 
 }  // namespace
@@ -318,6 +320,10 @@ void iterative_eigenvalues_into(const LinearOperator& op, std::size_t count,
                                 const IterativeEigenOptions& opts,
                                 SparseEigenWorkspace& ws,
                                 IterativeEigenResult& out) {
+  if (opts.arnoldi_subspace == 0) {
+    throw std::invalid_argument(
+        "iterative_eigenvalues: arnoldi_subspace must be >= 1");
+  }
   const std::size_t n = op.dim();
   out.eigenvalues.clear();
   out.spectral_radius = 0.0;

@@ -84,11 +84,14 @@ struct IterativeEigenOptions {
   double tolerance = 1e-10;
   /// Power-iteration budget per eigenvalue when real_spectrum is set; a
   /// short probe of min(300, power_iterations) steps is used otherwise
-  /// before handing over to Arnoldi.
+  /// before handing over to Arnoldi. 0 goes straight to Arnoldi.
   std::size_t power_iterations = 2000;
-  /// Krylov subspace dimension m of the Arnoldi fallback (memory O(m N)).
+  /// Krylov subspace dimension m of the Arnoldi fallback (memory O(m N)),
+  /// capped at the undeflated dimension. Must be >= 1: the solver throws
+  /// std::invalid_argument on 0.
   std::size_t arnoldi_subspace = 48;
-  /// Maximum explicit Arnoldi restarts per eigenvalue.
+  /// Maximum explicit Arnoldi restarts per eigenvalue: 0 runs one cycle,
+  /// and SIZE_MAX restarts until convergence.
   std::size_t arnoldi_restarts = 60;
   /// Structure hint: the operator's spectrum is known to be real (e.g. the
   /// individual+FairShare Jacobian, lower triangular under the sort-by-rate

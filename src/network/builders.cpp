@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 namespace ffc::network {
@@ -11,25 +12,29 @@ Topology single_bottleneck(std::size_t n_connections, double mu,
   if (n_connections == 0) {
     throw std::invalid_argument("single_bottleneck: need >= 1 connection");
   }
-  std::vector<Gateway> gws{{mu, latency}};
-  std::vector<Connection> conns(n_connections, Connection{{0}});
-  return Topology(std::move(gws), std::move(conns));
+  std::vector<std::size_t> offsets(n_connections + 1);
+  std::iota(offsets.begin(), offsets.end(), std::size_t{0});
+  return Topology({{mu, latency}}, std::move(offsets),
+                  std::vector<GatewayId>(n_connections, 0));
 }
 
 Topology parking_lot(std::size_t hops, std::size_t cross_per_hop, double mu,
                      double latency) {
   if (hops == 0) throw std::invalid_argument("parking_lot: need >= 1 hop");
-  std::vector<Gateway> gws(hops, Gateway{mu, latency});
-  std::vector<Connection> conns;
-  Connection long_conn;
-  for (GatewayId a = 0; a < hops; ++a) long_conn.path.push_back(a);
-  conns.push_back(std::move(long_conn));
+  // Connection 0 is the long one; the one-hop cross connections follow,
+  // cross_per_hop at each gateway in turn.
+  const std::size_t cross = hops * cross_per_hop;
+  std::vector<std::size_t> offsets(cross + 2, 0);
+  std::iota(offsets.begin() + 1, offsets.end(), hops);
+  std::vector<GatewayId> path_gateways(hops + cross);
+  std::iota(path_gateways.begin(), path_gateways.begin() + hops,
+            GatewayId{0});
   for (GatewayId a = 0; a < hops; ++a) {
-    for (std::size_t k = 0; k < cross_per_hop; ++k) {
-      conns.push_back(Connection{{a}});
-    }
+    std::fill_n(path_gateways.begin() + hops + a * cross_per_hop,
+                cross_per_hop, a);
   }
-  return Topology(std::move(gws), std::move(conns));
+  return Topology(std::vector<Gateway>(hops, Gateway{mu, latency}),
+                  std::move(offsets), std::move(path_gateways));
 }
 
 Topology tandem(std::size_t hops, std::size_t n_connections, double mu,
@@ -40,10 +45,14 @@ Topology tandem(std::size_t hops, std::size_t n_connections, double mu,
   }
   std::vector<Gateway> gws(hops, Gateway{mu, latency});
   gws.back().mu = mu_last;
-  Connection shared;
-  for (GatewayId a = 0; a < hops; ++a) shared.path.push_back(a);
-  std::vector<Connection> conns(n_connections, shared);
-  return Topology(std::move(gws), std::move(conns));
+  std::vector<std::size_t> offsets(n_connections + 1);
+  std::vector<GatewayId> path_gateways(n_connections * hops);
+  for (ConnectionId i = 0; i <= n_connections; ++i) offsets[i] = i * hops;
+  for (std::size_t e = 0; e < path_gateways.size(); ++e) {
+    path_gateways[e] = e % hops;
+  }
+  return Topology(std::move(gws), std::move(offsets),
+                  std::move(path_gateways));
 }
 
 Topology random_topology(stats::Xoshiro256& rng,
@@ -63,36 +72,49 @@ Topology random_topology(stats::Xoshiro256& rng,
                      : 0.0;
   }
 
+  const std::size_t n = params.num_connections;
   const std::size_t max_len =
       std::max<std::size_t>(1, std::min(params.max_path_length,
                                         params.num_gateways));
-  std::vector<Connection> conns(params.num_connections);
+  // Draw each duplicate-free path by a partial shuffle of the gateway ids,
+  // then undo the swaps so every connection shuffles the identity.
+  std::vector<GatewayId> ids(params.num_gateways);
+  std::iota(ids.begin(), ids.end(), GatewayId{0});
+  std::vector<std::size_t> picks(max_len);
+  std::vector<std::size_t> drawn_offsets(n + 1, 0);
+  std::vector<GatewayId> drawn;
   std::vector<bool> covered(params.num_gateways, false);
-  for (Connection& conn : conns) {
+  for (ConnectionId i = 0; i < n; ++i) {
     const std::size_t len = 1 + rng.uniform_index(max_len);
-    // Sample a duplicate-free path by shuffling gateway ids.
-    std::vector<GatewayId> ids(params.num_gateways);
-    for (GatewayId a = 0; a < ids.size(); ++a) ids[a] = a;
     for (std::size_t k = 0; k < len; ++k) {
-      const std::size_t pick = k + rng.uniform_index(ids.size() - k);
-      std::swap(ids[k], ids[pick]);
+      picks[k] = k + rng.uniform_index(ids.size() - k);
+      std::swap(ids[k], ids[picks[k]]);
+      drawn.push_back(ids[k]);
+      covered[ids[k]] = true;
     }
-    conn.path.assign(ids.begin(), ids.begin() + static_cast<long>(len));
-    for (GatewayId a : conn.path) covered[a] = true;
+    drawn_offsets[i + 1] = drawn.size();
+    for (std::size_t k = len; k-- > 0;) std::swap(ids[k], ids[picks[k]]);
   }
-  // Every gateway must carry at least one connection: route the first
-  // connections through any uncovered gateways by appending them.
-  std::size_t next_conn = 0;
+  // Every gateway must carry at least one connection: the j-th uncovered
+  // gateway is appended to connection j mod n. It is on no path, so no
+  // append revisits a gateway, and one O(E) re-pack does them all.
+  std::vector<GatewayId> uncovered;
   for (GatewayId a = 0; a < params.num_gateways; ++a) {
-    if (covered[a]) continue;
-    Connection& conn = conns[next_conn % conns.size()];
-    if (std::find(conn.path.begin(), conn.path.end(), a) == conn.path.end()) {
-      conn.path.push_back(a);
-    }
-    covered[a] = true;
-    ++next_conn;
+    if (!covered[a]) uncovered.push_back(a);
   }
-  return Topology(std::move(gws), std::move(conns));
+  std::vector<std::size_t> offsets(n + 1, 0);
+  std::vector<GatewayId> path_gateways;
+  path_gateways.reserve(drawn.size() + uncovered.size());
+  for (ConnectionId i = 0; i < n; ++i) {
+    path_gateways.insert(path_gateways.end(), drawn.data() + drawn_offsets[i],
+                         drawn.data() + drawn_offsets[i + 1]);
+    for (std::size_t j = i; j < uncovered.size(); j += n) {
+      path_gateways.push_back(uncovered[j]);
+    }
+    offsets[i + 1] = path_gateways.size();
+  }
+  return Topology(std::move(gws), std::move(offsets),
+                  std::move(path_gateways));
 }
 
 }  // namespace ffc::network

@@ -38,8 +38,8 @@ struct RandomTopologyParams {
 
 /// A random topology: each connection picks a random-length, duplicate-free
 /// random gateway path; gateway rates and latencies are uniform in the given
-/// ranges. Every gateway is guaranteed at least one connection (paths are
-/// re-rolled otherwise onto uncovered gateways).
+/// ranges. Every gateway is guaranteed at least one connection: the j-th
+/// gateway no path covers is appended to connection j mod N. O(E).
 Topology random_topology(stats::Xoshiro256& rng,
                          const RandomTopologyParams& params = {});
 

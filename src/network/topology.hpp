@@ -5,10 +5,15 @@
 // latency l^a. Connections are source-destination pairs with a static path
 // y(i), the ordered list of gateways they traverse. Gamma(a) is the set of
 // connections through gateway a and N^a its size.
+//
+// The paths are stored once, as the connection-major rows of the CSR
+// incidence (docs/SCALING.md §1): a topology is its gateways plus that
+// index, and Connection is only an input form for hand-written networks.
 #pragma once
 
 #include <cstddef>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,8 +27,8 @@ struct Gateway {
   double latency = 0.0;  ///< propagation delay of the outgoing line, >= 0
 };
 
-/// One connection: an ordered gateway path. Paths must be nonempty and may
-/// not revisit a gateway.
+/// Input form of one connection: an ordered gateway path. Paths must be
+/// nonempty and may not revisit a gateway.
 struct Connection {
   std::vector<GatewayId> path;
 };
@@ -31,22 +36,32 @@ struct Connection {
 /// An immutable network + traffic topology with precomputed incidence sets.
 class Topology {
  public:
-  /// Validates and indexes the topology. Throws std::invalid_argument if a
-  /// path is empty, references an unknown gateway, revisits a gateway, or if
-  /// any gateway parameter is invalid.
-  Topology(std::vector<Gateway> gateways, std::vector<Connection> connections);
+  /// Validates and indexes the topology from flat connection-major rows:
+  /// y(i) is path_gateways[path_offsets[i] .. path_offsets[i + 1]). Throws
+  /// std::invalid_argument unless path_offsets starts at 0, increases
+  /// strictly (no empty path) and ends at path_gateways.size(), every id
+  /// names a gateway, no path revisits a gateway, and every gateway
+  /// parameter is valid. O(E); the rows become the index's own arrays.
+  Topology(std::vector<Gateway> gateways,
+           std::vector<std::size_t> path_offsets,
+           std::vector<GatewayId> path_gateways);
+
+  /// Flattens hand-written connections and validates them as above.
+  Topology(std::vector<Gateway> gateways,
+           const std::vector<Connection>& connections);
 
   std::size_t num_gateways() const { return gateways_.size(); }
-  std::size_t num_connections() const { return connections_.size(); }
+  std::size_t num_connections() const { return csr_.num_connections(); }
 
   const Gateway& gateway(GatewayId a) const { return gateways_.at(a); }
-  const Connection& connection(ConnectionId i) const {
-    return connections_.at(i);
-  }
 
   /// y(i): gateways on connection i's path, in traversal order.
-  const std::vector<GatewayId>& path(ConnectionId i) const {
-    return connections_.at(i).path;
+  /// Throws std::out_of_range for an unknown connection id.
+  std::span<const GatewayId> path(ConnectionId i) const {
+    if (i >= num_connections()) {
+      throw std::out_of_range("Topology: connection id out of range");
+    }
+    return csr_.path(i);
   }
 
   /// Gamma(a): connections through gateway a (ascending connection id).
@@ -71,7 +86,7 @@ class Topology {
   double path_latency(ConnectionId i) const;
 
   /// Returns a copy with every service rate scaled by c > 0 (used by the
-  /// time-scale-invariance experiments).
+  /// time-scale-invariance experiments). The index is copied, not rebuilt.
   Topology scaled_rates(double c) const;
 
   /// Returns a copy with every latency scaled by c >= 0.
@@ -84,7 +99,6 @@ class Topology {
   void check_gateway(GatewayId a) const;
 
   std::vector<Gateway> gateways_;
-  std::vector<Connection> connections_;
   CsrIncidence csr_;
 };
 

@@ -255,7 +255,7 @@ void NetworkSimulator::handle_event(SimEvent& event) {
     }
     case EventKind::Propagate: {
       Packet& packet = event.packet;
-      const auto& path = topology_.path(packet.connection);
+      const auto path = topology_.path(packet.connection);
       if (packet.hop == path.size()) {
         // Ran off the end of the path: delivered to the sink.
         const network::ConnectionId i = packet.connection;
@@ -280,16 +280,16 @@ void NetworkSimulator::handle_event(SimEvent& event) {
 }
 
 void NetworkSimulator::arrive_at_hop(Packet packet) {
-  const auto& path = topology_.path(packet.connection);
-  const network::GatewayId a = path.at(packet.hop);
+  const auto path = topology_.path(packet.connection);
+  const network::GatewayId a = path[packet.hop];
   const std::size_t local =
-      topology_.incidence().local_indices(packet.connection)[packet.hop];
+      topology_.incidence().local_index_at(packet.connection, packet.hop);
   servers_[a]->arrival(std::move(packet), local);
 }
 
 double NetworkSimulator::leave_gateway(Packet& packet) const {
-  const auto& path = topology_.path(packet.connection);
-  const double latency = topology_.gateway(path.at(packet.hop)).latency;
+  const auto path = topology_.path(packet.connection);
+  const double latency = topology_.gateway(path[packet.hop]).latency;
   packet.hop += 1;
   packet.priority_class = 0;  // classes are per-gateway
   return latency;
@@ -308,7 +308,7 @@ void NetworkSimulator::packet_departed(Packet packet) {
 }
 
 void NetworkSimulator::ShardBoundary::packet_departed(Packet packet) {
-  const auto& path = engine.topology_.path(packet.connection);
+  const auto path = engine.topology_.path(packet.connection);
   const std::size_t next = packet.hop + 1;
   if (next < path.size() && shard_of_gateway[path[next]] != shard) {
     const double latency = engine.leave_gateway(packet);

@@ -91,7 +91,7 @@ ParallelNetworkSimulator::ParallelNetworkSimulator(network::Topology topology,
   // cross-shard hop. A zero-latency cross-shard edge would force zero-width
   // windows (no conservative schedule exists), so it is rejected.
   for (network::ConnectionId i = 0; i < num_conn; ++i) {
-    const auto& path = topology_.path(i);
+    const auto path = topology_.path(i);
     for (std::size_t h = 0; h + 1 < path.size(); ++h) {
       if (plan_.shard_of_gateway[path[h]] ==
           plan_.shard_of_gateway[path[h + 1]]) {

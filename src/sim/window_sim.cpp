@@ -62,14 +62,14 @@ void WindowNetworkSimulator::try_send(network::ConnectionId i) {
 }
 
 void WindowNetworkSimulator::maybe_mark(Packet& packet) const {
-  const network::Topology& topo = topology();
+  const network::CsrIncidence& csr = topology().incidence();
   const GatewayServer& server =
-      *engine_.servers_[topo.path(packet.connection)[packet.hop]];
+      *engine_.servers_[csr.path(packet.connection)[packet.hop]];
   const double occupancy =
       options_.bit_rule == BitRule::AggregateQueue
           ? static_cast<double>(server.instantaneous_total())
           : static_cast<double>(server.instantaneous_occupancy(
-                topo.incidence().local_indices(packet.connection)[packet.hop]));
+                csr.local_index_at(packet.connection, packet.hop)));
   if (occupancy >= options_.bit_threshold) packet.congestion_bit = true;
 }
 

@@ -496,6 +496,45 @@ TEST(AllocScaling, PacketEngineConstructionIsLinearInTopologySize) {
   EXPECT_LE(windowed, kBytesPerElement * elements);
 }
 
+TEST(AllocScaling, TopologyBuildIsConstantInN) {
+  // The builders write the flat connection-major path rows directly and
+  // the CSR index takes them over, so a build allocates the same number of
+  // buffers at N = 10^3 and at N = 10^5: nothing is kept per connection.
+  const auto check = [](const char* name, auto build) {
+    std::uint64_t counts[2];
+    const std::size_t sizes[2] = {1000, 100000};
+    for (std::size_t k = 0; k < 2; ++k) {
+      AllocWindow window;
+      const ffc::network::Topology topo = build(sizes[k]);
+      counts[k] = window.count();
+    }
+    EXPECT_EQ(counts[0], counts[1])
+        << name << ": " << counts[0] << " allocations at N = 10^3, "
+        << counts[1] << " at N = 10^5";
+  };
+  check("single_bottleneck",
+        [](std::size_t n) { return ffc::network::single_bottleneck(n); });
+  check("parking_lot",
+        [](std::size_t n) { return ffc::network::parking_lot(4, n / 4); });
+  check("tandem", [](std::size_t n) { return ffc::network::tandem(3, n); });
+
+  // A scaled copy copies the index: the allocations of a plain copy, with
+  // no re-validation (its gateway-stamp array would add one) or re-index.
+  const auto topo = ffc::network::single_bottleneck(1000);
+  std::uint64_t copied = 0, scaled = 0;
+  {
+    AllocWindow window;
+    const ffc::network::Topology copy = topo;
+    copied = window.count();
+  }
+  {
+    AllocWindow window;
+    const ffc::network::Topology copy = topo.scaled_rates(2.0);
+    scaled = window.count();
+  }
+  EXPECT_EQ(scaled, copied);
+}
+
 TEST(AllocScaling, FairShareRatesAreLinearInFanIn) {
   // One gateway with a fan-in of 10^4 (G = 1, N = E = 10^4). A Fair Share
   // table indexed by (connection, class) costs fan-in^2 * 8 bytes = 800 MB

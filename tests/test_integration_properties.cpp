@@ -55,7 +55,7 @@ TEST(ModelInvariants, ObservationsAreWellFormed) {
         EXPECT_FALSE(bottlenecks[i].empty());
         // Every reported bottleneck gateway is on the path.
         for (auto a : bottlenecks[i]) {
-          const auto& path = topo.path(i);
+          const auto path = topo.path(i);
           EXPECT_NE(std::find(path.begin(), path.end(), a), path.end());
         }
       }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -15,6 +17,7 @@ namespace {
 
 using ffc::network::Connection;
 using ffc::network::Gateway;
+using ffc::network::GatewayId;
 using ffc::network::parking_lot;
 using ffc::network::random_topology;
 using ffc::network::RandomTopologyParams;
@@ -56,15 +59,15 @@ TEST(CsrIncidence, DualViewsAgree) {
   // gateway-major membership exactly.
   for (ffc::network::ConnectionId i = 0; i < 4; ++i) {
     const auto path = csr.path(i);
-    const auto locals = csr.local_indices(i);
     const auto slots = csr.slots(i);
-    ASSERT_EQ(path.size(), locals.size());
     ASSERT_EQ(path.size(), slots.size());
     for (std::size_t h = 0; h < path.size(); ++h) {
+      const std::size_t local = csr.local_index_at(i, h);
       const auto gamma = csr.connections_through(path[h]);
-      ASSERT_LT(locals[h], gamma.size());
-      EXPECT_EQ(gamma[locals[h]], i);  // the local index points back at i
-      EXPECT_EQ(slots[h], csr.gateway_offset(path[h]) + locals[h]);
+      ASSERT_LT(local, gamma.size());
+      EXPECT_EQ(gamma[local], i);  // the local index points back at i
+      EXPECT_EQ(csr.local_index(i, path[h]), local);
+      EXPECT_EQ(slots[h], csr.gateway_offset(path[h]) + local);
     }
   }
 }
@@ -105,27 +108,36 @@ TEST(CsrIncidence, SoaPrimitivesMatchScalarDefinitions) {
 }
 
 TEST(CsrIncidence, RandomTopologiesStayConsistent) {
+  // Random duplicate-free paths, indexed through the Connection input form
+  // and compared hop by hop against that input list.
   Xoshiro256 rng(99);
   for (int rep = 0; rep < 10; ++rep) {
-    RandomTopologyParams params;
-    params.num_gateways = 4 + std::size_t(rep % 3);
-    params.num_connections = 12;
-    params.max_path_length = 4;
-    const Topology topo = random_topology(rng, params);
+    const std::size_t gateways = 4 + std::size_t(rep % 3);
+    std::vector<Connection> input(12);
+    for (Connection& c : input) {
+      std::vector<GatewayId> ids(gateways);
+      std::iota(ids.begin(), ids.end(), GatewayId{0});
+      const std::size_t len = 1 + rng.uniform_index(4);
+      for (std::size_t k = 0; k < len; ++k) {
+        std::swap(ids[k], ids[k + rng.uniform_index(gateways - k)]);
+      }
+      c.path.assign(ids.begin(), ids.begin() + static_cast<long>(len));
+    }
+    const Topology topo(std::vector<Gateway>(gateways), input);
     const auto& csr = topo.incidence();
     std::size_t total = 0;
-    for (ffc::network::GatewayId a = 0; a < csr.num_gateways(); ++a) {
+    for (GatewayId a = 0; a < csr.num_gateways(); ++a) {
       total += csr.fan_in(a);
     }
     EXPECT_EQ(total, csr.num_entries());
+    ASSERT_EQ(csr.num_connections(), input.size());
     for (ffc::network::ConnectionId i = 0; i < csr.num_connections(); ++i) {
       const auto path = csr.path(i);
-      const auto& declared = topo.connection(i).path;
-      ASSERT_EQ(path.size(), declared.size());
+      ASSERT_EQ(path.size(), input[i].path.size());
       for (std::size_t h = 0; h < path.size(); ++h) {
-        EXPECT_EQ(path[h], declared[h]);
+        EXPECT_EQ(path[h], input[i].path[h]);
         const auto gamma = csr.connections_through(path[h]);
-        EXPECT_EQ(gamma[csr.local_indices(i)[h]], i);
+        EXPECT_EQ(gamma[csr.local_index_at(i, h)], i);
       }
     }
   }
@@ -142,6 +154,96 @@ TEST(Topology, RejectsInvalidInput) {
                std::invalid_argument);  // unknown gateway
   EXPECT_THROW(Topology({{1.0, 0.0}}, {Connection{{0, 0}}}),
                std::invalid_argument);  // revisited gateway
+}
+
+TEST(Topology, FlatRowsRejectHostileInput) {
+  const std::vector<Gateway> two(2);
+  EXPECT_NO_THROW(Topology(two, {0, 2, 3}, {0, 1, 1}));
+  EXPECT_THROW(Topology(two, {}, {}), std::invalid_argument);  // no offsets
+  EXPECT_THROW(Topology(two, {1, 2, 3}, {0, 1, 1}),
+               std::invalid_argument);  // offsets do not start at 0
+  EXPECT_THROW(Topology(two, {0, 2, 1}, {0, 1}),
+               std::invalid_argument);  // offsets decrease
+  EXPECT_THROW(Topology(two, {0, 4, 3}, {0, 1, 1}),
+               std::invalid_argument);  // a row beyond the ids, then back
+  EXPECT_THROW(Topology(two, {0, 2, 3}, {0, 1, 1, 0}),
+               std::invalid_argument);  // last offset short of the ids
+  EXPECT_THROW(Topology(two, {0, 2, 4}, {0, 1, 1}),
+               std::invalid_argument);  // last offset past the ids
+  EXPECT_THROW(Topology(two, {0, 2, 2, 3}, {0, 1, 1}),
+               std::invalid_argument);  // empty row
+  EXPECT_THROW(Topology(two, {0, 2, 3}, {0, 2, 1}),
+               std::invalid_argument);  // out-of-range gateway id
+  EXPECT_THROW(Topology(two, {0, 2, 3}, {1, 1, 1}),
+               std::invalid_argument);  // revisited gateway
+
+  const Topology topo(two, {0, 2, 3}, {0, 1, 1});
+  EXPECT_EQ(topo.path(1).size(), 1u);
+  EXPECT_THROW(topo.path(topo.num_connections()), std::out_of_range);
+  EXPECT_THROW(topo.path_latency(topo.num_connections()), std::out_of_range);
+}
+
+/// A draw in [0, n) from SplitMix64, a bit-portable stream, so every host
+/// fuzzes the same inputs.
+struct Stream {
+  ffc::stats::SplitMix64 rng;
+  std::size_t below(std::size_t n) { return n == 0 ? 0 : rng.next() % n; }
+};
+
+TEST(TopologyFuzz, MutatedFlatRowsConstructOrThrow) {
+  // Mutations of a valid parking-lot-like network's flat rows: overwrite,
+  // insert or erase an offset or a gateway id, with values near the valid
+  // range. Every input either indexes into rows equal to its own input or
+  // throws std::invalid_argument; nothing else, and no crash under ASan.
+  const std::vector<std::size_t> seed_offsets = {0, 3, 4, 5, 7, 8};
+  const std::vector<GatewayId> seed_ids = {0, 1, 2, 0, 1, 2, 0, 2};
+  constexpr std::size_t kGateways = 3;
+  Stream rng{ffc::stats::SplitMix64(20261019)};
+  std::size_t built = 0, rejected = 0;
+  for (int iteration = 0; iteration < 4000; ++iteration) {
+    std::vector<std::size_t> offsets = seed_offsets;
+    std::vector<GatewayId> ids = seed_ids;
+    const std::size_t edits = 1 + rng.below(3);
+    for (std::size_t k = 0; k < edits; ++k) {
+      const bool on_offsets = rng.below(2) == 0;
+      std::vector<std::size_t>& row = on_offsets ? offsets : ids;
+      const std::size_t value = rng.below(on_offsets ? 10 : 5);
+      switch (rng.below(3)) {
+        case 0:
+          if (!row.empty()) row[rng.below(row.size())] = value;
+          break;
+        case 1:
+          row.insert(row.begin() + static_cast<long>(rng.below(row.size() + 1)),
+                     value);
+          break;
+        default:
+          if (!row.empty()) {
+            row.erase(row.begin() + static_cast<long>(rng.below(row.size())));
+          }
+          break;
+      }
+    }
+    try {
+      const Topology topo(std::vector<Gateway>(kGateways), offsets, ids);
+      ASSERT_EQ(topo.num_connections() + 1, offsets.size());
+      for (ffc::network::ConnectionId i = 0; i < topo.num_connections(); ++i) {
+        const auto path = topo.path(i);
+        EXPECT_TRUE(std::equal(path.begin(), path.end(),
+                               ids.data() + offsets[i],
+                               ids.data() + offsets[i + 1]));
+      }
+      EXPECT_EQ(topo.incidence().num_entries(), ids.size());
+      ++built;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& other) {
+      ADD_FAILURE() << "non-invalid_argument exception '" << other.what()
+                    << "'";
+    }
+  }
+  // Both outcomes must actually occur, or the fuzz proves nothing.
+  EXPECT_GT(built, 200u);
+  EXPECT_GT(rejected, 2000u);
 }
 
 TEST(Topology, ScaledRatesOnlyTouchesMu) {
@@ -208,6 +310,31 @@ TEST(Builders, RandomTopologyCoversEveryGateway) {
       EXPECT_FALSE(topo.path(i).empty());
     }
   }
+}
+
+TEST(Builders, RandomTopologyPathsArePinned) {
+  // Paths recorded from the per-connection builder this one replaced: the
+  // same draws give the same paths, coverage appends included (at G = 8,
+  // N = 3 and one hop each, five gateways are uncovered and connections 0
+  // and 1 take two of them each).
+  const auto paths = [](std::uint64_t seed, std::size_t gateways,
+                        std::size_t connections, std::size_t max_length) {
+    Xoshiro256 rng(seed);
+    RandomTopologyParams params;
+    params.num_gateways = gateways;
+    params.num_connections = connections;
+    params.max_path_length = max_length;
+    const Topology topo = random_topology(rng, params);
+    std::vector<std::vector<GatewayId>> out;
+    for (std::size_t i = 0; i < topo.num_connections(); ++i) {
+      out.emplace_back(topo.path(i).begin(), topo.path(i).end());
+    }
+    return out;
+  };
+  using Paths = std::vector<std::vector<GatewayId>>;
+  EXPECT_EQ(paths(7, 8, 3, 1), (Paths{{6, 0, 3}, {5, 1, 7}, {4, 2}}));
+  EXPECT_EQ(paths(11, 5, 6, 3),
+            (Paths{{4}, {4}, {2, 1, 3}, {3}, {1}, {2, 0}}));
 }
 
 TEST(Builders, RandomTopologyRespectsMuRange) {

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "core/stability.hpp"
@@ -107,6 +109,67 @@ TEST(SparseEigen, RepeatedDominantEigenvalueConverges) {
   const auto result = iterative_spectral_radius(MatrixOperator(a));
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.spectral_radius, 1.25, 1e-10);
+}
+
+TEST(SparseEigen, IntegerBudgetsAtZeroAndSizeMax) {
+  // 8 x 8: a dominant complex pair 1.5 e^{+-i pi/4}, so power iteration
+  // cannot converge and Arnoldi must, above six real eigenvalues. Each
+  // budget is tried at 0 and SIZE_MAX through the options alone; nothing
+  // is sized by a budget (the Krylov basis is capped at the dimension).
+  const double c = 1.5 * std::cos(0.25 * 3.14159265358979323846);
+  const double s = 1.5 * std::sin(0.25 * 3.14159265358979323846);
+  Matrix a(8, 8, 0.0);
+  a(0, 0) = c;
+  a(0, 1) = -s;
+  a(1, 0) = s;
+  a(1, 1) = c;
+  const double diagonal[6] = {0.9, -0.7, 0.5, 0.3, -0.2, 0.1};
+  for (std::size_t k = 0; k < 6; ++k) a(k + 2, k + 2) = diagonal[k];
+  a(2, 3) = 0.4;
+  const MatrixOperator op(a);
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const auto solve = [&op](auto set) {
+    IterativeEigenOptions opts;
+    set(opts);
+    return iterative_spectral_radius(op, opts);
+  };
+  const auto expect_pair = [](const IterativeEigenResult& result) {
+    EXPECT_TRUE(result.converged);
+    EXPECT_EQ(result.method, IterativeMethod::Arnoldi);
+    EXPECT_NEAR(result.spectral_radius, 1.5, 1e-9);
+  };
+  for (const std::size_t budget : {std::size_t{0}, kMax}) {
+    // 0 skips the power stage; SIZE_MAX is capped at the 300-step probe
+    // without the real-spectrum hint.
+    const auto power = solve([&](auto& o) { o.power_iterations = budget; });
+    expect_pair(power);
+    EXPECT_LE(power.applications, 300u + 8u);
+    // 0 runs one cycle: the full 8-dimensional Krylov space is invariant.
+    expect_pair(solve([&](auto& o) { o.arnoldi_restarts = budget; }));
+  }
+  expect_pair(solve([](auto& o) { o.arnoldi_subspace = kMax; }));
+  EXPECT_THROW(solve([](auto& o) { o.arnoldi_subspace = 0; }),
+               std::invalid_argument);
+
+  // One two-vector cycle after the probe, then no restart: 302
+  // applications, whatever the estimate's residual.
+  const auto single = solve([](auto& o) {
+    o.arnoldi_subspace = 2;
+    o.arnoldi_restarts = 0;
+  });
+  EXPECT_EQ(single.applications, 302u);
+
+  // With the hint, the power budget is the budget: SIZE_MAX stops at
+  // convergence on a real, separated spectrum.
+  const Matrix real_diag{{3.0, 0.0, 0.0}, {0.0, -1.0, 0.0}, {0.0, 0.0, 0.5}};
+  IterativeEigenOptions hinted;
+  hinted.real_spectrum = true;
+  hinted.power_iterations = kMax;
+  const auto power =
+      iterative_spectral_radius(MatrixOperator(real_diag), hinted);
+  EXPECT_TRUE(power.converged);
+  EXPECT_EQ(power.method, IterativeMethod::Power);
+  EXPECT_NEAR(power.spectral_radius, 3.0, 1e-10);
 }
 
 TEST(SparseEigen, RandomDenseMatricesMatchQr) {
