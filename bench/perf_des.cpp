@@ -23,7 +23,6 @@
 #include "exec/sweep_runner.hpp"
 #include "network/builders.hpp"
 #include "sim/network_sim.hpp"
-#include "sim/parallel_sim.hpp"
 
 namespace {
 
@@ -76,65 +75,10 @@ void BM_ParkingLotNetwork(benchmark::State& state) {
 }
 BENCHMARK(BM_ParkingLotNetwork)->Arg(2)->Arg(5);
 
-// ---- sharded parallel DES (docs/PARALLEL.md) -----------------------------
-
-// Aggregate event throughput of the conservative windowed engine. Arg(0) is
-// the shard count; worker threads come from --jobs (default 1 = all shards
-// inline on the calling thread, no pool). shards=1 vs BM_ParkingLotNetwork
-// isolates the window-loop overhead; higher shard counts at --jobs 1 price
-// the synchronization protocol itself (barriers + mailbox exchange), and
-// --jobs N on a multi-core box turns that into wall-clock speedup.
-void run_sharded(benchmark::State& state, const ffc::network::Topology& topo,
-                 double rate, double duration) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  std::uint64_t events = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t handoffs = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    ffc::sim::ParallelNetworkSimulator sim(
-        topo, SimDiscipline::FairShare, 9,
-        ffc::sim::ShardPlan::contiguous(topo.num_gateways(), shards,
-                                        g_sweep_options.jobs));
-    sim.set_delay_sampling(false);
-    const std::size_t n = sim.topology().num_connections();
-    sim.set_rates(std::vector<double>(n, rate));
-    state.ResumeTiming();
-    sim.run_for(duration);
-    events += sim.events_processed();
-    windows += sim.windows();
-    handoffs += sim.handoffs();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-  state.counters["windows"] = static_cast<double>(windows);
-  state.counters["handoffs"] = static_cast<double>(handoffs);
-}
-
-// Parking lot: one long connection crossing every shard plus local cross
-// traffic -- mostly shard-local events, moderate handoff rate.
-void BM_ShardedDesParkingLot(benchmark::State& state) {
-  run_sharded(state, ffc::network::parking_lot(8, 2, 1.0, 0.25), 0.2, 500.0);
-}
-BENCHMARK(BM_ShardedDesParkingLot)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
-// Tandem: every packet traverses all four gateways, so at 4 shards every
-// packet crosses 3 boundaries -- the handoff-dominated worst case.
-void BM_ShardedDesTandem(benchmark::State& state) {
-  run_sharded(state, ffc::network::tandem(4, 8, 1.0, 0.9, 0.2), 0.1, 500.0);
-}
-BENCHMARK(BM_ShardedDesTandem)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
 // ---- sweep-layer benchmarks (honour --jobs) ------------------------------
 
 // Replica DES sweep: Arg(0) independent single-bottleneck runs, each seeded
-// from (base_seed, grid index). This is the sharded-DES workload shape the
+// from (base_seed, grid index): the replica-parallel workload shape the
 // exec layer exists for; events/s aggregates across all replicas.
 void BM_ReplicaDesSweep(benchmark::State& state) {
   const auto replicas = static_cast<std::size_t>(state.range(0));

@@ -58,7 +58,7 @@ struct ExperimentInfo {
 };
 
 /// The full registry, in EXPERIMENTS.md order (TAB1, E1..E13, E13b, E14,
-/// E15, E16, E17). Ids are unique; this order is the section order of
+/// E15, E16, E18, E19). Ids are unique; this order is the section order of
 /// REPRODUCTION.md.
 const std::vector<ExperimentInfo>& all_experiments();
 
@@ -81,7 +81,6 @@ void run_e13b(ExperimentContext& ctx);
 void run_e14(ExperimentContext& ctx);
 void run_e15(ExperimentContext& ctx);
 void run_e16(ExperimentContext& ctx);
-void run_e17(ExperimentContext& ctx);
 void run_e18(ExperimentContext& ctx);
 void run_e19(ExperimentContext& ctx);
 

@@ -42,8 +42,6 @@ const std::vector<ExperimentInfo>& all_experiments() {
        &run_e14},
       {"E15", "Connection churn (join/leave transients)", false, 0, &run_e15},
       {"E16", "Sparse spectral stability at N = 1e5", false, 0, &run_e16},
-      {"E17", "Conservative parallel DES vs the single-calendar engine", true,
-       2026, &run_e17},
       {"E18", "Modern protocols (RCP, AIMD) under declarative scenarios",
        true, 1810, &run_e18},
       {"E19", "Adversarial chaos atlas (CEM + tree search)", true, 1414,

@@ -95,6 +95,12 @@ FixedPointResult solve_fixed_point(const FlowControlModel& model,
     throw std::invalid_argument(
         "solve_fixed_point: tolerance must be finite and >= 0");
   }
+  if (options.max_iterations == 0) {
+    // The first step is what validates `initial`; a zero budget would hand
+    // it back unchecked.
+    throw std::invalid_argument(
+        "solve_fixed_point: max_iterations must be >= 1");
+  }
   FixedPointResult result;
   result.rates = std::move(initial);
   for (std::size_t it = 0; it < options.max_iterations; ++it) {

@@ -54,7 +54,9 @@ struct FixedPointResult {
 /// below tolerance * max(1, |r|_inf) or the iteration budget runs out.
 /// The initial vector is validated once; the loop then runs on the model's
 /// unchecked allocation-free fast path. Throws std::invalid_argument unless
-/// damping is in (0, 1] and tolerance is finite and >= 0.
+/// damping is in (0, 1], tolerance is finite and >= 0, and max_iterations
+/// is at least 1. The budget is a plain loop bound: SIZE_MAX runs until
+/// convergence.
 FixedPointResult solve_fixed_point(const FlowControlModel& model,
                                    std::vector<double> initial,
                                    const FixedPointOptions& options = {});

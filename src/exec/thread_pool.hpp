@@ -2,7 +2,7 @@
 //
 // Deliberately work-stealing-free: one shared FIFO task queue guarded by a
 // mutex + condition variable. The workloads this pool exists for (parameter
-// sweeps, sharded DES runs) are coarse-grained -- each task is milliseconds
+// sweeps, search batches) are coarse-grained -- each task is milliseconds
 // to seconds of compute -- so a single queue's contention is negligible and
 // the scheduling stays trivially easy to reason about. Determinism of sweep
 // *results* never depends on scheduling order: tasks own their results slot

@@ -1,18 +1,13 @@
 // Tagged events: the fixed-size calendar payload of the DES core.
 //
-// The calendar used to store a std::function<void()> per event; every
-// arrival and propagation captured a Packet (or [this, i, gen] closures past
-// the 16-byte small-buffer limit) and therefore heap-allocated on schedule
-// and deallocated on dispatch -- twice per event in the hottest loop of the
-// simulator. A SimEvent is instead a small POD union-of-meanings: one kind
-// tag plus the handler-defined fields (index / generation / packet) that the
-// old closures captured. Scheduling one copies bytes into a pooled slot and
-// never touches the allocator (docs/PERFORMANCE.md).
+// A SimEvent is a small POD union-of-meanings: one kind tag plus the
+// handler-defined fields (index / generation / packet). Scheduling one
+// copies bytes into a pooled slot and never touches the allocator, where a
+// std::function per event would heap-allocate any capture past its
+// small-buffer limit (docs/PERFORMANCE.md).
 //
 // Dispatch is double: the Simulator routes the event to its EventHandler
 // (a gateway server, a network simulator, ...) which switches on `kind`.
-// The legacy std::function path survives as EventKind::Generic for tests,
-// examples, and one-off wiring where allocation does not matter.
 #pragma once
 
 #include <cstdint>
@@ -23,12 +18,10 @@ namespace ffc::sim {
 
 /// What a tagged calendar event means to its handler.
 enum class EventKind : std::uint8_t {
-  Generic,          ///< legacy std::function callback (owned by the calendar)
   Arrival,          ///< a source emits its next packet (index = connection)
   ServiceComplete,  ///< a server finishes the job in service
   Propagate,        ///< a packet crosses a line; delivery/ACK when the hop
                     ///< index has run off the end of the path
-  EpochTick,        ///< periodic controller / epoch boundary
   Fault,            ///< fault-plan action fires (index = compiled action id)
 };
 
@@ -37,10 +30,9 @@ enum class EventKind : std::uint8_t {
 ///   Arrival          index (connection id) + generation (source restart)
 ///   ServiceComplete  generation (stale-completion invalidation)
 ///   Propagate        packet (connection, hop, created, congestion_bit)
-///   EpochTick        index + generation, handler-defined
 ///   Fault            index (fault-action id in the handler's compiled plan)
 struct SimEvent {
-  EventKind kind = EventKind::Generic;
+  EventKind kind = EventKind::Arrival;
   std::uint32_t index = 0;
   std::uint64_t generation = 0;
   Packet packet{};

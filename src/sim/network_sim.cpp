@@ -19,36 +19,20 @@ NetworkSimulator::NetworkSimulator(network::Topology topology,
                                    SimDiscipline discipline,
                                    std::uint64_t seed,
                                    faults::FaultPlan plan)
-    : owned_topology_(std::move(topology)),
-      topology_(*owned_topology_),
-      discipline_(discipline) {
-  build(seed, plan, 0,
-        std::vector<std::size_t>(topology_.num_gateways(), 0), 1, *this);
+    : topology_(std::move(topology)), discipline_(discipline) {
+  build(seed, plan, *this);
 }
 
 NetworkSimulator::NetworkSimulator(network::Topology topology,
                                    SimDiscipline discipline,
                                    std::uint64_t seed, PacketSink& sink)
-    : owned_topology_(std::move(topology)),
-      topology_(*owned_topology_),
-      discipline_(discipline) {
-  build(seed, faults::FaultPlan{}, 0,
-        std::vector<std::size_t>(topology_.num_gateways(), 0), 1, sink);
-}
-
-NetworkSimulator::NetworkSimulator(
-    const network::Topology& topology, SimDiscipline discipline,
-    std::uint64_t seed, const faults::FaultPlan& plan, std::size_t shard,
-    const std::vector<std::size_t>& shard_of_gateway, std::size_t num_shards)
-    : topology_(topology), discipline_(discipline) {
-  build(seed, plan, shard, shard_of_gateway, num_shards, *this);
+    : topology_(std::move(topology)), discipline_(discipline) {
+  build(seed, faults::FaultPlan{}, sink);
 }
 
 void NetworkSimulator::build(std::uint64_t seed,
                              const faults::FaultPlan& plan,
-                             std::size_t shard,
-                             const std::vector<std::size_t>& shard_of_gateway,
-                             std::size_t num_shards, PacketSink& sink) {
+                             PacketSink& sink) {
   const std::size_t num_gw = topology_.num_gateways();
   const std::size_t num_conn = topology_.num_connections();
   if (!plan.empty()) plan.validate(num_gw, num_conn);
@@ -60,46 +44,34 @@ void NetworkSimulator::build(std::uint64_t seed,
   delivered_.assign(num_conn, 0);
   source_active_.assign(num_conn, 1);
 
-  PacketSink* server_sink = &sink;
-  if (num_shards > 1) {
-    boundary_ = std::make_unique<ShardBoundary>(*this, shard_of_gateway,
-                                                shard, num_shards);
-    server_sink = boundary_.get();
-  }
-
-  // Streams split in global order: servers by gateway, then sources by
-  // connection, each restricted to what this shard owns -- with one shard
-  // that is every gateway and every source.
+  // Streams split in a fixed order: servers by gateway, then sources by
+  // connection.
   stats::Xoshiro256 master_rng(seed);
   servers_.resize(num_gw);
   for (network::GatewayId a = 0; a < num_gw; ++a) {
-    if (shard_of_gateway[a] != shard) continue;
     const auto& gw = topology_.gateway(a);
     const std::size_t n_local = topology_.fan_in(a);
     stats::Xoshiro256 server_rng = master_rng.split();
     switch (discipline_) {
       case SimDiscipline::Fifo:
         servers_[a] = std::make_unique<FifoServer>(sim_, gw.mu, n_local,
-                                                   server_rng, server_sink);
+                                                   server_rng, &sink);
         break;
       case SimDiscipline::FairShare:
         servers_[a] = std::make_unique<FairShareServer>(
-            sim_, gw.mu, n_local, server_rng, server_sink);
+            sim_, gw.mu, n_local, server_rng, &sink);
         break;
       case SimDiscipline::FairQueueing:
         servers_[a] = std::make_unique<FairQueueingServer>(
-            sim_, gw.mu, n_local, server_rng, server_sink);
+            sim_, gw.mu, n_local, server_rng, &sink);
         break;
     }
   }
 
   source_rng_.resize(num_conn);
   for (network::ConnectionId i = 0; i < num_conn; ++i) {
-    if (owns_source(i)) source_rng_[i] = master_rng.split();
+    source_rng_[i] = master_rng.split();
   }
-
-  first_packet_id_ = static_cast<std::uint64_t>(shard) << 48;
-  next_packet_id_ = first_packet_id_;
 
   if (!plan.empty()) {
     impaired_ = true;
@@ -131,19 +103,7 @@ void NetworkSimulator::compile_fault_plan(const faults::FaultPlan& plan) {
   std::stable_sort(
       actions.begin(), actions.end(),
       [](const FaultAction& a, const FaultAction& b) { return a.time < b.time; });
-  // Every shard the churned connection crosses refreshes its own Fair Share
-  // decomposition; only the source-owning one toggles arrivals and counts.
-  const auto crosses_owned_gateway = [this](network::ConnectionId i) {
-    for (network::GatewayId a : topology_.path(i)) {
-      if (servers_[a]) return true;
-    }
-    return false;
-  };
   for (const FaultAction& action : actions) {
-    const bool relevant = action.kind == FaultAction::Kind::GatewayFactor
-                              ? servers_[action.target] != nullptr
-                              : crosses_owned_gateway(action.target);
-    if (!relevant) continue;
     SimEvent event;
     event.kind = EventKind::Fault;
     event.index = static_cast<std::uint32_t>(fault_actions_.size());
@@ -169,10 +129,8 @@ void NetworkSimulator::apply_fault_action(std::size_t action_index) {
     case FaultAction::Kind::SourceDown: {
       if (!source_active_.at(action.target)) return;  // already gone
       source_active_[action.target] = 0;
-      if (owns_source(action.target)) {
-        ++source_generation_[action.target];  // kills the pending arrival
-        ++fault_counters_.source_leaves;
-      }
+      ++source_generation_[action.target];  // kills the pending arrival
+      ++fault_counters_.source_leaves;
       refresh_fair_share_rates();
       return;
     }
@@ -180,7 +138,6 @@ void NetworkSimulator::apply_fault_action(std::size_t action_index) {
       if (source_active_.at(action.target)) return;  // never left
       source_active_[action.target] = 1;
       refresh_fair_share_rates();
-      if (!owns_source(action.target)) return;
       ++fault_counters_.source_joins;
       const std::uint64_t gen = ++source_generation_[action.target];
       if (rates_[action.target] > 0.0) {
@@ -194,7 +151,6 @@ void NetworkSimulator::apply_fault_action(std::size_t action_index) {
 void NetworkSimulator::refresh_fair_share_rates() {
   if (discipline_ != SimDiscipline::FairShare) return;
   for (network::GatewayId a = 0; a < topology_.num_gateways(); ++a) {
-    if (!servers_[a]) continue;
     const auto& members = topology_.connections_through(a);
     local_rates_.resize(members.size());
     for (std::size_t k = 0; k < members.size(); ++k) {
@@ -218,12 +174,12 @@ void NetworkSimulator::set_rates(const std::vector<double>& rates) {
   rates_ = rates;
   refresh_fair_share_rates();
 
-  // Restart every owned source process under the new rate; stale arrival
+  // Restart every source process under the new rate; stale arrival
   // events are invalidated by the generation counter. Churned-out sources
   // keep their installed rate but stay silent until their rejoin fires.
   for (network::ConnectionId i = 0; i < rates_.size(); ++i) {
     const std::uint64_t gen = ++source_generation_[i];
-    if (rates_[i] > 0.0 && source_active_[i] && owns_source(i)) {
+    if (rates_[i] > 0.0 && source_active_[i]) {
       schedule_next_arrival(i, gen);
     }
   }
@@ -295,48 +251,24 @@ double NetworkSimulator::leave_gateway(Packet& packet) const {
   return latency;
 }
 
-void NetworkSimulator::propagate_at(double time, const Packet& packet) {
+void NetworkSimulator::packet_departed(Packet packet) {
+  const double latency = leave_gateway(packet);
   SimEvent event;
   event.kind = EventKind::Propagate;
   event.packet = packet;
-  sim_.schedule_event_at(time, *this, event);
+  sim_.schedule_event_at(sim_.now() + latency, *this, event);
 }
 
-void NetworkSimulator::packet_departed(Packet packet) {
-  const double latency = leave_gateway(packet);
-  propagate_at(sim_.now() + latency, packet);
-}
-
-void NetworkSimulator::ShardBoundary::packet_departed(Packet packet) {
-  const auto path = engine.topology_.path(packet.connection);
-  const std::size_t next = packet.hop + 1;
-  if (next < path.size() && shard_of_gateway[path[next]] != shard) {
-    const double latency = engine.leave_gateway(packet);
-    outbox[shard_of_gateway[path[next]]].push_back(
-        Handoff{engine.now() + latency, packet});
-    return;
-  }
-  // Delivery is always local: the sink sits behind the path's last gateway,
-  // which this shard owns.
-  engine.packet_departed(std::move(packet));
-}
-
-void NetworkSimulator::check_duration(double duration) {
+void NetworkSimulator::run_for(double duration) {
   if (!(duration >= 0.0) || std::isinf(duration)) {
     throw std::invalid_argument(
         "NetworkSimulator: duration must be finite and >= 0");
   }
-}
-
-void NetworkSimulator::run_for(double duration) {
-  check_duration(duration);
-  advance_to(sim_.now() + duration);
+  sim_.run_until(sim_.now() + duration);
 }
 
 void NetworkSimulator::reset_metrics() {
-  for (auto& server : servers_) {
-    if (server) server->reset_metrics();
-  }
+  for (auto& server : servers_) server->reset_metrics();
   for (auto& s : delay_stats_) s = stats::OnlineStats();
   for (auto& samples : delay_samples_) samples.clear();
   for (auto& d : delivered_) d = 0;
@@ -399,7 +331,6 @@ void NetworkSimulator::collect_metrics(obs::MetricRegistry& registry) const {
   registry.add("net.packets_delivered", packets_delivered_total_);
   std::uint64_t served = 0;
   for (network::GatewayId a = 0; a < servers_.size(); ++a) {
-    if (!servers_[a]) continue;
     servers_[a]->flush_metrics();
     const std::string prefix = "net.gateway" + std::to_string(a) + ".";
     registry.add(prefix + "packets_served", servers_[a]->packets_served());

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "faults/fault_plan.hpp"
@@ -34,12 +33,9 @@ enum class SimDiscipline { Fifo, FairShare, FairQueueing };
 /// tagged events), so a warmed-up simulation runs without heap allocation --
 /// see docs/PERFORMANCE.md.
 ///
-/// The same class is the shard engine of ParallelNetworkSimulator: a shard
-/// is a NetworkSimulator that owns a subset of the gateways and sources
-/// (docs/PARALLEL.md). The public constructors build the one-shard case,
-/// which owns everything. It is also the engine under
-/// WindowNetworkSimulator, whose ACK-clocked sources take the servers'
-/// departures in place of the Poisson sources' forwarding.
+/// It is also the engine under WindowNetworkSimulator, whose ACK-clocked
+/// sources take the servers' departures in place of the Poisson sources'
+/// forwarding.
 class NetworkSimulator : private PacketSink, private EventHandler {
  public:
   /// Builds the simulation; all sources start silent (rate 0) until
@@ -112,9 +108,7 @@ class NetworkSimulator : private PacketSink, private EventHandler {
   const network::Topology& topology() const { return topology_; }
 
   /// Lifetime packets injected by the Poisson sources.
-  std::uint64_t packets_generated() const {
-    return next_packet_id_ - first_packet_id_;
-  }
+  std::uint64_t packets_generated() const { return next_packet_id_; }
 
   /// Lifetime packets absorbed by sinks (sum over connections; unlike
   /// delivered(i) this is NOT cleared by reset_metrics()).
@@ -141,58 +135,17 @@ class NetworkSimulator : private PacketSink, private EventHandler {
   bool impaired() const { return impaired_; }
 
  private:
-  friend class ParallelNetworkSimulator;
   friend class WindowNetworkSimulator;
 
-  /// A packet crossing a shard boundary: a Propagate event for it at `time`
-  /// (absolute) on the destination shard's calendar.
-  struct Handoff {
-    double time = 0.0;
-    Packet packet{};
-  };
-
-  /// The PacketSink of a shard's servers when there is more than one shard:
-  /// a departure whose next hop lives on another shard goes to that shard's
-  /// outbox, every other departure to the engine's own packet_departed. The
-  /// one-shard engine never builds one, so its departures pay no routing.
-  struct ShardBoundary final : PacketSink {
-    ShardBoundary(NetworkSimulator& engine,
-                  const std::vector<std::size_t>& shard_of_gateway,
-                  std::size_t shard, std::size_t num_shards)
-        : engine(engine),
-          shard_of_gateway(shard_of_gateway),
-          shard(shard),
-          outbox(num_shards) {}
-    void packet_departed(Packet packet) override;
-
-    NetworkSimulator& engine;
-    const std::vector<std::size_t>& shard_of_gateway;
-    std::size_t shard;
-    std::vector<std::vector<Handoff>> outbox;  ///< by destination shard
-  };
-
-  /// Shard `shard` of a `num_shards`-way partition: builds servers and RNG
-  /// streams only for the gateways with shard_of_gateway[a] == shard and the
-  /// sources whose first hop is one of them, and borrows `topology` and
-  /// `shard_of_gateway` from the caller, which must outlive the engine.
-  NetworkSimulator(const network::Topology& topology,
-                   SimDiscipline discipline, std::uint64_t seed,
-                   const faults::FaultPlan& plan, std::size_t shard,
-                   const std::vector<std::size_t>& shard_of_gateway,
-                   std::size_t num_shards);
-
-  /// The one-shard engine with no fault plan whose servers hand every
-  /// departure to `sink` (a WindowNetworkSimulator), which must outlive it.
+  /// The engine with no fault plan whose servers hand every departure to
+  /// `sink` (a WindowNetworkSimulator), which must outlive it.
   NetworkSimulator(network::Topology topology, SimDiscipline discipline,
                    std::uint64_t seed, PacketSink& sink);
 
   /// The constructors' common body. `sink` receives the servers'
-  /// departures; with more than one shard a ShardBoundary in front of it
-  /// routes the cross-shard ones.
+  /// departures.
   void build(std::uint64_t seed, const faults::FaultPlan& plan,
-             std::size_t shard,
-             const std::vector<std::size_t>& shard_of_gateway,
-             std::size_t num_shards, PacketSink& sink);
+             PacketSink& sink);
 
   /// PacketSink: a gateway finished serving `packet`; schedule the line
   /// crossing (or final delivery) as a tagged Propagate event.
@@ -207,24 +160,11 @@ class NetworkSimulator : private PacketSink, private EventHandler {
   /// marks final delivery).
   double leave_gateway(Packet& packet) const;
 
-  /// Schedules `packet`'s Propagate event at absolute time `time`.
-  void propagate_at(double time, const Packet& packet);
-
-  void advance_to(double time) { sim_.run_until(time); }
-  static void check_duration(double duration);
-
-  /// True iff this engine owns connection i's source (its first gateway).
-  bool owns_source(network::ConnectionId i) const {
-    return servers_[topology_.path(i).front()] != nullptr;
-  }
-
   void schedule_next_arrival(network::ConnectionId i, std::uint64_t gen);
   void arrive_at_hop(Packet packet);
 
   /// Flattens the plan's windows/churn into time-sorted actions and puts
-  /// one Fault event on the calendar per action this engine acts on: a
-  /// gateway window iff it owns the gateway, a churn action iff the
-  /// connection crosses an owned gateway.
+  /// one Fault event per action on the calendar.
   void compile_fault_plan(const faults::FaultPlan& plan);
   void apply_fault_action(std::size_t action_index);
   /// Re-derives the Fair Share class decomposition from the effective
@@ -241,20 +181,16 @@ class NetworkSimulator : private PacketSink, private EventHandler {
     double factor = 1.0;
   };
 
-  /// Set by the public constructors; empty for a shard.
-  std::optional<network::Topology> owned_topology_;
-  const network::Topology& topology_;
+  network::Topology topology_;
   SimDiscipline discipline_;
   Simulator sim_;
 
-  std::unique_ptr<ShardBoundary> boundary_;  ///< null with one shard
-  /// servers_[a] is null iff another shard owns gateway a.
   std::vector<std::unique_ptr<GatewayServer>> servers_;
 
   std::vector<double> rates_;
   /// Scratch for one gateway's effective rates in refresh_fair_share_rates.
   std::vector<double> local_rates_;
-  std::vector<stats::Xoshiro256> source_rng_;  ///< seeded iff source owned
+  std::vector<stats::Xoshiro256> source_rng_;
   std::vector<std::uint64_t> source_generation_;
 
   std::vector<stats::OnlineStats> delay_stats_;
@@ -263,9 +199,6 @@ class NetworkSimulator : private PacketSink, private EventHandler {
   std::vector<std::uint64_t> delivered_;
   std::uint64_t packets_delivered_total_ = 0;
   double metrics_start_ = 0.0;
-  /// Packet ids stay globally unique across shards without coordination:
-  /// the shard index occupies the top bits (0 for the one-shard case).
-  std::uint64_t first_packet_id_ = 0;
   std::uint64_t next_packet_id_ = 0;
 
   bool impaired_ = false;

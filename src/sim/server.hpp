@@ -9,7 +9,7 @@
 // service completion is a tagged ServiceComplete event carrying only the
 // generation counter, job queues are RingQueues, and departures go to a
 // borrowed PacketSink -- so a warmed-up server processes packets without
-// touching the allocator. CallbackSink adapts a lambda for tests and
+// touching the allocator. FunctionSink adapts a lambda for tests and
 // examples that don't want to implement the interface.
 //
 // The priority server finds the next class to serve in a bitmap of
@@ -48,13 +48,13 @@ class PacketSink {
 };
 
 /// Adapts a std::function to PacketSink for tests / one-off wiring.
-class CallbackSink final : public PacketSink {
+class FunctionSink final : public PacketSink {
  public:
   using Handler = std::function<void(Packet)>;
 
-  explicit CallbackSink(Handler handler) : handler_(std::move(handler)) {
+  explicit FunctionSink(Handler handler) : handler_(std::move(handler)) {
     if (!handler_) {
-      throw std::invalid_argument("CallbackSink: null handler");
+      throw std::invalid_argument("FunctionSink: null handler");
     }
   }
 

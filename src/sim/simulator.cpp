@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 namespace ffc::sim {
 
@@ -29,26 +28,6 @@ void Simulator::push_entry(double t, std::uint32_t slot) {
   heap_.push_back(HeapEntry{t, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   calendar_high_water_ = std::max(calendar_high_water_, heap_.size());
-}
-
-void Simulator::schedule_at(double t, Callback cb) {
-  if (std::isnan(t) || t < now_) {
-    throw std::invalid_argument("Simulator: cannot schedule in the past");
-  }
-  if (!cb) throw std::invalid_argument("Simulator: empty callback");
-  const std::uint32_t s = acquire_slot();
-  Slot& slot = slots_[s];
-  slot.handler = nullptr;
-  slot.event = SimEvent{};  // kind Generic
-  slot.cb = std::move(cb);
-  push_entry(t, s);
-}
-
-void Simulator::schedule_in(double dt, Callback cb) {
-  if (std::isnan(dt) || dt < 0.0) {
-    throw std::invalid_argument("Simulator: delay must be >= 0");
-  }
-  schedule_at(now_ + dt, std::move(cb));
 }
 
 void Simulator::schedule_event_at(double t, EventHandler& handler,
@@ -82,27 +61,22 @@ bool Simulator::step() {
   const HeapEntry entry = heap_.back();
   heap_.pop_back();
 
-  // Move the payload out and free the slot BEFORE dispatch, so events
+  // Copy the payload out and free the slot BEFORE dispatch, so events
   // scheduled from inside the handler reuse it: the pool never grows past
   // the true concurrency high-water mark.
   Slot& slot = slots_[entry.slot];
   EventHandler* const handler = slot.handler;
-  SimEvent event = slot.event;       // trivial byte copy
-  Callback cb = std::move(slot.cb);  // empty for tagged events
+  SimEvent event = slot.event;  // trivial byte copy
   release_slot(entry.slot);
 
   now_ = entry.time;
   ++processed_;
-  if (handler != nullptr) {
-    handler->handle_event(event);
-  } else {
-    cb();  // owns its captures exclusively (moved, not copied)
-  }
+  handler->handle_event(event);
   return true;
 }
 
 void Simulator::run_until(double t) {
-  if (t < now_) {
+  if (std::isnan(t) || t < now_) {
     throw std::invalid_argument("Simulator: cannot run backwards");
   }
   while (!heap_.empty() && heap_.front().time <= t) {

@@ -8,22 +8,18 @@
 //
 // Layout (docs/PERFORMANCE.md): the binary heap orders 24-byte
 // HeapEntry{time, seq, slot} PODs, so sift operations move three words, and
-// the event payloads live in a free-listed slot pool beside it. Tagged
-// events (event.hpp) are copied into a slot byte-for-byte -- scheduling and
-// dispatching them performs zero heap allocation once the heap and pool have
-// grown to the run's concurrency high-water mark. The legacy
-// std::function<void()> path (EventKind::Generic) allocates whatever the
-// closure captures beyond the small-buffer limit and is kept for tests and
-// one-off wiring.
+// the event payloads live in a free-listed slot pool beside it. Every event
+// is a tagged SimEvent (event.hpp) bound to its EventHandler, copied into a
+// slot byte-for-byte -- scheduling and dispatching perform zero heap
+// allocation once the heap and pool have grown to the run's concurrency
+// high-water mark.
 //
 // The heap is hand-rolled (std::push_heap/std::pop_heap over a std::vector)
-// rather than std::priority_queue: priority_queue::top() is const, which
-// forced step() to COPY each event; popping to the vector's back lets the
-// payload be moved out.
+// rather than std::priority_queue, whose storage reserve() could not
+// pre-grow.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -33,16 +29,8 @@ namespace ffc::sim {
 /// The event calendar and simulation clock.
 class Simulator {
  public:
-  using Callback = std::function<void()>;
-
   /// Current simulation time.
   double now() const { return now_; }
-
-  /// Schedules a legacy callback event at absolute time `t` (>= now()).
-  void schedule_at(double t, Callback cb);
-
-  /// Schedules a legacy callback event `dt` time units from now (dt >= 0).
-  void schedule_in(double dt, Callback cb);
 
   /// Schedules a tagged event at absolute time `t` (>= now()); `event` is
   /// copied into the calendar, `handler` is borrowed and must outlive the
@@ -50,7 +38,7 @@ class Simulator {
   void schedule_event_at(double t, EventHandler& handler,
                          const SimEvent& event);
 
-  /// Tagged-event counterpart of schedule_in (dt >= 0).
+  /// Schedules a tagged event `dt` time units from now (dt >= 0).
   void schedule_event_in(double dt, EventHandler& handler,
                          const SimEvent& event);
 
@@ -101,12 +89,10 @@ class Simulator {
       return a.seq > b.seq;
     }
   };
-  /// Pooled payload: a tagged event bound to its handler, or a legacy
-  /// callback when handler == nullptr.
+  /// Pooled payload: a tagged event bound to its handler.
   struct Slot {
     EventHandler* handler = nullptr;
     SimEvent event{};
-    Callback cb;
     std::uint32_t next_free = kNoSlot;
   };
 

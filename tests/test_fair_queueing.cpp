@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <functional>
 #include <vector>
 
 #include "network/builders.hpp"
@@ -12,6 +11,7 @@
 #include "sim/fair_queueing.hpp"
 #include "sim/network_sim.hpp"
 #include "sim/simulator.hpp"
+#include "sim_helpers.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -28,21 +28,10 @@ std::vector<double> fq_occupancy(const std::vector<double>& rates, double mu,
                                  double horizon, std::uint64_t seed) {
   Simulator sim;
   Xoshiro256 rng(seed);
-  ffc::sim::CallbackSink sink([](Packet) {});
+  ffc::sim::FunctionSink sink([](Packet) {});
   FairQueueingServer server(sim, mu, rates.size(), rng.split(), &sink);
-  std::vector<Xoshiro256> srcs;
-  for (std::size_t i = 0; i < rates.size(); ++i) srcs.push_back(rng.split());
-  std::function<void(std::size_t)> arrive = [&](std::size_t i) {
-    Packet p;
-    p.connection = i;
-    server.arrival(std::move(p), i);
-    sim.schedule_in(srcs[i].exponential(rates[i]), [&, i] { arrive(i); });
-  };
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    if (rates[i] > 0.0) {
-      sim.schedule_in(srcs[i].exponential(rates[i]), [&, i] { arrive(i); });
-    }
-  }
+  ffc::testing::PoissonSources sources(sim, server, rng, rates);
+  sources.start();
   sim.run_until(horizon * 0.2);
   server.reset_metrics();
   sim.run_until(horizon);

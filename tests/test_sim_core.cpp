@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -12,27 +14,60 @@
 #include "queueing/priority.hpp"
 #include "sim/server.hpp"
 #include "sim/simulator.hpp"
+#include "sim_helpers.hpp"
 #include "stats/rng.hpp"
 
 namespace {
 
 using ffc::queueing::g;
-using ffc::sim::CallbackSink;
-using ffc::sim::EventKind;
+using ffc::sim::EventHandler;
 using ffc::sim::FairShareServer;
 using ffc::sim::FifoServer;
+using ffc::sim::FunctionSink;
 using ffc::sim::Packet;
 using ffc::sim::PriorityServer;
 using ffc::sim::SimEvent;
 using ffc::sim::Simulator;
 using ffc::stats::Xoshiro256;
+using ffc::testing::PoissonSources;
+
+// Records the `index` tag of every event it receives into a log (which
+// several recorders may share) and runs an optional reaction, so a test can
+// schedule from inside a handler.
+class Recorder final : public EventHandler {
+ public:
+  Recorder(Simulator& sim, std::vector<int>& log) : sim_(sim), log_(log) {}
+
+  void at(double t, int tag) { sim_.schedule_event_at(t, *this, event(tag)); }
+  void in(double dt, int tag) {
+    sim_.schedule_event_in(dt, *this, event(tag));
+  }
+
+  void handle_event(SimEvent& e) override {
+    log_.push_back(static_cast<int>(e.index));
+    if (on_fire) on_fire(static_cast<int>(e.index));
+  }
+
+  std::function<void(int)> on_fire;
+
+ private:
+  static SimEvent event(int tag) {
+    SimEvent e;
+    e.index = static_cast<std::uint32_t>(tag);
+    return e;
+  }
+
+  Simulator& sim_;
+  std::vector<int>& log_;
+};
 
 TEST(SimulatorCore, EventsFireInTimeOrder) {
   Simulator sim;
   std::vector<int> order;
-  sim.schedule_at(2.0, [&] { order.push_back(2); });
-  sim.schedule_at(1.0, [&] { order.push_back(1); });
-  sim.schedule_at(3.0, [&] { order.push_back(3); });
+  Recorder rec(sim, order);
+  rec.at(2.0, 2);
+  rec.at(1.0, 1);
+  rec.at(3.0, 3);
   while (sim.step()) {
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
@@ -42,8 +77,9 @@ TEST(SimulatorCore, EventsFireInTimeOrder) {
 TEST(SimulatorCore, TiesFireInScheduleOrder) {
   Simulator sim;
   std::vector<int> order;
-  sim.schedule_at(1.0, [&] { order.push_back(1); });
-  sim.schedule_at(1.0, [&] { order.push_back(2); });
+  Recorder rec(sim, order);
+  rec.at(1.0, 1);
+  rec.at(1.0, 2);
   while (sim.step()) {
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
@@ -56,63 +92,52 @@ TEST(SimulatorCore, TiesFireInScheduleOrder) {
 TEST(SimulatorCore, ManyTiesFireInScheduleOrder) {
   Simulator sim;
   std::vector<int> order;
-  // Schedule 20 events at t=5 interleaved with events at t=2 and t=8; the
-  // t=5 block must come out 0..19 regardless of heap layout.
+  Recorder rec(sim, order);
+  // Schedule 20 events at t=5 (tags 0..19) interleaved with events at t=2
+  // (tag 100) and t=8 (tag 200); the t=5 block must come out 0..19
+  // regardless of heap layout.
   for (int k = 0; k < 20; ++k) {
-    sim.schedule_at(5.0, [&, k] { order.push_back(k); });
-    sim.schedule_at(2.0, [&] {});
-    sim.schedule_at(8.0, [&] {});
+    rec.at(5.0, k);
+    rec.at(2.0, 100);
+    rec.at(8.0, 200);
   }
   while (sim.step()) {
   }
-  std::vector<int> expected(20);
-  for (int k = 0; k < 20; ++k) expected[k] = k;
+  std::vector<int> expected(20, 100);
+  for (int k = 0; k < 20; ++k) expected.push_back(k);
+  expected.resize(60, 200);
   EXPECT_EQ(order, expected);
 }
 
 TEST(SimulatorCore, TiesScheduledFromCallbacksFireAfterEarlierTies) {
   Simulator sim;
   std::vector<int> order;
-  sim.schedule_at(1.0, [&] {
-    order.push_back(0);
-    // Scheduled at the current time from within a callback: runs after
+  Recorder rec(sim, order);
+  rec.on_fire = [&](int tag) {
+    // Scheduled at the current time from within a handler: runs after
     // every event already queued at t=1, because its sequence is larger.
-    sim.schedule_at(1.0, [&] { order.push_back(3); });
-  });
-  sim.schedule_at(1.0, [&] { order.push_back(1); });
-  sim.schedule_at(1.0, [&] { order.push_back(2); });
+    if (tag == 0) rec.at(1.0, 3);
+  };
+  rec.at(1.0, 0);
+  rec.at(1.0, 1);
+  rec.at(1.0, 2);
   while (sim.step()) {
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-// Records the `index` field of every tagged event it receives.
-class RecordingHandler final : public ffc::sim::EventHandler {
- public:
-  explicit RecordingHandler(std::vector<int>& order) : order_(order) {}
-  void handle_event(SimEvent& event) override {
-    order_.push_back(static_cast<int>(event.index));
-  }
-
- private:
-  std::vector<int>& order_;
-};
-
-// Tagged events and legacy callbacks share one calendar and one (time, seq)
-// FIFO contract: mixing the two at a tied timestamp must still fire in exact
-// schedule order.
+// Tagged events bound to different handlers share one calendar and one
+// (time, seq) FIFO contract: interleaving them at a tied timestamp must
+// still fire in exact schedule order.
 TEST(SimulatorCore, TaggedEventsInterleaveWithCallbacksInScheduleOrder) {
   Simulator sim;
   std::vector<int> order;
-  RecordingHandler handler(order);
-  SimEvent e;
-  e.kind = EventKind::EpochTick;
-  e.index = 0;
-  sim.schedule_event_at(1.0, handler, e);
-  sim.schedule_at(1.0, [&] { order.push_back(1); });
-  e.index = 2;
-  sim.schedule_event_at(1.0, handler, e);
-  sim.schedule_at(1.0, [&] { order.push_back(3); });
+  Recorder first(sim, order);
+  Recorder second(sim, order);
+  first.at(1.0, 0);
+  second.at(1.0, 1);
+  first.at(1.0, 2);
+  second.at(1.0, 3);
   while (sim.step()) {
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
@@ -120,7 +145,7 @@ TEST(SimulatorCore, TaggedEventsInterleaveWithCallbacksInScheduleOrder) {
 
 // Re-schedules itself until `limit` firings, advancing the event's
 // generation each hop so the payload round-trips through the slot pool.
-class ChainHandler final : public ffc::sim::EventHandler {
+class ChainHandler final : public EventHandler {
  public:
   ChainHandler(Simulator& sim, int limit) : sim_(sim), limit_(limit) {}
   void handle_event(SimEvent& event) override {
@@ -143,35 +168,22 @@ class ChainHandler final : public ffc::sim::EventHandler {
 TEST(SimulatorCore, SlotPoolSizeMatchesConcurrencyHighWater) {
   Simulator sim;
   ChainHandler chain(sim, 1000);
-  SimEvent e;
-  e.kind = EventKind::EpochTick;
-  sim.schedule_event_in(1.0, chain, e);
+  sim.schedule_event_in(1.0, chain, SimEvent{});
   sim.run_until(5000.0);
   EXPECT_EQ(chain.fired, 1000);
   EXPECT_EQ(sim.slot_pool_size(), 1u);
   EXPECT_EQ(sim.events_processed(), 1000u);
 }
 
-TEST(SimulatorCore, TaggedEventValidation) {
-  Simulator sim;
-  std::vector<int> order;
-  RecordingHandler handler(order);
-  SimEvent e;
-  sim.schedule_at(5.0, [] {});
-  sim.run_until(5.0);
-  EXPECT_THROW(sim.schedule_event_at(1.0, handler, e),
-               std::invalid_argument);
-  EXPECT_THROW(sim.schedule_event_in(-1.0, handler, e),
-               std::invalid_argument);
-}
-
 TEST(SimulatorCore, CalendarSizeAndHighWaterTrackThePendingSet) {
   Simulator sim;
+  std::vector<int> order;
+  Recorder rec(sim, order);
   EXPECT_EQ(sim.calendar_size(), 0u);
   EXPECT_EQ(sim.calendar_high_water(), 0u);
-  sim.schedule_at(1.0, [] {});
-  sim.schedule_at(2.0, [] {});
-  sim.schedule_at(3.0, [] {});
+  rec.at(1.0, 1);
+  rec.at(2.0, 2);
+  rec.at(3.0, 3);
   EXPECT_EQ(sim.calendar_size(), 3u);
   EXPECT_EQ(sim.calendar_high_water(), 3u);
   sim.step();
@@ -185,35 +197,53 @@ TEST(SimulatorCore, CalendarSizeAndHighWaterTrackThePendingSet) {
 
 TEST(SimulatorCore, RunUntilLeavesClockAtTarget) {
   Simulator sim;
-  int fired = 0;
-  sim.schedule_at(5.0, [&] { ++fired; });
+  std::vector<int> fired;
+  Recorder rec(sim, fired);
+  rec.at(5.0, 0);
   sim.run_until(3.0);
-  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(fired.size(), 0u);
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);
   sim.run_until(10.0);
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fired.size(), 1u);
   EXPECT_DOUBLE_EQ(sim.now(), 10.0);
 }
 
 TEST(SimulatorCore, EventsCanScheduleEvents) {
   Simulator sim;
+  std::vector<int> order;
+  Recorder rec(sim, order);
   int count = 0;
-  std::function<void()> chain = [&] {
-    if (++count < 5) sim.schedule_in(1.0, chain);
+  rec.on_fire = [&](int) {
+    if (++count < 5) rec.in(1.0, count);
   };
-  sim.schedule_in(1.0, chain);
+  rec.in(1.0, 0);
   sim.run_until(100.0);
   EXPECT_EQ(count, 5);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(SimulatorCore, TaggedEventValidation) {
+  Simulator sim;
+  std::vector<int> order;
+  Recorder rec(sim, order);
+  rec.at(5.0, 0);
+  sim.run_until(5.0);
+  EXPECT_THROW(rec.at(1.0, 1), std::invalid_argument);
+  EXPECT_THROW(rec.in(-1.0, 1), std::invalid_argument);
+  EXPECT_THROW(rec.at(std::nan(""), 1), std::invalid_argument);
+  EXPECT_THROW(rec.in(std::nan(""), 1), std::invalid_argument);
+  EXPECT_EQ(sim.calendar_size(), 0u);
 }
 
 TEST(SimulatorCore, Validation) {
   Simulator sim;
-  sim.schedule_at(5.0, [] {});
+  std::vector<int> order;
+  Recorder rec(sim, order);
+  rec.at(5.0, 0);
   sim.run_until(5.0);
-  EXPECT_THROW(sim.schedule_at(1.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(sim.schedule_in(-1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(sim.run_until(1.0), std::invalid_argument);
-  EXPECT_THROW(sim.schedule_in(1.0, nullptr), std::invalid_argument);
+  EXPECT_THROW(sim.run_until(std::nan("")), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
 }
 
 // Drives `server` with independent Poisson arrivals (connection i sends
@@ -223,21 +253,8 @@ std::vector<double> drive_server(Simulator& sim, Xoshiro256& rng,
                                  ffc::sim::GatewayServer& server,
                                  const std::vector<double>& rates,
                                  double horizon) {
-  std::vector<Xoshiro256> srcs;
-  for (std::size_t i = 0; i < rates.size(); ++i) srcs.push_back(rng.split());
-  std::function<void(std::size_t)> arrive = [&](std::size_t i) {
-    Packet p;
-    p.connection = i;
-    p.priority_class = i;
-    p.created = sim.now();
-    server.arrival(std::move(p), i);
-    sim.schedule_in(srcs[i].exponential(rates[i]), [&, i] { arrive(i); });
-  };
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    if (rates[i] > 0.0) {
-      sim.schedule_in(srcs[i].exponential(rates[i]), [&, i] { arrive(i); });
-    }
-  }
+  PoissonSources sources(sim, server, rng, rates);
+  sources.start();
   sim.run_until(sim.now() + horizon * 0.2);
   server.reset_metrics();
   sim.run_until(sim.now() + horizon * 0.8);
@@ -256,7 +273,7 @@ std::vector<double> measure_occupancy(const std::vector<double>& rates,
   Simulator sim;
   Xoshiro256 rng(seed);
   std::uint64_t delivered = 0;
-  CallbackSink sink([&](Packet) { ++delivered; });
+  FunctionSink sink([&](Packet) { ++delivered; });
   Server server(sim, mu, rates.size(), rng.split(), &sink);
   if constexpr (std::is_same_v<Server, FairShareServer>) {
     server.set_rates(rates);
@@ -271,7 +288,7 @@ std::vector<double> measure_priority_occupancy(
     std::uint64_t seed) {
   Simulator sim;
   Xoshiro256 rng(seed);
-  CallbackSink sink([](Packet) {});
+  FunctionSink sink([](Packet) {});
   PriorityServer server(sim, mu, rates.size(), rates.size(), rng.split(),
                         &sink);
   return drive_server(sim, rng, server, rates, horizon);
@@ -339,7 +356,7 @@ TEST(FairShareServerSim, ProtectsSmallSenderUnderOverload) {
 TEST(FairShareServerSim, RequiresRatesBeforeArrivals) {
   Simulator sim;
   Xoshiro256 rng(1);
-  CallbackSink sink([](Packet) {});
+  FunctionSink sink([](Packet) {});
   FairShareServer server(sim, 1.0, 2, rng, &sink);
   Packet p;
   EXPECT_THROW(server.arrival(std::move(p), 0), std::logic_error);
@@ -348,13 +365,13 @@ TEST(FairShareServerSim, RequiresRatesBeforeArrivals) {
 TEST(ServerValidation, BadConstruction) {
   Simulator sim;
   Xoshiro256 rng(1);
-  CallbackSink sink([](Packet) {});
+  FunctionSink sink([](Packet) {});
   EXPECT_THROW(FifoServer(sim, 0.0, 1, rng, &sink), std::invalid_argument);
   EXPECT_THROW(FifoServer(sim, 1.0, 1, rng, nullptr),
                std::invalid_argument);
   EXPECT_THROW(PriorityServer(sim, 1.0, 1, 0, rng, &sink),
                std::invalid_argument);
-  EXPECT_THROW(CallbackSink(nullptr), std::invalid_argument);
+  EXPECT_THROW(FunctionSink(nullptr), std::invalid_argument);
 }
 
 }  // namespace

@@ -159,6 +159,31 @@ TEST(FixedPoint, OptionValidation) {
   }
 }
 
+// The budget is a loop bound, not a size: 0 is rejected (the first step is
+// what validates the initial rates), SIZE_MAX simply runs to convergence.
+TEST(FixedPoint, IterationBudgetAtZeroAndSizeMax) {
+  auto model = th::single_gateway_model(3, th::fair_share(),
+                                        FeedbackStyle::Individual,
+                                        /*eta=*/0.2, /*beta=*/0.5);
+  FixedPointOptions zero;
+  zero.max_iterations = 0;
+  EXPECT_THROW(solve_fixed_point(model, {0.01, 0.4, 0.9}, zero),
+               std::invalid_argument);
+
+  FixedPointOptions unbounded;
+  unbounded.max_iterations = std::numeric_limits<std::size_t>::max();
+  const auto result = solve_fixed_point(model, {0.01, 0.4, 0.9}, unbounded);
+  ASSERT_TRUE(result.converged);
+  EXPECT_LT(result.iterations, 1000u);
+  for (double ri : result.rates) EXPECT_NEAR(ri, 0.5 / 3.0, 1e-6);
+
+  FixedPointOptions one;
+  one.max_iterations = 1;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(solve_fixed_point(model, {0.1, nan, 0.1}, one),
+               std::invalid_argument);
+}
+
 TEST(Newton, RefinesCoarseFixedPointToMachinePrecision) {
   auto model = th::single_gateway_model(3, th::fair_share(),
                                         FeedbackStyle::Individual,
