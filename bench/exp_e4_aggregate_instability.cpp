@@ -20,6 +20,7 @@
 #include "core/ffc.hpp"
 #include "report/table.hpp"
 #include "repro/experiments.hpp"
+#include "spectral/stability.hpp"
 
 namespace ffc::repro {
 
@@ -51,6 +52,10 @@ void run_e4(ExperimentContext& ctx) {
   bool all_unilateral = true;
   bool dynamics_agree = true;
   bool reduced_agrees = true;
+  // The full dense spectrum, from core::jacobian's default FD step.
+  spectral::SpectralOptions dense;
+  dense.method = spectral::SpectralOptions::Method::Dense;
+  dense.jvp.relative_step = 1e-6;
   // N = 4 sits exactly on the threshold (eigenvalue -1, marginal) and is
   // omitted; linear analysis cannot classify it.
   for (std::size_t n : {2u, 3u, 5u, 6u, 8u, 12u, 16u}) {
@@ -60,7 +65,7 @@ void run_e4(ExperimentContext& ctx) {
                            FeedbackStyle::Aggregate,
                            std::make_shared<core::AdditiveTsi>(eta, beta));
     const std::vector<double> fair(n, beta / static_cast<double>(n));
-    const auto report = core::analyze_stability(model, fair);
+    const auto report = spectral::spectral_stability(model, fair, dense);
 
     const double predicted = 1.0 - eta * static_cast<double>(n);
     // The computed leading eigenvalue should be max(|1 - eta N|, 1) -- the

@@ -17,6 +17,7 @@
 #include "core/ffc.hpp"
 #include "report/table.hpp"
 #include "repro/experiments.hpp"
+#include "spectral/stability.hpp"
 #include "stats/rng.hpp"
 
 namespace ffc::repro {
@@ -56,14 +57,18 @@ void run_e6(ExperimentContext& ctx) {
   bool fs_triangular = false;
   bool fifo_triangular = true;
   double fs_eig_diag_gap = 1e300;
+  // The full dense spectrum, from core::jacobian's default FD step.
+  spectral::SpectralOptions dense;
+  dense.method = spectral::SpectralOptions::Method::Dense;
+  dense.jvp.relative_step = 1e-6;
   for (auto disc : {std::shared_ptr<const queueing::ServiceDiscipline>(
                         std::make_shared<queueing::FairShare>()),
                     std::shared_ptr<const queueing::ServiceDiscipline>(
                         std::make_shared<queueing::Fifo>())}) {
     auto model = make(single, disc, 0.3);
-    const auto report = core::analyze_stability(model, probe);
+    const auto report = spectral::spectral_stability(model, probe, dense);
     const bool triangular = core::is_triangular_under_rate_order(
-        report.jacobian, probe, 1e-5);
+        core::jacobian(model, probe), probe, 1e-5);
     double max_diag = 0.0;
     for (double d : report.diagonal) {
       max_diag = std::max(max_diag, std::fabs(d));

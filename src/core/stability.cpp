@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "linalg/eigen.hpp"
-
 namespace ffc::core {
 
 void validate_step_options(double relative_step, double step_floor,
@@ -86,40 +84,6 @@ linalg::Matrix jacobian(const FlowControlModel& model,
   return df;
 }
 
-StabilityReport analyze_stability(const FlowControlModel& model,
-                                  const std::vector<double>& rates,
-                                  const JacobianOptions& options,
-                                  double manifold_tolerance) {
-  StabilityReport report;
-  report.jacobian = jacobian(model, rates, options);
-  const std::size_t n = rates.size();
-  report.diagonal.resize(n);
-  report.unilaterally_stable = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    report.diagonal[i] = report.jacobian(i, i);
-    if (std::fabs(report.diagonal[i]) >= 1.0) {
-      report.unilaterally_stable = false;
-    }
-  }
-
-  const linalg::EigenResult eig = linalg::eigenvalues(report.jacobian);
-  report.spectral_radius = 0.0;
-  report.reduced_spectral_radius = 0.0;
-  for (const auto& lambda : eig.values) {
-    const double mag = std::abs(lambda);
-    report.spectral_radius = std::max(report.spectral_radius, mag);
-    if (std::fabs(mag - 1.0) <= manifold_tolerance) {
-      ++report.unit_eigenvalues;
-    } else {
-      report.reduced_spectral_radius =
-          std::max(report.reduced_spectral_radius, mag);
-    }
-  }
-  report.systemically_stable = report.spectral_radius < 1.0;
-  report.stable_modulo_manifold = report.reduced_spectral_radius < 1.0;
-  return report;
-}
-
 UnilateralReport unilateral_stability(const FlowControlModel& model,
                                       const std::vector<double>& rates,
                                       const JacobianOptions& options) {
@@ -152,6 +116,14 @@ bool is_triangular_under_rate_order(const linalg::Matrix& jac,
   if (jac.rows() != n || jac.cols() != n) {
     throw std::invalid_argument(
         "is_triangular_under_rate_order: size mismatch");
+  }
+  if (!(tol >= 0.0) || !std::isfinite(tol)) {
+    throw std::invalid_argument(
+        "is_triangular_under_rate_order: tol must be finite and >= 0");
+  }
+  if (!std::ranges::all_of(rates, [](double r) { return std::isfinite(r); })) {
+    throw std::invalid_argument(
+        "is_triangular_under_rate_order: rates must be finite");
   }
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);

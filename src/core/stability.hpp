@@ -1,4 +1,5 @@
-// Linear stability of the flow-control map (§2.4.3, §3.3, Theorem 4).
+// Finite-difference Jacobians of the flow-control map (§2.4.3, §3.3,
+// Theorem 4).
 //
 // A steady state r_ss of r̂ = F(r) is linearly stable when all eigenvalues
 // of the Jacobian DF_ij = dF_i/dr_j have magnitude < 1 (deviations along a
@@ -10,9 +11,13 @@
 // Theorem 4: with individual feedback and Fair Share service, DF is
 // triangular under the sort-by-rate permutation, so its eigenvalues ARE the
 // diagonal entries and unilateral stability implies systemic stability.
+//
+// Both verdicts come from spectral::spectral_stability (spectral/
+// stability.hpp), whose dense path materializes DF through jacobian()
+// here. This header keeps the FD oracle itself, the one-sided unilateral
+// analysis at fairness kinks, and the Theorem-4 structure check.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "core/model.hpp"
@@ -43,30 +48,6 @@ linalg::Matrix jacobian(const FlowControlModel& model,
                         const std::vector<double>& rates,
                         const JacobianOptions& options = {});
 
-/// Full stability analysis at a (presumed) steady state.
-struct StabilityReport {
-  linalg::Matrix jacobian;            ///< DF at the analysis point
-  std::vector<double> diagonal;       ///< DF_ii
-  bool unilaterally_stable = false;   ///< all |DF_ii| < 1
-  double spectral_radius = 0.0;       ///< max |eigenvalue|
-  bool systemically_stable = false;   ///< spectral_radius < 1 - slack
-  /// Eigenvalues within `manifold_tolerance` of magnitude 1 (directions
-  /// along a steady-state manifold; §3.1 aggregate feedback).
-  std::size_t unit_eigenvalues = 0;
-  /// spectral radius over the non-unit eigenvalues only.
-  double reduced_spectral_radius = 0.0;
-  /// Systemic stability ignoring unit eigenvalues (manifold deviations need
-  /// not dissipate, per the paper's definition).
-  bool stable_modulo_manifold = false;
-};
-
-/// Analyzes linear stability of `model` at `rates`.
-/// `manifold_tolerance` decides which eigenvalues count as "exactly 1".
-StabilityReport analyze_stability(const FlowControlModel& model,
-                                  const std::vector<double>& rates,
-                                  const JacobianOptions& options = {},
-                                  double manifold_tolerance = 1e-6);
-
 /// One-sided unilateral stability analysis.
 ///
 /// At a fair steady state, connections sharing a bottleneck have TIED rates,
@@ -90,6 +71,9 @@ UnilateralReport unilateral_stability(const FlowControlModel& model,
 /// True iff there is a permutation `perm` ordering the connections by
 /// increasing rate for which jacobian(perm, perm) is lower-triangular within
 /// `tol` -- the structure Theorem 4 exploits for Fair Share gateways.
+/// Throws std::invalid_argument on a size mismatch, a NaN, infinite or
+/// negative `tol`, or a non-finite rate (a NaN tolerance would pass every
+/// matrix, a NaN rate breaks the sort's ordering).
 bool is_triangular_under_rate_order(const linalg::Matrix& jacobian,
                                     const std::vector<double>& rates,
                                     double tol = 1e-6);

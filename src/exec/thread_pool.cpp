@@ -29,34 +29,12 @@ void ThreadPool::post(std::function<void()> task) {
   work_available_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-  if (first_error_) {
-    std::exception_ptr error = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
 std::size_t ThreadPool::hardware_jobs() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<std::size_t>(n);
 }
 
 void ThreadPool::worker_loop() {
-  // Decrements active_ on every exit path from a task, including unwind:
-  // without this, a throwing task would leave active_ stuck nonzero and
-  // wait_idle() would hang forever even if the exception were contained.
-  struct ActiveGuard {
-    ThreadPool& pool;
-    ~ActiveGuard() {
-      std::lock_guard<std::mutex> lock(pool.mutex_);
-      --pool.active_;
-      if (pool.queue_.empty() && pool.active_ == 0) pool.idle_.notify_all();
-    }
-  };
-
   for (;;) {
     std::function<void()> task;
     {
@@ -67,20 +45,10 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
-    {
-      ActiveGuard guard{*this};
-      try {
-        task();
-      } catch (...) {
-        // A task escaping here would std::terminate the process (worker
-        // threads have no handler above this frame). Keep the worker alive
-        // and surface the first failure at the next wait_idle().
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-    }
+    // Cannot throw: submit()'s packaged_task stores the callable's
+    // exception in its future.
+    task();
   }
 }
 

@@ -13,7 +13,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -30,13 +29,10 @@ namespace ffc::exec {
 /// Lifecycle: workers start in the constructor and are joined in the
 /// destructor. The destructor *drains* the queue -- every task submitted
 /// before destruction runs to completion before the workers exit, so a
-/// scope-exit is a synchronization point. Exceptions thrown by a task are
-/// captured in the std::future returned by submit(); they never unwind a
-/// worker thread. Tasks enqueued through the future-less post() may throw
-/// too: the worker catches the exception, stays alive, and the FIRST such
-/// exception is rethrown from the next wait_idle() (later ones are
-/// dropped; the destructor discards a pending exception silently, since
-/// destructors must not throw).
+/// scope-exit is a synchronization point. submit() is the only way in:
+/// its packaged_task captures whatever the task throws in the returned
+/// std::future, so an exception never unwinds a worker thread (a dropped
+/// future discards it).
 class ThreadPool {
  public:
   /// Starts `num_threads` workers. A request for 0 threads is clamped to 1.
@@ -62,34 +58,20 @@ class ThreadPool {
     return future;
   }
 
-  /// Enqueues a fire-and-forget task (no future). If the task throws, the
-  /// worker survives and the first captured exception is rethrown from the
-  /// next wait_idle(); callers that need per-task exceptions should use
-  /// submit() instead.
-  void post(std::function<void()> task);
-
-  /// Blocks until the queue is empty and no task is executing, then
-  /// rethrows the first exception any post()ed task threw since the last
-  /// wait_idle() (clearing it). Tasks submitted concurrently with the wait
-  /// may of course still be pending afterwards; sweeps use the returned
-  /// futures instead.
-  void wait_idle();
-
   /// A sensible default worker count: hardware_concurrency(), clamped to at
   /// least 1 (the function may report 0 on exotic platforms).
   static std::size_t hardware_jobs();
 
  private:
+  /// Enqueues a task that does not throw (submit()'s packaged_task).
+  void post(std::function<void()> task);
   void worker_loop();
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   mutable std::mutex mutex_;
   std::condition_variable work_available_;
-  std::condition_variable idle_;
-  std::size_t active_ = 0;     ///< tasks currently executing
   bool stopping_ = false;
-  std::exception_ptr first_error_;  ///< first post()ed-task exception
 };
 
 }  // namespace ffc::exec

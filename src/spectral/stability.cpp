@@ -114,6 +114,12 @@ SpectralReport dense_path(const core::FlowControlModel& model,
   jac.step_floor = options.jvp.step_floor;
   const linalg::Matrix df = core::jacobian(model, rates, jac);
   report.model_evaluations = 2 * rates.size();
+  report.diagonal.resize(rates.size());
+  report.unilaterally_stable = true;
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    report.diagonal[i] = df(i, i);
+    if (std::fabs(df(i, i)) >= 1.0) report.unilaterally_stable = false;
+  }
   const linalg::EigenResult eig = linalg::eigenvalues(df);
   report.eigenvalues = eig.values;
   report.converged = eig.converged;
@@ -123,11 +129,13 @@ SpectralReport dense_path(const core::FlowControlModel& model,
 
 SpectralReport iterative_path(const core::FlowControlModel& model,
                               const std::vector<double>& rates,
-                              const SpectralOptions& options,
-                              bool triangular) {
+                              const SpectralOptions& options) {
   SpectralReport report;
-  report.used_iterative = true;
-  report.triangular_hint = triangular;
+  const bool triangular =
+      model.style() == core::FeedbackStyle::Individual &&
+      dynamic_cast<const queueing::FairShare*>(&model.discipline()) != nullptr;
+  report.path = triangular ? SpectralReport::Path::Triangular
+                           : SpectralReport::Path::Eigensolver;
 
   // Operator selection: the closed-form analytic JVP whenever every model
   // layer carries a derivative (Auto), else the central-difference operator.
@@ -149,7 +157,7 @@ SpectralReport iterative_path(const core::FlowControlModel& model,
     op = &*fd_op;
   }
   if (analytic && exchangeable(model, rates, *analytic_op)) {
-    report.exchangeable = true;
+    report.path = SpectralReport::Path::Exchangeable;
     report.model_evaluations = 1;
     exchangeable_spectrum(*op, options, report);
     classify(options, /*full_spectrum=*/false, report);
@@ -212,27 +220,12 @@ SpectralReport spectral_stability(const core::FlowControlModel& model,
   // operator Auto picks.
   core::validate_step_options(options.jvp.relative_step,
                               options.jvp.step_floor, "spectral_stability");
-  const bool triangular =
-      model.style() == core::FeedbackStyle::Individual &&
-      dynamic_cast<const queueing::FairShare*>(&model.discipline()) != nullptr;
-
-  bool iterative = false;
-  switch (options.method) {
-    case SpectralOptions::Method::Dense:
-      iterative = false;
-      break;
-    case SpectralOptions::Method::Iterative:
-      iterative = true;
-      break;
-    case SpectralOptions::Method::Auto:
-      iterative = rates.size() >= options.dense_threshold;
-      break;
-  }
-  SpectralReport report = iterative
-                              ? iterative_path(model, rates, options, triangular)
-                              : dense_path(model, rates, options);
-  report.triangular_hint = triangular;
-  return report;
+  const bool iterative =
+      options.method == SpectralOptions::Method::Iterative ||
+      (options.method == SpectralOptions::Method::Auto &&
+       rates.size() >= options.dense_threshold);
+  return iterative ? iterative_path(model, rates, options)
+                   : dense_path(model, rates, options);
 }
 
 }  // namespace ffc::spectral

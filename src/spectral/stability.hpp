@@ -1,12 +1,11 @@
-// Scalable spectral stability: dense below a size threshold, matrix-free
-// iterative above it.
-//
-// spectral_stability() answers the same question as core::analyze_stability
-// -- is the spectral radius of DF at this point below 1, ignoring unit-
-// magnitude manifold modes? -- but picks the eigensolver by problem size:
+// The stability front end: is the spectral radius of DF at this point below
+// 1, ignoring unit-magnitude manifold modes (§2.4.3, §3.3, Theorem 4)? The
+// solver is picked by problem size:
 //
 //   * N <  dense_threshold: materialize DF (2N model evaluations) and run
-//     the Hessenberg+QR dense solver. Exact full spectrum.
+//     the Hessenberg+QR dense solver. Exact full spectrum, plus the
+//     diagonal DF_ii for the paper's *unilateral* stability (|DF_ii| < 1)
+//     next to the *systemic* verdict.
 //   * N >= dense_threshold: power iteration with Schur-Wielandt deflation
 //     over the matrix-free Jacobian-vector operator, falling back to Arnoldi
 //     for complex-dominant spectra (linalg/sparse_eigen.hpp). O(N) memory.
@@ -21,7 +20,7 @@
 // adjuster, tied rates) skips the eigensolver on the iterative analytic
 // path: a structural check proves DF = aI + b 11^T, whose spectrum two
 // operator applications give exactly (the exchangeable certificate,
-// SpectralReport::exchangeable).
+// SpectralReport::Path::Exchangeable).
 #pragma once
 
 #include <complex>
@@ -49,7 +48,7 @@ struct SpectralOptions {
   /// "Dense/iterative crossover" for the measured table.
   std::size_t dense_threshold = 128;
   /// Eigenvalues whose magnitude is within this of 1 count as steady-state
-  /// manifold modes (same convention as core::analyze_stability).
+  /// manifold modes.
   double manifold_tolerance = 1e-6;
   /// With the dominant eigenvalue on the unit circle, how many unit modes to
   /// deflate while hunting for the reduced (non-manifold) radius. Aggregate
@@ -78,6 +77,20 @@ struct SpectralOptions {
 };
 
 struct SpectralReport {
+  /// Which solver answered.
+  enum class Path {
+    Dense,         ///< materialized DF + dense QR: the full spectrum
+    Exchangeable,  ///< the exchangeable certificate (iterative analytic
+                   ///< path only): a smooth point where every connection
+                   ///< shares connection 0's path, adjuster object and rate
+                   ///< bits, so DF = aI + b 11^T and the eigenvalue sequence
+                   ///< comes from two operator applications instead of the
+                   ///< eigensolver (docs/THEORY.md section 8)
+    Triangular,    ///< iterative eigensolver with the real-spectrum hint:
+                   ///< Theorem-4 structure (individual + FairShare) detected
+    Eigensolver,   ///< iterative eigensolver, no structural hint
+  };
+  Path path = Path::Dense;
   double spectral_radius = 0.0;
   /// spectral_radius < 1 with no unit mode (and, on the iterative path,
   /// converged): a mode within manifold_tolerance of the unit circle is not
@@ -91,21 +104,18 @@ struct SpectralReport {
   /// Eigenvalues actually computed: the full spectrum on the dense path,
   /// the deflation sequence on the iterative path.
   std::vector<std::complex<double>> eigenvalues;
-  bool used_iterative = false;
+  /// DF_ii, read off the materialized DF: filled on the dense path only
+  /// (empty on the iterative paths, which never form DF).
+  std::vector<double> diagonal;
+  /// Every |DF_ii| < 1 (§2.4.3): each source, holding the others fixed,
+  /// damps its own deviations. Meaningful on the dense path only; false on
+  /// the iterative paths.
+  bool unilaterally_stable = false;
   bool converged = false;
-  /// Theorem-4 structure detected (individual + FairShare): the iterative
-  /// solver ran with the real-spectrum hint.
-  bool triangular_hint = false;
   /// The iterative path ran on the closed-form AnalyticJacobianOperator
   /// (always false on the dense path).
   bool analytic_jvp = false;
-  /// The exchangeable certificate answered (iterative analytic path only):
-  /// a smooth point where every connection shares connection 0's path,
-  /// adjuster object and rate bits, so DF = aI + b 11^T and the eigenvalue
-  /// sequence comes from two operator applications instead of the
-  /// eigensolver (docs/THEORY.md section 8).
-  bool exchangeable = false;
-  /// Model evaluations spent (dense: 2N+1 column probes; iterative FD: 2
+  /// Model evaluations spent (dense: 2N column probes; iterative FD: 2
   /// per operator application plus the base evaluation; iterative analytic:
   /// 1 -- the base evaluation only).
   std::size_t model_evaluations = 0;

@@ -324,9 +324,9 @@ TEST(SpectralStability, MatrixFreeRadiusMatchesDense) {
   const auto iter = ffc::spectral::spectral_stability(model, rates, iter_opts);
   ASSERT_TRUE(dense.converged);
   ASSERT_TRUE(iter.converged);
-  EXPECT_FALSE(dense.used_iterative);
-  EXPECT_TRUE(iter.used_iterative);
-  EXPECT_TRUE(iter.triangular_hint);  // Theorem 4 structure detected
+  EXPECT_EQ(dense.path, ffc::spectral::SpectralReport::Path::Dense);
+  // Theorem 4 structure detected: the solver ran with the real-spectrum hint.
+  EXPECT_EQ(iter.path, ffc::spectral::SpectralReport::Path::Triangular);
   EXPECT_NEAR(iter.spectral_radius, dense.spectral_radius, 1e-6);
   EXPECT_EQ(iter.systemically_stable, dense.systemically_stable);
 }
@@ -337,11 +337,11 @@ TEST(SpectralStability, AutoThresholdDispatches) {
   ffc::spectral::SpectralOptions opts;
   opts.dense_threshold = 4;  // force the iterative branch at N = 8
   const auto iter = ffc::spectral::spectral_stability(model, rates, opts);
-  EXPECT_TRUE(iter.used_iterative);
+  // FIFO: no Theorem-4 structure, and the symmetric cell is certified.
+  EXPECT_EQ(iter.path, ffc::spectral::SpectralReport::Path::Exchangeable);
   opts.dense_threshold = 512;
   const auto dense = ffc::spectral::spectral_stability(model, rates, opts);
-  EXPECT_FALSE(dense.used_iterative);
-  EXPECT_FALSE(dense.triangular_hint);  // FIFO: no Theorem-4 structure
+  EXPECT_EQ(dense.path, ffc::spectral::SpectralReport::Path::Dense);
 }
 
 }  // namespace

@@ -37,6 +37,7 @@ using ffc::spectral::AnalyticJacobianOperator;
 using ffc::spectral::ModelJacobianOperator;
 using ffc::spectral::SpectralOptions;
 using ffc::spectral::SpectralReport;
+using Path = ffc::spectral::SpectralReport::Path;
 using ffc::stats::Xoshiro256;
 namespace th = ffc::testing;
 
@@ -481,12 +482,12 @@ TEST(SpectralStability, AutoDispatchBoundaryIsPinnedAt128) {
 
   const auto below = run(defaults.dense_threshold - 1);
   ASSERT_TRUE(below.converged);
-  EXPECT_FALSE(below.used_iterative);
+  EXPECT_EQ(below.path, Path::Dense);
   EXPECT_FALSE(below.analytic_jvp);
 
   const auto at = run(defaults.dense_threshold);
   ASSERT_TRUE(at.converged);
-  EXPECT_TRUE(at.used_iterative);
+  EXPECT_EQ(at.path, Path::Triangular);
   EXPECT_TRUE(at.analytic_jvp);
   EXPECT_EQ(at.model_evaluations, 1u);
 }
@@ -547,7 +548,7 @@ TEST(SpectralStability, OptionValidation) {
         << "step_floor " << bad;
     ffc::core::JacobianOptions jac;
     jac.relative_step = bad;
-    EXPECT_THROW(ffc::core::analyze_stability(model, rates, jac),
+    EXPECT_THROW(ffc::core::jacobian(model, rates, jac),
                  std::invalid_argument)
         << "JacobianOptions::relative_step " << bad;
     jac = {};
@@ -568,12 +569,53 @@ TEST(SpectralStability, AutoFallsBackToFdWhenUnsupported) {
   ffc::spectral::SpectralOptions opts;
   opts.method = ffc::spectral::SpectralOptions::Method::Iterative;
   const auto report = ffc::spectral::spectral_stability(binary, rates, opts);
-  EXPECT_TRUE(report.used_iterative);
+  EXPECT_EQ(report.path, Path::Eigensolver);
   EXPECT_FALSE(report.analytic_jvp);  // Auto fell back to the FD operator
 
   opts.jvp_mode = ffc::spectral::SpectralOptions::Jvp::Analytic;
   EXPECT_THROW(ffc::spectral::spectral_stability(binary, rates, opts),
                std::invalid_argument);
+}
+
+TEST(SpectralStability, DenseReportCarriesTheDiagonal) {
+  // §3.3's counterexample (aggregate FIFO, N = 6, eta = 1): |DF_ii| =
+  // |1 - eta| = 0 < 1 for every source, yet the transverse eigenvalue
+  // 1 - eta N = -5 leaves the unit circle.
+  const std::size_t n = 6;
+  auto model = th::single_gateway_model(n, th::fifo(),
+                                        FeedbackStyle::Aggregate, 1.0, 0.5);
+  const std::vector<double> fair(n, 0.5 / n);
+  for (double step : {1e-5, 1e-6}) {
+    SpectralOptions dense;
+    dense.method = SpectralOptions::Method::Dense;
+    dense.jvp.relative_step = step;
+    const SpectralReport r = ffc::spectral::spectral_stability(model, fair,
+                                                               dense);
+    ffc::core::JacobianOptions jac;
+    jac.relative_step = step;
+    const ffc::linalg::Matrix df = ffc::core::jacobian(model, fair, jac);
+    ASSERT_EQ(r.diagonal.size(), n);
+    bool unilateral = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.diagonal[i]),
+                std::bit_cast<std::uint64_t>(df(i, i)))
+          << "step " << step << " i " << i;
+      unilateral = unilateral && std::fabs(df(i, i)) < 1.0;
+    }
+    EXPECT_EQ(r.unilaterally_stable, unilateral);
+    EXPECT_TRUE(r.unilaterally_stable);
+    EXPECT_FALSE(r.stable_modulo_manifold);
+    EXPECT_NEAR(r.reduced_spectral_radius, 5.0, 1e-4);
+  }
+  // The iterative paths never form DF, so they report no diagonal.
+  SpectralOptions iterative;
+  iterative.method = SpectralOptions::Method::Iterative;
+  const SpectralReport r =
+      ffc::spectral::spectral_stability(model, fair, iterative);
+  EXPECT_NE(r.path, Path::Dense);
+  EXPECT_TRUE(r.diagonal.empty());
+  EXPECT_FALSE(r.unilaterally_stable);
+  EXPECT_FALSE(r.stable_modulo_manifold);
 }
 
 /// n connections on one aggregate gateway of capacity n with additive TSI
@@ -615,8 +657,9 @@ TEST(SpectralStability, UnitRadiusIsNeverSystemicallyStable) {
       opts.jvp_mode = jvp;
       const SpectralReport r =
           ffc::spectral::spectral_stability(model, rates, opts);
-      EXPECT_FALSE(r.exchangeable);
-      EXPECT_EQ(r.used_iterative, method == SpectralOptions::Method::Iterative);
+      EXPECT_EQ(r.path, method == SpectralOptions::Method::Iterative
+                            ? Path::Eigensolver
+                            : Path::Dense);
       EXPECT_NEAR(r.spectral_radius, 1.0, 1e-6);
       EXPECT_GT(r.unit_modes_deflated, 0u);
       EXPECT_FALSE(r.systemically_stable)
@@ -629,7 +672,7 @@ TEST(SpectralStability, UnitRadiusIsNeverSystemicallyStable) {
   SpectralOptions opts;
   opts.method = SpectralOptions::Method::Iterative;
   const SpectralReport r = ffc::spectral::spectral_stability(one, rates, opts);
-  EXPECT_TRUE(r.exchangeable);
+  EXPECT_EQ(r.path, Path::Exchangeable);
   EXPECT_GT(r.unit_modes_deflated, 0u);
   EXPECT_FALSE(r.systemically_stable);
 }
@@ -700,15 +743,14 @@ TEST(ExchangeableCertificate, MatchesDenseOracle) {
       cert_opts.max_unit_deflations = n;  // resolve the whole manifold
       const SpectralReport cert =
           ffc::spectral::spectral_stability(model, rates, cert_opts);
-      ASSERT_TRUE(cert.exchangeable) << what;
-      EXPECT_TRUE(cert.used_iterative);
+      ASSERT_EQ(cert.path, Path::Exchangeable) << what;
       EXPECT_TRUE(cert.analytic_jvp);
       EXPECT_EQ(cert.model_evaluations, 1u);
       SpectralOptions dense_opts;
       dense_opts.method = SpectralOptions::Method::Dense;
       const SpectralReport dense =
           ffc::spectral::spectral_stability(model, rates, dense_opts);
-      EXPECT_FALSE(dense.exchangeable);
+      EXPECT_EQ(dense.path, Path::Dense);
       expect_same_verdicts(cert, dense, what);
       // The paper's closed form: 1 - eta N / mu or 1 - 2 eta sqrt(beta).
       EXPECT_TRUE(cert.reduced_resolved) << what;
@@ -739,7 +781,7 @@ TEST(ExchangeableCertificate, MatchesIterativeOracle) {
         opts.max_unit_deflations = deflations;
         const SpectralReport cert =
             ffc::spectral::spectral_stability(model, rates, opts);
-        ASSERT_TRUE(cert.exchangeable) << what;
+        ASSERT_EQ(cert.path, Path::Exchangeable) << what;
         // The eigensolver over the same operator finds the same sequence.
         const auto oracle = ffc::linalg::iterative_eigenvalues(
             op, cert.eigenvalues.size(), opts.iterative);
@@ -753,13 +795,11 @@ TEST(ExchangeableCertificate, MatchesIterativeOracle) {
         // Its twin runs the iterative path to the same report.
         const SpectralReport iter =
             ffc::spectral::spectral_stability(twin, rates, opts);
-        EXPECT_FALSE(iter.exchangeable) << what;
+        EXPECT_EQ(iter.path, Path::Eigensolver) << what;
         expect_same_verdicts(cert, iter, what);
         EXPECT_EQ(cert.unit_modes_deflated, iter.unit_modes_deflated) << what;
         EXPECT_EQ(cert.eigenvalues.size(), iter.eigenvalues.size()) << what;
-        EXPECT_EQ(cert.used_iterative, iter.used_iterative) << what;
         EXPECT_EQ(cert.analytic_jvp, iter.analytic_jvp) << what;
-        EXPECT_EQ(cert.triangular_hint, iter.triangular_hint) << what;
         EXPECT_EQ(cert.model_evaluations, iter.model_evaluations) << what;
       }
     }
@@ -849,7 +889,7 @@ TEST(ExchangeableCertificate, FallsThroughToTheParentResult) {
       const BrokenCell cell = broken_cell(kind, eta);
       const SpectralReport r = ffc::spectral::spectral_stability(
           cell.model, cell.rates, cell.options);
-      EXPECT_FALSE(r.exchangeable) << what;
+      EXPECT_EQ(r.path, Path::Eigensolver) << what;
       EXPECT_EQ(std::bit_cast<std::uint64_t>(r.spectral_radius),
                 std::bit_cast<std::uint64_t>(want.radius))
           << what;

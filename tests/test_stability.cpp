@@ -2,21 +2,31 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/stability.hpp"
 #include "core/steady_state.hpp"
 #include "helpers.hpp"
 #include "network/builders.hpp"
+#include "spectral/stability.hpp"
 
 namespace {
 
-using ffc::core::analyze_stability;
 using ffc::core::FeedbackStyle;
 using ffc::core::is_triangular_under_rate_order;
 using ffc::core::jacobian;
 using ffc::core::JacobianOptions;
 namespace th = ffc::testing;
+
+/// The dense spectrum at core::jacobian's default step.
+ffc::spectral::SpectralReport dense_stability(
+    const ffc::core::FlowControlModel& model, const std::vector<double>& r) {
+  ffc::spectral::SpectralOptions options;
+  options.method = ffc::spectral::SpectralOptions::Method::Dense;
+  options.jvp.relative_step = JacobianOptions{}.relative_step;
+  return ffc::spectral::spectral_stability(model, r, options);
+}
 
 TEST(Jacobian, MatchesClosedFormForAggregateAdditive) {
   // Single gateway, mu=1, FIFO, aggregate, rational signal, f = eta(beta-b):
@@ -62,12 +72,12 @@ TEST(Stability, AggregateUnilateralButNotSystemic) {
   auto model = th::single_gateway_model(n, th::fifo(),
                                         FeedbackStyle::Aggregate, eta, 0.5);
   const std::vector<double> r_ss(n, 0.5 / n);
-  const auto report = analyze_stability(model, r_ss);
+  const auto report = dense_stability(model, r_ss);
   EXPECT_TRUE(report.unilaterally_stable);
   EXPECT_FALSE(report.systemically_stable);
   EXPECT_NEAR(report.spectral_radius, std::fabs(1.0 - eta * n), 1e-4);
   // The N-1 manifold directions carry eigenvalue exactly 1.
-  EXPECT_EQ(report.unit_eigenvalues, n - 1);
+  EXPECT_EQ(report.unit_modes_deflated, n - 1);
 }
 
 TEST(Stability, AggregateSmallNetworkFullyStable) {
@@ -76,7 +86,7 @@ TEST(Stability, AggregateSmallNetworkFullyStable) {
   auto model = th::single_gateway_model(n, th::fifo(),
                                         FeedbackStyle::Aggregate, eta, 0.5);
   const std::vector<double> r_ss(n, 0.5 / n);
-  const auto report = analyze_stability(model, r_ss);
+  const auto report = dense_stability(model, r_ss);
   EXPECT_TRUE(report.unilaterally_stable);
   EXPECT_TRUE(report.stable_modulo_manifold);
   EXPECT_NEAR(report.reduced_spectral_radius, std::fabs(1.0 - eta * n),
@@ -105,7 +115,7 @@ TEST(Stability, FairShareEigenvaluesAreDiagonal) {
   auto model = th::single_gateway_model(4, th::fair_share(),
                                         FeedbackStyle::Individual, 0.3, 0.5);
   const std::vector<double> r{0.04, 0.09, 0.16, 0.21};
-  const auto report = analyze_stability(model, r);
+  const auto report = dense_stability(model, r);
   // Triangular matrix: spectral radius equals max |diagonal|.
   double max_diag = 0.0;
   for (double d : report.diagonal) max_diag = std::max(max_diag, std::fabs(d));
@@ -124,6 +134,25 @@ TEST(Stability, TriangularityCheckerValidatesShape) {
   ffc::linalg::Matrix jac(2, 3);
   EXPECT_THROW(is_triangular_under_rate_order(jac, {0.1, 0.2}, 1e-9),
                std::invalid_argument);
+}
+
+TEST(Stability, TriangularityCheckerValidatesToleranceAndRates) {
+  // A NaN tolerance made every |entry| > tol false, so a full matrix read
+  // as triangular; a NaN rate broke the sort's strict weak ordering.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ffc::linalg::Matrix jac{{1.0, 0.5}, {0.5, 1.0}};
+  for (double tol : {nan, inf, -1e-9}) {
+    EXPECT_THROW(is_triangular_under_rate_order(jac, {0.1, 0.2}, tol),
+                 std::invalid_argument)
+        << "tol " << tol;
+  }
+  for (double bad : {nan, inf, -inf}) {
+    EXPECT_THROW(is_triangular_under_rate_order(jac, {0.1, bad}, 1e-9),
+                 std::invalid_argument)
+        << "rate " << bad;
+  }
+  EXPECT_TRUE(is_triangular_under_rate_order(jac, {0.2, 0.2}, 0.0));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "core/steady_state.hpp"
 #include "helpers.hpp"
 #include "network/builders.hpp"
+#include "spectral/stability.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -249,7 +250,9 @@ TEST(Theorem4Contrast, AggregateUnilateralDoesNotImplySystemic) {
   auto model = th::single_gateway_model(n, th::fifo(),
                                         FeedbackStyle::Aggregate, eta, 0.5);
   const std::vector<double> fair(n, 0.5 / n);
-  const auto report = ffc::core::analyze_stability(model, fair);
+  ffc::spectral::SpectralOptions dense;
+  dense.method = ffc::spectral::SpectralOptions::Method::Dense;
+  const auto report = ffc::spectral::spectral_stability(model, fair, dense);
   EXPECT_TRUE(report.unilaterally_stable);
   EXPECT_FALSE(report.stable_modulo_manifold);
   // Perturb off the fair point: the iteration does not return to it.
