@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "queueing/fair_share.hpp"
-#include "queueing/priority.hpp"
 #include "report/table.hpp"
 #include "repro/experiments.hpp"
 

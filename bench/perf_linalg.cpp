@@ -2,7 +2,6 @@
 #include <benchmark/benchmark.h>
 
 #include "linalg/eigen.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 
 namespace {
@@ -34,15 +33,5 @@ void BM_Hessenberg(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Hessenberg)->Arg(16)->Arg(64);
-
-void BM_LuSolve(benchmark::State& state) {
-  const auto a = make_matrix(static_cast<std::size_t>(state.range(0)));
-  const ffc::linalg::Vector b(static_cast<std::size_t>(state.range(0)), 1.0);
-  for (auto _ : state) {
-    ffc::linalg::LuDecomposition lu(a);
-    benchmark::DoNotOptimize(lu.solve(b));
-  }
-}
-BENCHMARK(BM_LuSolve)->Arg(8)->Arg(32);
 
 }  // namespace

@@ -113,70 +113,4 @@ TrajectoryResult run_dynamics(const FlowControlModel& model,
   return result;
 }
 
-double largest_lyapunov_exponent(const FlowControlModel& model,
-                                 std::vector<double> initial,
-                                 std::size_t transient, std::size_t steps,
-                                 double separation) {
-  if (!(separation > 0.0)) {
-    throw std::invalid_argument("lyapunov: separation must be > 0");
-  }
-  if (steps == 0) {
-    throw std::invalid_argument("lyapunov: need at least one step");
-  }
-  std::vector<double> r = std::move(initial);
-
-  // One workspace serves both trajectories: each advance copies the result
-  // out of ws.next before the next call overwrites it. The reference
-  // trajectory's first step carries the boundary validation; the shadow is
-  // always derived from an already-validated reference iterate.
-  ModelWorkspace ws;
-  bool validated = false;
-  const auto advance = [&](std::vector<double>& x) {
-    const std::vector<double>& next =
-        validated ? model.step_unchecked(x, ws) : model.step(x, ws);
-    validated = true;
-    x = next;
-  };
-
-  for (std::size_t t = 0; t < transient; ++t) advance(r);
-
-  const std::size_t n = r.size();
-  std::vector<double> shadow = r;
-  // Perturb along a generic direction, keeping rates nonnegative.
-  for (std::size_t i = 0; i < n; ++i) {
-    shadow[i] = std::max(0.0, shadow[i] + separation / std::sqrt(
-                                              static_cast<double>(n)));
-  }
-
-  double log_sum = 0.0;
-  std::size_t counted = 0;
-  for (std::size_t t = 0; t < steps; ++t) {
-    advance(r);
-    advance(shadow);
-    double dist = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = shadow[i] - r[i];
-      dist += d * d;
-    }
-    dist = std::sqrt(dist);
-    if (dist == 0.0) {
-      // Trajectories merged exactly (strong contraction / truncation at 0):
-      // re-seed the separation and count a floor contribution.
-      log_sum += std::log(1e-16);
-      ++counted;
-    } else {
-      log_sum += std::log(dist / separation);
-      ++counted;
-    }
-    // Renormalize the shadow back to `separation` from the reference.
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = dist == 0.0 ? separation / std::sqrt(
-                                         static_cast<double>(n))
-                                   : (shadow[i] - r[i]) * separation / dist;
-      shadow[i] = std::max(0.0, r[i] + d);
-    }
-  }
-  return counted == 0 ? 0.0 : log_sum / static_cast<double>(counted);
-}
-
 }  // namespace ffc::core

@@ -47,14 +47,4 @@ TrajectoryResult run_dynamics(const FlowControlModel& model,
                               std::vector<double> initial,
                               const TrajectoryOptions& options = {});
 
-/// Largest Lyapunov exponent of the map at the attractor reached from
-/// `initial`, estimated by renormalizing the separation of a shadow
-/// trajectory every step. Negative => contracting (stable), ~0 => neutral /
-/// quasi-periodic, positive => chaotic.
-double largest_lyapunov_exponent(const FlowControlModel& model,
-                                 std::vector<double> initial,
-                                 std::size_t transient = 2000,
-                                 std::size_t steps = 4000,
-                                 double separation = 1e-8);
-
 }  // namespace ffc::core

@@ -30,6 +30,4 @@
 #include "queueing/fair_share.hpp"
 #include "queueing/feasibility.hpp"
 #include "queueing/fifo.hpp"
-#include "queueing/mm1.hpp"
-#include "queueing/priority.hpp"
 #include "queueing/processor_sharing.hpp"

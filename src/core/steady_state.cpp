@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/stability.hpp"
-#include "linalg/lu.hpp"
 #include "queueing/feasibility.hpp"
 
 namespace ffc::core {
@@ -129,60 +127,6 @@ FixedPointResult solve_fixed_point(const FlowControlModel& model,
     }
     result.residual = step_norm;
   }
-  return result;
-}
-
-FixedPointResult newton_refine(const FlowControlModel& model,
-                               std::vector<double> initial,
-                               std::size_t max_iterations, double tolerance) {
-  FixedPointResult result;
-  result.rates = std::move(initial);
-  const std::size_t n = result.rates.size();
-  // F(r) evaluations share one workspace; the first carries the boundary
-  // validation, later iterates are clamped Newton updates of valid data.
-  ModelWorkspace ws;
-  bool validated = false;
-  std::vector<double> fr;
-  const auto eval = [&]() {
-    fr = validated ? model.step_unchecked(result.rates, ws)
-                   : model.step(result.rates, ws);
-    validated = true;
-  };
-  for (std::size_t it = 0; it < max_iterations; ++it) {
-    eval();
-    double residual = 0.0;
-    double scale = 1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      residual = std::max(residual, std::fabs(fr[i] - result.rates[i]));
-      scale = std::max(scale, std::fabs(result.rates[i]));
-    }
-    result.residual = residual;
-    result.iterations = it;
-    if (residual <= tolerance * scale) {
-      result.converged = true;
-      return result;
-    }
-    linalg::Matrix j = jacobian(model, result.rates);
-    for (std::size_t i = 0; i < n; ++i) j(i, i) -= 1.0;  // DF - I
-    const linalg::LuDecomposition lu(std::move(j));
-    if (lu.singular()) return result;  // manifold or degenerate point
-    std::vector<double> rhs(n);
-    for (std::size_t i = 0; i < n; ++i) rhs[i] = result.rates[i] - fr[i];
-    const std::vector<double> delta = lu.solve(rhs);
-    for (std::size_t i = 0; i < n; ++i) {
-      result.rates[i] = std::max(0.0, result.rates[i] + delta[i]);
-    }
-  }
-  // Final residual check after the last step.
-  eval();
-  double residual = 0.0;
-  double scale = 1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    residual = std::max(residual, std::fabs(fr[i] - result.rates[i]));
-    scale = std::max(scale, std::fabs(result.rates[i]));
-  }
-  result.residual = residual;
-  result.converged = residual <= tolerance * scale;
   return result;
 }
 

@@ -73,15 +73,4 @@ FixedPointResult solve_fixed_point(const FlowControlModel& model,
 bool is_steady_state(const FlowControlModel& model,
                      const std::vector<double>& rates, double tol = 1e-8);
 
-/// Newton refinement of an approximate fixed point: solves
-/// (DF - I) delta = -(F(r) - r) with the numerical Jacobian and LU, keeping
-/// rates nonnegative. Quadratic convergence near a nondegenerate fixed
-/// point; returns with converged=false if the Jacobian is singular along
-/// the way (e.g. on an aggregate steady-state manifold) or the residual
-/// fails to drop.
-FixedPointResult newton_refine(const FlowControlModel& model,
-                               std::vector<double> initial,
-                               std::size_t max_iterations = 50,
-                               double tolerance = 1e-13);
-
 }  // namespace ffc::core

@@ -106,11 +106,12 @@ SweepRunner::SweepRunner(SweepOptions options) : options_(options) {
 }
 
 void SweepRunner::finish_report(
-    std::size_t tasks, const std::vector<double>& task_seconds,
+    std::size_t tasks, std::size_t workers,
+    const std::vector<double>& task_seconds,
     std::chrono::steady_clock::time_point sweep_start) {
   report_ = SweepReport{};
   report_.tasks = tasks;
-  report_.jobs = jobs_;
+  report_.jobs = workers;
   report_.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     sweep_start)

@@ -17,6 +17,7 @@
 // except for wall-clock fields (docs/OBSERVABILITY.md).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
@@ -60,7 +61,7 @@ struct SweepOptions {
 /// Timing summary of one sweep, filled in by SweepRunner::run.
 struct SweepReport {
   std::size_t tasks = 0;          ///< grid points executed
-  std::size_t jobs = 0;           ///< worker threads used
+  std::size_t jobs = 0;           ///< workers used: min(jobs, tasks), >= 1
   double wall_seconds = 0.0;      ///< end-to-end sweep wall time
   double total_task_seconds = 0.0;///< sum of per-task wall times
   double min_task_seconds = 0.0;
@@ -145,8 +146,9 @@ class SweepRunner {
   /// The three-argument form hands the task its private MetricRegistry;
   /// whatever it records shows up in last_manifest() (per task and merged).
   ///
-  /// With jobs == 1 the sweep runs inline on the calling thread (no pool);
-  /// otherwise tasks are fanned across a fresh ThreadPool. Either way the
+  /// The sweep starts min(jobs, grid size) workers: with one, it runs inline
+  /// on the calling thread (no pool); otherwise tasks are fanned across a
+  /// fresh ThreadPool of that many threads. Either way the
   /// result vector -- and therefore anything serialized from it -- is
   /// identical, because fn receives identical (point, seed) pairs and
   /// results land in their grid slot.
@@ -196,13 +198,16 @@ class SweepRunner {
               .count();
     };
 
-    if (jobs_ <= 1) {
+    // A thread per task at most: a --jobs far above the grid size must not
+    // start threads that could never receive a task.
+    const std::size_t workers = std::max<std::size_t>(1, std::min(jobs_, n));
+    if (workers == 1) {
       for (std::size_t i = 0; i < n; ++i) run_one(i);
     } else {
       std::vector<std::future<void>> futures;
       futures.reserve(n);
       {
-        ThreadPool pool(jobs_);
+        ThreadPool pool(workers);
         for (std::size_t i = 0; i < n; ++i) {
           futures.push_back(pool.submit([&run_one, i] { run_one(i); }));
         }
@@ -212,7 +217,7 @@ class SweepRunner {
       for (auto& future : futures) future.get();
     }
 
-    finish_report(n, task_seconds, sweep_start);
+    finish_report(n, workers, task_seconds, sweep_start);
     finish_manifest(grid, task_seconds, std::move(task_metrics));
 
     std::vector<R> results;
@@ -221,7 +226,7 @@ class SweepRunner {
     return results;
   }
 
-  void finish_report(std::size_t tasks,
+  void finish_report(std::size_t tasks, std::size_t workers,
                      const std::vector<double>& task_seconds,
                      std::chrono::steady_clock::time_point sweep_start);
   void finish_manifest(const ParamGrid& grid,

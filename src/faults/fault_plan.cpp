@@ -1,6 +1,5 @@
 #include "faults/fault_plan.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -86,58 +85,6 @@ void FaultPlan::validate(std::size_t num_gateways,
     require(!std::isnan(c.rejoin) && c.rejoin > c.leave,
             "churn rejoin must be > leave (or +infinity)");
   }
-}
-
-FaultPlan make_random_plan(const RandomFaultOptions& options,
-                           std::size_t num_gateways,
-                           std::size_t num_connections, std::uint64_t seed) {
-  require(std::isfinite(options.horizon) && options.horizon > 0.0,
-          "random plan horizon must be finite and > 0");
-  const std::size_t windows = options.degradations + options.outages;
-  require(windows == 0 ||
-              (num_gateways > 0 && options.mean_window > 0.0 &&
-               std::isfinite(options.mean_window)),
-          "gateway windows need a gateway and mean_window > 0");
-  require(options.churn_events == 0 || num_connections > 0,
-          "churn needs at least one connection");
-  require(options.degradation_factor > 0.0 && options.degradation_factor < 1.0,
-          "degradation_factor must be in (0, 1)");
-
-  FaultPlan plan;
-  plan.signal_loss_prob = options.signal_loss_prob;
-  plan.signal_duplicate_prob = options.signal_duplicate_prob;
-  plan.signal_delay_epochs = options.signal_delay_epochs;
-  plan.signal_delay_time = options.signal_delay_time;
-
-  stats::Xoshiro256 rng(stats::SplitMix64(seed).next());
-
-  // Windows occupy disjoint slots of [0, horizon], so no rejection sampling
-  // is needed and same-gateway overlap is structurally impossible.
-  if (windows > 0) {
-    const double slot = options.horizon / static_cast<double>(windows);
-    for (std::size_t w = 0; w < windows; ++w) {
-      GatewayFault f;
-      f.gateway = rng.uniform_index(num_gateways);
-      f.factor = w < options.outages ? 0.0 : options.degradation_factor;
-      const double length =
-          std::min(options.mean_window * rng.uniform(0.5, 1.5), 0.9 * slot);
-      const double lo = slot * static_cast<double>(w);
-      f.start = lo + rng.uniform01() * (slot - length);
-      f.duration = length;
-      plan.gateway_faults.push_back(f);
-    }
-  }
-
-  for (std::size_t c = 0; c < options.churn_events; ++c) {
-    SourceChurn churn;
-    churn.connection = rng.uniform_index(num_connections);
-    churn.leave = options.horizon * rng.uniform(0.1, 0.6);
-    churn.rejoin = churn.leave + options.horizon * rng.uniform(0.1, 0.3);
-    plan.churn.push_back(churn);
-  }
-
-  plan.validate(num_gateways, num_connections);
-  return plan;
 }
 
 }  // namespace ffc::faults

@@ -116,27 +116,4 @@ struct FaultPlan {
   void validate_signal_fields() const;
 };
 
-/// Parameters for synthesizing a randomized plan.
-struct RandomFaultOptions {
-  double horizon = 0.0;                ///< run length the schedule must fit
-  double signal_loss_prob = 0.0;
-  double signal_duplicate_prob = 0.0;
-  std::size_t signal_delay_epochs = 0;
-  double signal_delay_time = 0.0;
-  std::size_t degradations = 0;        ///< slowdown windows to place
-  double degradation_factor = 0.5;     ///< their effective-rate multiplier
-  std::size_t outages = 0;             ///< factor-0 windows to place
-  double mean_window = 0.0;            ///< mean window length (>0 if any)
-  std::size_t churn_events = 0;        ///< leave/rejoin pairs to place
-};
-
-/// Builds a concrete FaultPlan from `options` and a seed: windows land in
-/// disjoint slots of [0, horizon] (same-gateway overlap is impossible by
-/// construction), churn pairs pick random connections and leave/rejoin
-/// times inside the horizon. Pure function of (options, topology bounds,
-/// seed) -- the same arguments always yield the same plan.
-FaultPlan make_random_plan(const RandomFaultOptions& options,
-                           std::size_t num_gateways,
-                           std::size_t num_connections, std::uint64_t seed);
-
 }  // namespace ffc::faults

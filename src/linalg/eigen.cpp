@@ -192,27 +192,4 @@ double spectral_radius(const Matrix& a) {
   return radius;
 }
 
-double power_iteration_radius(const Matrix& a, std::size_t iterations) {
-  if (!a.is_square()) {
-    throw std::invalid_argument("power_iteration_radius: square matrix needed");
-  }
-  const std::size_t n = a.rows();
-  if (n == 0) return 0.0;
-  // Deterministic, generic start vector.
-  Vector v(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    v[i] = 1.0 + 0.37 * static_cast<double>(i % 7);
-  }
-  double lambda = 0.0;
-  for (std::size_t it = 0; it < iterations; ++it) {
-    Vector w = a.apply(v);
-    const double norm = norm2(w);
-    if (norm == 0.0) return 0.0;
-    for (double& x : w) x /= norm;
-    lambda = norm2(a.apply(w));
-    v = std::move(w);
-  }
-  return lambda;
-}
-
 }  // namespace ffc::linalg

@@ -37,9 +37,4 @@ EigenResult eigenvalues(const Matrix& a);
 /// against 1. Throws std::runtime_error if the iteration failed.
 double spectral_radius(const Matrix& a);
 
-/// Dominant eigenvalue magnitude estimated by power iteration; used in tests
-/// as an independent cross-check of the QR solver (valid when a dominant
-/// eigenvalue exists).
-double power_iteration_radius(const Matrix& a, std::size_t iterations = 2000);
-
 }  // namespace ffc::linalg

@@ -7,8 +7,8 @@
 //   * symmetric in r (gateways cannot distinguish connections a priori),
 //   * time-scale invariant: Q(c*mu, c*r) == Q(mu, r),
 //   * monotone: dQ_i/dr_i >= 0 and Q_i > Q_j <=> r_i > r_j,
-// and feasible for a nonstalling server (see feasibility.hpp). All of these
-// are property-tested in tests/queueing.
+// and feasible for a nonstalling server (tests/oracles/feasibility.hpp).
+// All of these are property-tested in tests/test_queueing_disciplines.cpp.
 //
 // Two call paths (docs/PERFORMANCE.md):
 //   * the validated wrappers (queue_lengths / sojourn_times) allocate their

@@ -7,9 +7,9 @@
 // r_j - r_{j-1}; connections k < j contribute nothing to class j. (Table 1.)
 //
 // Feeding that decomposition into the preemptive-priority cumulative law
-// (priority.hpp) and attributing class occupancy symmetrically among the
-// connections sharing a class yields the closed-form recursion, with
-// sigma_i = sum_k min(r_k, r_i) / mu:
+// (tests/oracles/priority.hpp) and attributing class occupancy
+// symmetrically among the connections sharing a class yields the
+// closed-form recursion, with sigma_i = sum_k min(r_k, r_i) / mu:
 //
 //   Q_i = [ g(sigma_i) - sum_{m<i} Q_m ] / (N - i + 1)
 //

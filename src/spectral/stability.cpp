@@ -138,13 +138,10 @@ SpectralReport iterative_path(const core::FlowControlModel& model,
                            : SpectralReport::Path::Eigensolver;
 
   // Operator selection: the closed-form analytic JVP whenever every model
-  // layer carries a derivative (Auto), else the central-difference operator.
-  // The analytic operator costs 1 model evaluation total (the base) and has
-  // no step-size noise floor; the FD operator pays 2 evaluations per apply.
-  const bool analytic =
-      options.jvp_mode == SpectralOptions::Jvp::Analytic ||
-      (options.jvp_mode == SpectralOptions::Jvp::Auto &&
-       AnalyticJacobianOperator::supported(model));
+  // layer carries a derivative, else the central-difference operator. The
+  // analytic operator costs 1 model evaluation total (the base) and has no
+  // step-size noise floor; the FD operator pays 2 evaluations per apply.
+  const bool analytic = AnalyticJacobianOperator::supported(model);
   report.analytic_jvp = analytic;
   std::optional<AnalyticJacobianOperator> analytic_op;
   std::optional<ModelJacobianOperator> fd_op;
@@ -223,7 +220,7 @@ SpectralReport spectral_stability(const core::FlowControlModel& model,
   const bool iterative =
       options.method == SpectralOptions::Method::Iterative ||
       (options.method == SpectralOptions::Method::Auto &&
-       rates.size() >= options.dense_threshold);
+       rates.size() >= kDenseThreshold);
   return iterative ? iterative_path(model, rates, options)
                    : dense_path(model, rates, options);
 }

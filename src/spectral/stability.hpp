@@ -2,11 +2,11 @@
 // 1, ignoring unit-magnitude manifold modes (§2.4.3, §3.3, Theorem 4)? The
 // solver is picked by problem size:
 //
-//   * N <  dense_threshold: materialize DF (2N model evaluations) and run
+//   * N <  kDenseThreshold: materialize DF (2N model evaluations) and run
 //     the Hessenberg+QR dense solver. Exact full spectrum, plus the
 //     diagonal DF_ii for the paper's *unilateral* stability (|DF_ii| < 1)
 //     next to the *systemic* verdict.
-//   * N >= dense_threshold: power iteration with Schur-Wielandt deflation
+//   * N >= kDenseThreshold: power iteration with Schur-Wielandt deflation
 //     over the matrix-free Jacobian-vector operator, falling back to Arnoldi
 //     for complex-dominant spectra (linalg/sparse_eigen.hpp). O(N) memory.
 //
@@ -33,20 +33,21 @@
 
 namespace ffc::spectral {
 
+/// Method::Auto switches to the iterative path at this connection count.
+/// Retuned from 512 to 128 for the analytic JVP operator: the iterative
+/// solve costs O(N log N) per application instead of two full model
+/// evaluations, and overtakes the dense path (2N model evaluations to
+/// materialize DF + O(N^3) eigensolve) at N = 128 on the reference host;
+/// see docs/SCALING.md "Dense/iterative crossover" for the measured table.
+inline constexpr std::size_t kDenseThreshold = 128;
+
 struct SpectralOptions {
   enum class Method {
-    Auto,       ///< dense below dense_threshold, iterative at or above
+    Auto,       ///< dense below kDenseThreshold, iterative at or above
     Dense,      ///< always materialize DF and run QR
     Iterative,  ///< always matrix-free
   };
   Method method = Method::Auto;
-  /// Auto switches to the iterative path at this connection count. Retuned
-  /// from 512 to 128 for the analytic JVP operator: the iterative solve now
-  /// costs O(N log N) per application instead of two full model evaluations,
-  /// and overtakes the dense path (2N model evaluations to materialize DF +
-  /// O(N^3) eigensolve) at N = 128 on the reference host; see docs/SCALING.md
-  /// "Dense/iterative crossover" for the measured table.
-  std::size_t dense_threshold = 128;
   /// Eigenvalues whose magnitude is within this of 1 count as steady-state
   /// manifold modes.
   double manifold_tolerance = 1e-6;
@@ -56,16 +57,10 @@ struct SpectralOptions {
   /// so the hunt must be capped; if the cap is exhausted the report flags
   /// reduced_resolved = false instead of guessing.
   std::size_t max_unit_deflations = 4;
-  /// Which Jacobian-vector operator the iterative path runs on.
-  enum class Jvp {
-    Auto,              ///< analytic when every layer supports it, else FD
-    Analytic,          ///< always AnalyticJacobianOperator (throws if a
-                       ///< layer has no closed-form derivative)
-    FiniteDifference,  ///< always the central-difference ModelJacobianOperator
-  };
-  Jvp jvp_mode = Jvp::Auto;
-  /// Finite-difference step control (FD operator only); both values must
-  /// be finite and > 0 on every path.
+  /// Finite-difference step control: the dense path's DF columns, and the
+  /// iterative path's operator when a model layer has no closed-form
+  /// derivative (AnalyticJacobianOperator::supported is false). Both values
+  /// must be finite and > 0 on every path.
   JvpOptions jvp;
   /// Solver budgets and tolerance. The default tolerance sits at the
   /// finite-difference noise floor of the matrix-free operator (~1e-7

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -39,18 +38,6 @@ class OnlineStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Kolmogorov-Smirnov statistic: the max distance between the empirical CDF
-/// of `samples` and the reference CDF `cdf` (a callable double -> double,
-/// nondecreasing into [0, 1]). Sorts a copy of the samples; O(n log n).
-/// Used to validate simulated delay distributions against closed forms
-/// (FIFO M/M/1 sojourn times are Exp(mu - lambda)).
-double ks_statistic(std::vector<double> samples,
-                    const std::function<double(double)>& cdf);
-
-/// Critical value of the two-sided one-sample KS test at ~5% significance
-/// for n samples (asymptotic 1.358 / sqrt(n)). Requires n >= 1.
-double ks_critical_value_5pct(std::size_t n);
 
 /// Time-weighted average of a piecewise-constant signal, e.g. the number of
 /// packets of a connection present at a gateway. The signal's value is

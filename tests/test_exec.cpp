@@ -315,6 +315,32 @@ TEST(SweepRunner, ReportCountsTasksAndTime) {
   EXPECT_GE(report.total_task_seconds, report.max_task_seconds);
 }
 
+// A sweep starts at most one worker per task. jobs = SIZE_MAX on a 3-point
+// grid must start three threads and return the jobs = 1 results; an uncapped
+// pool's reserve(SIZE_MAX) throws std::length_error before any thread starts,
+// so the test asks the OS for no more than three threads either way.
+TEST(SweepRunner, JobsCappedAtTaskCount) {
+  ParamGrid grid;
+  grid.axis("x", ParamGrid::linspace(0.0, 1.0, 3)).axis("y", {0.5});
+  SweepRunner serial(SweepOptions{.jobs = 1, .base_seed = 11});
+  SweepRunner capped(SweepOptions{.jobs = SIZE_MAX, .base_seed = 11});
+  const auto a = serial.run(grid, noisy_task);
+  const auto b = capped.run(grid, noisy_task);
+  ASSERT_EQ(b.size(), 3u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i], b[i]) << "grid index " << i;
+  }
+  EXPECT_EQ(capped.last_report().jobs, 3u);
+  EXPECT_EQ(serial.last_report().jobs, 1u);
+
+  // One task runs inline on the caller, whatever --jobs says.
+  ParamGrid one;
+  one.axis("x", {0.5}).axis("y", {0.5});
+  SweepRunner four(SweepOptions{.jobs = 4, .base_seed = 11});
+  EXPECT_EQ(four.run(one, noisy_task)[0], serial.run(one, noisy_task)[0]);
+  EXPECT_EQ(four.last_report().jobs, 1u);
+}
+
 TEST(SweepRunner, JobsZeroExpandsToHardware) {
   SweepRunner runner(SweepOptions{.jobs = 0});
   EXPECT_EQ(runner.jobs(), ThreadPool::hardware_jobs());

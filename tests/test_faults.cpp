@@ -100,36 +100,6 @@ TEST(FaultPlan, ValidateRejectsMalformedPlans) {
                std::invalid_argument);
 }
 
-TEST(FaultPlan, RandomPlanIsDeterministicAndValid) {
-  faults::RandomFaultOptions options;
-  options.horizon = 1000.0;
-  options.signal_loss_prob = 0.1;
-  options.degradations = 2;
-  options.outages = 1;
-  options.mean_window = 50.0;
-  options.churn_events = 2;
-  const auto a = faults::make_random_plan(options, 3, 4, 7);
-  const auto b = faults::make_random_plan(options, 3, 4, 7);
-  ASSERT_EQ(a.gateway_faults.size(), 3u);
-  ASSERT_EQ(a.churn.size(), 2u);
-  EXPECT_NO_THROW(a.validate(3, 4));
-  for (std::size_t i = 0; i < a.gateway_faults.size(); ++i) {
-    EXPECT_EQ(a.gateway_faults[i].gateway, b.gateway_faults[i].gateway);
-    EXPECT_EQ(a.gateway_faults[i].start, b.gateway_faults[i].start);
-    EXPECT_EQ(a.gateway_faults[i].duration, b.gateway_faults[i].duration);
-    EXPECT_EQ(a.gateway_faults[i].factor, b.gateway_faults[i].factor);
-    EXPECT_LE(a.gateway_faults[i].start + a.gateway_faults[i].duration,
-              options.horizon);
-  }
-  const auto c = faults::make_random_plan(options, 3, 4, 8);
-  bool any_differs = false;
-  for (std::size_t i = 0; i < a.gateway_faults.size(); ++i) {
-    any_differs = any_differs ||
-                  a.gateway_faults[i].start != c.gateway_faults[i].start;
-  }
-  EXPECT_TRUE(any_differs) << "different seeds produced identical schedules";
-}
-
 // ------------------------------------------- zero-impairment identity ----
 
 TEST(FaultIdentity, EmptyPlanIsBitwiseIdenticalOnTheDes) {

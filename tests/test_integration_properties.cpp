@@ -176,27 +176,4 @@ TEST(SteadyStateInvariants, WaterFillingNeverExceedsCapacityShare) {
   }
 }
 
-TEST(SteadyStateInvariants, NewtonAgreesWithIterationWhereBothConverge) {
-  Xoshiro256 rng(321321);
-  for (int trial = 0; trial < 5; ++trial) {
-    RandomTopologyParams params;
-    params.num_gateways = 2;
-    params.num_connections = 4;
-    const auto topo = random_topology(rng, params);
-    auto model = th::make_model(topo, th::fair_share(),
-                                FeedbackStyle::Individual, 0.05, 0.5);
-    FixedPointOptions opts;
-    opts.damping = 0.4;
-    const auto iterated = ffc::core::solve_fixed_point(
-        model, std::vector<double>(4, 0.02), opts);
-    if (!iterated.converged) continue;
-    const auto newton = ffc::core::newton_refine(model, iterated.rates);
-    if (!newton.converged) continue;
-    for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_NEAR(newton.rates[i], iterated.rates[i], 1e-6);
-    }
-    EXPECT_LE(newton.residual, iterated.residual + 1e-15);
-  }
-}
-
 }  // namespace

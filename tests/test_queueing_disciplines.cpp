@@ -13,10 +13,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "oracles/feasibility.hpp"
+#include "oracles/priority.hpp"
 #include "queueing/fair_share.hpp"
 #include "queueing/feasibility.hpp"
 #include "queueing/fifo.hpp"
-#include "queueing/priority.hpp"
 #include "queueing/processor_sharing.hpp"
 #include "stats/rng.hpp"
 
@@ -33,11 +34,11 @@ void PrintTo(const ServiceDiscipline* d, std::ostream* os) {
 
 namespace {
 
-using ffc::queueing::check_feasibility;
+using ffc::oracles::check_feasibility;
+using ffc::oracles::preemptive_priority_occupancy;
 using ffc::queueing::FairShare;
 using ffc::queueing::Fifo;
 using ffc::queueing::g;
-using ffc::queueing::preemptive_priority_occupancy;
 using ffc::queueing::ServiceDiscipline;
 using ffc::stats::Xoshiro256;
 

@@ -6,18 +6,19 @@
 #include <limits>
 #include <stdexcept>
 
+#include "oracles/feasibility.hpp"
+#include "oracles/mm1.hpp"
+#include "oracles/priority.hpp"
 #include "queueing/feasibility.hpp"
-#include "queueing/mm1.hpp"
-#include "queueing/priority.hpp"
 
 namespace {
 
-using ffc::queueing::check_feasibility;
+using ffc::oracles::check_feasibility;
+using ffc::oracles::Mm1;
+using ffc::oracles::preemptive_priority_occupancy;
+using ffc::oracles::preemptive_priority_sojourn;
 using ffc::queueing::g;
 using ffc::queueing::g_inverse;
-using ffc::queueing::Mm1;
-using ffc::queueing::preemptive_priority_occupancy;
-using ffc::queueing::preemptive_priority_sojourn;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 

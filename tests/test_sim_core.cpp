@@ -9,9 +9,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "oracles/priority.hpp"
 #include "queueing/fair_share.hpp"
 #include "queueing/feasibility.hpp"
-#include "queueing/priority.hpp"
 #include "sim/server.hpp"
 #include "sim/simulator.hpp"
 #include "sim_helpers.hpp"
@@ -313,7 +313,7 @@ TEST(PriorityServerSim, MatchesPreemptiveAnalytics) {
   const std::vector<double> rates{0.3, 0.45};
   const auto occ = measure_priority_occupancy(rates, 1.0, 60000.0, 999);
   const auto expected =
-      ffc::queueing::preemptive_priority_occupancy(rates, 1.0);
+      ffc::oracles::preemptive_priority_occupancy(rates, 1.0);
   EXPECT_NEAR(occ[0], expected[0], 0.05);
   EXPECT_NEAR(occ[1], expected[1], 0.25);
 }

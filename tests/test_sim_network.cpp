@@ -9,11 +9,11 @@
 
 #include "faults/fault_plan.hpp"
 #include "network/builders.hpp"
+#include "oracles/ks.hpp"
 #include "queueing/fair_share.hpp"
 #include "queueing/fifo.hpp"
 #include "sim/network_sim.hpp"
 #include "stats/rng.hpp"
-#include "stats/summary.hpp"
 
 namespace {
 
@@ -159,12 +159,12 @@ TEST(NetworkSim, FifoSojournDistributionIsExponential) {
   const auto& samples = sim.delay_samples(0);
   ASSERT_GT(samples.size(), 10000u);
   const double rate = 1.0 - 0.6;
-  const double d = ffc::stats::ks_statistic(
+  const double d = ffc::oracles::ks_statistic(
       samples, [rate](double x) { return 1.0 - std::exp(-rate * x); });
   // Consecutive sojourn times are autocorrelated, so allow a few times the
   // i.i.d. critical value; a wrong distribution fails by orders of
   // magnitude (see KsStatistic.RejectsWrongDistribution).
-  EXPECT_LT(d, 6.0 * ffc::stats::ks_critical_value_5pct(samples.size()));
+  EXPECT_LT(d, 6.0 * ffc::oracles::ks_critical_value_5pct(samples.size()));
 }
 
 TEST(NetworkSim, DelaySamplesResetWithMetrics) {

@@ -332,16 +332,17 @@ TEST(SpectralStability, MatrixFreeRadiusMatchesDense) {
 }
 
 TEST(SpectralStability, AutoThresholdDispatches) {
-  auto model = th::single_gateway_model(8, th::fifo(), FeedbackStyle::Aggregate);
-  std::vector<double> rates(8, 0.05);
-  ffc::spectral::SpectralOptions opts;
-  opts.dense_threshold = 4;  // force the iterative branch at N = 8
-  const auto iter = ffc::spectral::spectral_stability(model, rates, opts);
-  // FIFO: no Theorem-4 structure, and the symmetric cell is certified.
-  EXPECT_EQ(iter.path, ffc::spectral::SpectralReport::Path::Exchangeable);
-  opts.dense_threshold = 512;
-  const auto dense = ffc::spectral::spectral_stability(model, rates, opts);
-  EXPECT_EQ(dense.path, ffc::spectral::SpectralReport::Path::Dense);
+  const auto run = [](std::size_t n) {
+    auto model =
+        th::single_gateway_model(n, th::fifo(), FeedbackStyle::Aggregate);
+    return ffc::spectral::spectral_stability(
+        model, std::vector<double>(n, 0.4 / static_cast<double>(n)));
+  };
+  // Auto goes dense below kDenseThreshold = 128 ...
+  EXPECT_EQ(run(127).path, ffc::spectral::SpectralReport::Path::Dense);
+  // ... and iterative at it: FIFO has no Theorem-4 structure, and the
+  // symmetric cell is certified.
+  EXPECT_EQ(run(128).path, ffc::spectral::SpectralReport::Path::Exchangeable);
 }
 
 }  // namespace

@@ -43,6 +43,16 @@ namespace th = ffc::testing;
 
 constexpr double kFdNoiseTol = 5e-5;
 
+/// AdditiveTsi(eta, beta)'s f = eta (beta - b) without its closed-form
+/// gradient: the model computes the same F bit for bit, but the iterative
+/// path has to run the finite-difference operator.
+std::shared_ptr<const ffc::core::RateAdjustment> fd_only_tsi(double eta,
+                                                             double beta) {
+  return std::make_shared<ffc::core::FunctionAdjustment>(
+      [eta, beta](double, double b, double) { return eta * (beta - b); },
+      beta, "eta(beta-b) without gradient");
+}
+
 /// Applies both operators to `reps` random directions and asserts agreement
 /// within `tol` on every component.
 void expect_matches_fd(const ffc::core::FlowControlModel& model,
@@ -454,11 +464,14 @@ TEST(SpectralStability, AnalyticRadiusMatchesDense) {
   EXPECT_EQ(analytic.model_evaluations, 1u);
   EXPECT_NEAR(analytic.spectral_radius, dense.spectral_radius, 1e-6);
 
-  iter_opts.jvp_mode = ffc::spectral::SpectralOptions::Jvp::FiniteDifference;
-  const auto fd = ffc::spectral::spectral_stability(model, rates, iter_opts);
+  // The FD operator under the same solver settings (Theorem 4's real
+  // spectrum hint included) agrees too.
+  const ModelJacobianOperator fd_op(model, rates, iter_opts.jvp);
+  ffc::linalg::IterativeEigenOptions fd_eig = iter_opts.iterative;
+  fd_eig.real_spectrum = true;
+  const auto fd = ffc::linalg::iterative_eigenvalues(fd_op, 1, fd_eig);
   ASSERT_TRUE(fd.converged);
-  EXPECT_FALSE(fd.analytic_jvp);
-  EXPECT_GT(fd.model_evaluations, 1u);
+  EXPECT_GT(fd_op.evaluations(), 1u);
   EXPECT_NEAR(fd.spectral_radius, dense.spectral_radius, 1e-6);
 }
 
@@ -466,8 +479,7 @@ TEST(SpectralStability, AnalyticRadiusMatchesDense) {
 // iterative path overtakes dense at N = 128 (docs/SCALING.md "Dense/iterative
 // crossover"), so Auto must go dense at 127 and iterative-analytic at 128.
 TEST(SpectralStability, AutoDispatchBoundaryIsPinnedAt128) {
-  const ffc::spectral::SpectralOptions defaults;
-  EXPECT_EQ(defaults.dense_threshold, 128u);
+  EXPECT_EQ(ffc::spectral::kDenseThreshold, 128u);
 
   const auto run = [](std::size_t n) {
     auto model = th::single_gateway_model(n, th::fair_share(),
@@ -480,12 +492,12 @@ TEST(SpectralStability, AutoDispatchBoundaryIsPinnedAt128) {
     return ffc::spectral::spectral_stability(model, rates);
   };
 
-  const auto below = run(defaults.dense_threshold - 1);
+  const auto below = run(ffc::spectral::kDenseThreshold - 1);
   ASSERT_TRUE(below.converged);
   EXPECT_EQ(below.path, Path::Dense);
   EXPECT_FALSE(below.analytic_jvp);
 
-  const auto at = run(defaults.dense_threshold);
+  const auto at = run(ffc::spectral::kDenseThreshold);
   ASSERT_TRUE(at.converged);
   EXPECT_EQ(at.path, Path::Triangular);
   EXPECT_TRUE(at.analytic_jvp);
@@ -529,7 +541,6 @@ TEST(SpectralStability, OptionValidation) {
                         ffc::spectral::SpectralOptions::Method::Iterative}) {
       ffc::spectral::SpectralOptions step;
       step.method = method;
-      step.jvp_mode = ffc::spectral::SpectralOptions::Jvp::FiniteDifference;
       step.jvp.relative_step = bad;
       EXPECT_THROW(ffc::spectral::spectral_stability(model, rates, step),
                    std::invalid_argument)
@@ -572,9 +583,8 @@ TEST(SpectralStability, AutoFallsBackToFdWhenUnsupported) {
   EXPECT_EQ(report.path, Path::Eigensolver);
   EXPECT_FALSE(report.analytic_jvp);  // Auto fell back to the FD operator
 
-  opts.jvp_mode = ffc::spectral::SpectralOptions::Jvp::Analytic;
-  EXPECT_THROW(ffc::spectral::spectral_stability(binary, rates, opts),
-               std::invalid_argument);
+  // The analytic operator itself refuses the model.
+  EXPECT_THROW(AnalyticJacobianOperator(binary, rates), std::invalid_argument);
 }
 
 TEST(SpectralStability, DenseReportCarriesTheDiagonal) {
@@ -639,22 +649,23 @@ TEST(SpectralStability, UnitRadiusIsNeverSystemicallyStable) {
   // A FIFO / aggregate bottleneck has radius exactly 1 (N - 1 manifold
   // modes). The iterative path used to read 0.99999999999998923 and
   // "stable", the dense path 1.0000000000000004 and "unstable". Two
-  // adjuster objects keep the certificate off, so both solvers run.
+  // adjuster objects keep the certificate off, so both solvers run; the
+  // gradient-free twin of the adjuster puts the iterative path on the FD
+  // operator.
   const std::size_t n = 8;
-  std::vector<std::shared_ptr<const ffc::core::RateAdjustment>> adjusters(
-      n, std::make_shared<ffc::core::AdditiveTsi>(0.1, 0.5));
-  adjusters[0] = std::make_shared<ffc::core::AdditiveTsi>(0.1, 0.5);
-  const ffc::core::FlowControlModel model(
-      ffc::network::single_bottleneck(n, 1.0), th::fifo(), th::rational_signal(),
-      FeedbackStyle::Aggregate, adjusters);
   const std::vector<double> rates(n, 0.05);
   for (auto method : {SpectralOptions::Method::Dense,
                       SpectralOptions::Method::Iterative}) {
-    for (auto jvp : {SpectralOptions::Jvp::Auto,
-                     SpectralOptions::Jvp::FiniteDifference}) {
+    for (bool fd : {false, true}) {
+      std::vector<std::shared_ptr<const ffc::core::RateAdjustment>> adjusters(
+          n, fd ? fd_only_tsi(0.1, 0.5)
+                : std::make_shared<ffc::core::AdditiveTsi>(0.1, 0.5));
+      adjusters[0] = std::make_shared<ffc::core::AdditiveTsi>(0.1, 0.5);
+      const ffc::core::FlowControlModel model(
+          ffc::network::single_bottleneck(n, 1.0), th::fifo(),
+          th::rational_signal(), FeedbackStyle::Aggregate, adjusters);
       SpectralOptions opts;
       opts.method = method;
-      opts.jvp_mode = jvp;
       const SpectralReport r =
           ffc::spectral::spectral_stability(model, rates, opts);
       EXPECT_EQ(r.path, method == SpectralOptions::Method::Iterative
@@ -663,7 +674,10 @@ TEST(SpectralStability, UnitRadiusIsNeverSystemicallyStable) {
       EXPECT_NEAR(r.spectral_radius, 1.0, 1e-6);
       EXPECT_GT(r.unit_modes_deflated, 0u);
       EXPECT_FALSE(r.systemically_stable)
-          << "method " << int(method) << " jvp " << int(jvp);
+          << "method " << int(method) << " fd " << fd;
+      if (method == SpectralOptions::Method::Iterative) {
+        EXPECT_EQ(r.analytic_jvp, !fd);
+      }
     }
   }
   // The exchangeable twin (one adjuster object) agrees.
@@ -814,7 +828,8 @@ enum class Broken {
   RateUlp,           ///< the last rate is one ulp above the others
   FairShareTie,      ///< Fair Share at tied rates (not smooth)
   Individual,        ///< individual feedback at tied queues (not smooth)
-  FiniteDifference,  ///< the FD operator, not the analytic one
+  FiniteDifference,  ///< an adjuster without a closed-form gradient (the
+                     ///< same f), so the FD operator runs, not the analytic
 };
 
 struct BrokenCell {
@@ -832,7 +847,9 @@ BrokenCell broken_cell(Broken kind, double eta) {
     connections.back().path = {0, 1};
   }
   std::vector<std::shared_ptr<const ffc::core::RateAdjustment>> adjusters(
-      n, std::make_shared<ffc::core::AdditiveTsi>(eta, 0.5));
+      n, kind == Broken::FiniteDifference
+             ? fd_only_tsi(eta, 0.5)
+             : std::make_shared<ffc::core::AdditiveTsi>(eta, 0.5));
   if (kind == Broken::Adjuster) {
     adjusters.back() = std::make_shared<ffc::core::AdditiveTsi>(eta, 0.5);
   }
@@ -847,9 +864,6 @@ BrokenCell broken_cell(Broken kind, double eta) {
   if (kind == Broken::RateUlp) rates.back() = std::nextafter(rates.back(), 1.0);
   SpectralOptions options;
   options.method = SpectralOptions::Method::Iterative;
-  if (kind == Broken::FiniteDifference) {
-    options.jvp_mode = SpectralOptions::Jvp::FiniteDifference;
-  }
   return {std::move(model), std::move(rates), options};
 }
 

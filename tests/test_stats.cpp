@@ -1,19 +1,16 @@
-// Tests for RNG, online statistics, histograms, and batch means.
+// Tests for the RNG, the online and time-weighted statistics, and the KS oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
 #include <vector>
 
-#include "stats/batch_means.hpp"
-#include "stats/histogram.hpp"
+#include "oracles/ks.hpp"
 #include "stats/rng.hpp"
 #include "stats/summary.hpp"
 
 namespace {
 
-using ffc::stats::BatchMeans;
-using ffc::stats::Histogram;
 using ffc::stats::OnlineStats;
 using ffc::stats::TimeWeightedStats;
 using ffc::stats::Xoshiro256;
@@ -161,7 +158,7 @@ TEST(TimeWeighted, BackwardsTimeThrows) {
 
 TEST(KsStatistic, ZeroForPerfectFit) {
   // Empirical CDF of {0.25, 0.75} vs uniform: max deviation is 0.25.
-  const double d = ffc::stats::ks_statistic(
+  const double d = ffc::oracles::ks_statistic(
       {0.25, 0.75}, [](double x) { return std::clamp(x, 0.0, 1.0); });
   EXPECT_NEAR(d, 0.25, 1e-12);
 }
@@ -170,9 +167,9 @@ TEST(KsStatistic, AcceptsMatchingExponentialSamples) {
   Xoshiro256 rng(77);
   std::vector<double> samples;
   for (int i = 0; i < 20000; ++i) samples.push_back(rng.exponential(2.0));
-  const double d = ffc::stats::ks_statistic(
+  const double d = ffc::oracles::ks_statistic(
       samples, [](double x) { return 1.0 - std::exp(-2.0 * x); });
-  EXPECT_LT(d, ffc::stats::ks_critical_value_5pct(samples.size()) * 1.5);
+  EXPECT_LT(d, ffc::oracles::ks_critical_value_5pct(samples.size()) * 1.5);
 }
 
 TEST(KsStatistic, RejectsWrongDistribution) {
@@ -181,85 +178,17 @@ TEST(KsStatistic, RejectsWrongDistribution) {
   for (int i = 0; i < 20000; ++i) samples.push_back(rng.exponential(2.0));
   // Claim the rate is 1.0 instead of 2.0: KS must blow past the critical
   // value by a wide margin.
-  const double d = ffc::stats::ks_statistic(
+  const double d = ffc::oracles::ks_statistic(
       samples, [](double x) { return 1.0 - std::exp(-x); });
-  EXPECT_GT(d, 10.0 * ffc::stats::ks_critical_value_5pct(samples.size()));
+  EXPECT_GT(d, 10.0 * ffc::oracles::ks_critical_value_5pct(samples.size()));
 }
 
 TEST(KsStatistic, Validation) {
-  EXPECT_THROW(ffc::stats::ks_statistic({}, [](double) { return 0.0; }),
+  EXPECT_THROW(ffc::oracles::ks_statistic({}, [](double) { return 0.0; }),
                std::invalid_argument);
-  EXPECT_THROW(ffc::stats::ks_statistic({1.0}, nullptr),
+  EXPECT_THROW(ffc::oracles::ks_statistic({1.0}, nullptr),
                std::invalid_argument);
-  EXPECT_THROW(ffc::stats::ks_critical_value_5pct(0), std::invalid_argument);
-}
-
-TEST(Histogram, CountsAndFractions) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  h.add(-1.0);
-  h.add(42.0);
-  EXPECT_EQ(h.total_count(), 12u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin_count(3), 1u);
-  EXPECT_NEAR(h.bin_fraction(3), 1.0 / 12.0, 1e-12);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
-}
-
-TEST(Histogram, QuantileOfUniformData) {
-  Histogram h(0.0, 1.0, 100);
-  Xoshiro256 rng(5);
-  for (int i = 0; i < 100000; ++i) h.add(rng.uniform01());
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, QuantileRangeChecked) {
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_THROW(h.quantile(-0.1), std::invalid_argument);
-  EXPECT_THROW(h.quantile(1.1), std::invalid_argument);
-}
-
-TEST(BatchMeans, GrandMeanMatches) {
-  BatchMeans bm(10);
-  double sum = 0.0;
-  for (int i = 0; i < 100; ++i) {
-    bm.add(i);
-    sum += i;
-  }
-  EXPECT_EQ(bm.num_batches(), 10u);
-  EXPECT_NEAR(bm.mean(), sum / 100.0, 1e-12);
-}
-
-TEST(BatchMeans, IncompleteBatchExcluded) {
-  BatchMeans bm(10);
-  for (int i = 0; i < 15; ++i) bm.add(1.0);
-  EXPECT_EQ(bm.num_batches(), 1u);
-}
-
-TEST(BatchMeans, CiShrinksWithMoreBatches) {
-  Xoshiro256 rng(3);
-  BatchMeans small(100), large(100);
-  for (int i = 0; i < 2000; ++i) small.add(rng.normal());
-  for (int i = 0; i < 40000; ++i) large.add(rng.normal());
-  EXPECT_GT(small.ci_halfwidth(), large.ci_halfwidth());
-}
-
-TEST(BatchMeans, IidBatchesHaveLowAutocorrelation) {
-  Xoshiro256 rng(31);
-  BatchMeans bm(50);
-  for (int i = 0; i < 50000; ++i) bm.add(rng.uniform01());
-  EXPECT_LT(std::fabs(bm.batch_lag1_autocorrelation()), 0.1);
-}
-
-TEST(BatchMeans, RejectsZeroBatch) {
-  EXPECT_THROW(BatchMeans(0), std::invalid_argument);
+  EXPECT_THROW(ffc::oracles::ks_critical_value_5pct(0), std::invalid_argument);
 }
 
 }  // namespace

@@ -184,43 +184,6 @@ TEST(FixedPoint, IterationBudgetAtZeroAndSizeMax) {
                std::invalid_argument);
 }
 
-TEST(Newton, RefinesCoarseFixedPointToMachinePrecision) {
-  auto model = th::single_gateway_model(3, th::fair_share(),
-                                        FeedbackStyle::Individual,
-                                        /*eta=*/0.2, /*beta=*/0.5);
-  // Coarse start near (but not at) the fair point.
-  const auto result =
-      ffc::core::newton_refine(model, {0.16, 0.17, 0.168});
-  ASSERT_TRUE(result.converged);
-  EXPECT_LT(result.residual, 1e-12);
-  for (double r : result.rates) EXPECT_NEAR(r, 0.5 / 3.0, 1e-10);
-}
-
-TEST(Newton, ConvergesQuadraticallyFasterThanIteration) {
-  auto model = th::single_gateway_model(2, th::fifo(),
-                                        FeedbackStyle::Individual,
-                                        /*eta=*/0.05, /*beta=*/0.5);
-  const auto newton = ffc::core::newton_refine(model, {0.2, 0.3});
-  ASSERT_TRUE(newton.converged);
-  EXPECT_LT(newton.iterations, 20u);
-}
-
-TEST(Newton, OnManifoldEitherFailsOrLandsOnGenuineSteadyState) {
-  // Aggregate feedback: DF - I is singular along the steady-state manifold.
-  // Analytically Newton is undefined there; numerically the Jacobian's
-  // roundoff can make the solve "work" and step onto SOME manifold point.
-  // The contract: converged == the result really is a steady state.
-  auto model = th::single_gateway_model(2, th::fifo(),
-                                        FeedbackStyle::Aggregate,
-                                        /*eta=*/0.1, /*beta=*/0.5);
-  const auto result = ffc::core::newton_refine(model, {0.2, 0.25});
-  if (result.converged) {
-    EXPECT_TRUE(is_steady_state(model, result.rates, 1e-8));
-  } else {
-    EXPECT_GT(result.residual, 0.0);
-  }
-}
-
 TEST(IsSteadyState, DetectsFixedAndMovingPoints) {
   auto model = th::single_gateway_model(1, th::fifo(),
                                         FeedbackStyle::Aggregate,
