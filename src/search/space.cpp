@@ -65,12 +65,6 @@ std::size_t SearchSpace::axis_index(std::string_view name) const {
   throw std::out_of_range("no search axis named '" + std::string(name) + "'");
 }
 
-std::size_t SearchSpace::num_discrete() const {
-  std::size_t n = 0;
-  for (const auto& axis : axes_) n += axis.discrete ? 1 : 0;
-  return n;
-}
-
 void SearchSpace::clamp(std::vector<double>& candidate) const {
   if (candidate.size() != axes_.size()) {
     throw std::invalid_argument("candidate size does not match axis count");

@@ -62,9 +62,6 @@ class SearchSpace {
   /// Index of the axis named `name`. Throws std::out_of_range if absent.
   std::size_t axis_index(std::string_view name) const;
 
-  /// Number of discrete axes (the tree optimizer's branching depth).
-  std::size_t num_discrete() const;
-
   /// Projects `candidate` into the domain in place: continuous coordinates
   /// clamp to [lo, hi], discrete coordinates snap to the nearest choice
   /// (ties -> lower index). Throws std::invalid_argument if the size does

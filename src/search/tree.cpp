@@ -20,7 +20,7 @@ namespace {
 constexpr std::uint64_t kSampleStream = std::uint64_t{1} << 32;
 
 /// One tree node. Level l nodes choose a value for the l-th discrete axis;
-/// nodes at level == num_discrete are leaves. Children are materialized
+/// nodes below the last discrete axis are leaves. Children are materialized
 /// lazily so huge product spaces only pay for the paths actually walked.
 struct Node {
   std::size_t visits = 0;
