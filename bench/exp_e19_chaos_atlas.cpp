@@ -36,7 +36,7 @@
 //      FIFO + aggregate starves the timid sources, Fair Share + individual
 //      holds their floor). The table lands verbatim in generated
 //      REPRODUCTION.md between the atlas sentinels; the check-docs atlas
-//      gate byte-compares that block against a fresh run of this binary.
+//      gate byte-compares that block against a fresh ffc_repro run.
 //
 // Seeds: the onset hunt runs on this experiment's base seed (default 1414,
 // the committed spec's seed); the impairment and atlas hunts derive their

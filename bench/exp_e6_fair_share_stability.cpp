@@ -172,7 +172,7 @@ void run_e6(ExperimentContext& ctx) {
       static_cast<double>(analyzed), 6.0);
 
   out << "\nFor contrast, aggregate feedback violates the implication "
-         "-- run exp_e4_aggregate_instability.\n";
+         "-- run ffc_repro --only E4.\n";
   out << "\nTheorem 4 reproduced: "
       << (ctx.claims.all_passed() ? "YES" : "NO") << "\n";
 }

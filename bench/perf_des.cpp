@@ -11,8 +11,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <iostream>
 #include <memory>
-#include <string_view>
+#include <string>
 #include <vector>
 
 #include "core/onedmap.hpp"
@@ -145,28 +146,32 @@ BENCHMARK(BM_BifurcationSweep)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Custom main: peel off --jobs/--seed, hand the rest to google-benchmark.
 int main(int argc, char** argv) {
+  using ffc::exec::TakeResult;
   std::vector<char*> passthrough;
   passthrough.push_back(argv[0]);
-  std::vector<char*> ours;
-  ours.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const bool is_ours = arg.rfind("--jobs", 0) == 0 ||
-                         arg.rfind("--seed", 0) == 0;
-    if (is_ours) {
-      ours.push_back(argv[i]);
-      // "--jobs N" form: the value travels as the next argv entry.
-      if ((arg == "--jobs" || arg == "--seed") && i + 1 < argc) {
-        ours.push_back(argv[++i]);
+    std::string value;
+    TakeResult taken;
+    // A malformed value (TakeResult::Error) has already been reported.
+    if ((taken = ffc::exec::take_flag_value("--jobs", argc, argv, i,
+                                            value)) != TakeResult::NoMatch) {
+      if (taken == TakeResult::Error) return 1;
+      if (!ffc::exec::parse_size(value, g_sweep_options.jobs)) {
+        std::cerr << "perf_des: bad --jobs value '" << value << "'\n";
+        return 1;
+      }
+    } else if ((taken = ffc::exec::take_flag_value("--seed", argc, argv, i,
+                                                   value)) !=
+               TakeResult::NoMatch) {
+      if (taken == TakeResult::Error) return 1;
+      if (!ffc::exec::parse_u64(value, g_sweep_options.base_seed)) {
+        std::cerr << "perf_des: bad --seed value '" << value << "'\n";
+        return 1;
       }
     } else {
       passthrough.push_back(argv[i]);
     }
   }
-  const auto cli =
-      ffc::exec::parse_sweep_cli(static_cast<int>(ours.size()), ours.data());
-  if (cli.error) return 1;
-  g_sweep_options = cli.options;
 
   int bench_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&bench_argc, passthrough.data());

@@ -168,7 +168,8 @@ int main(int argc, char** argv) {
     };
     if (spec.fitness == search::FitnessKind::MaxUnfairness) {
       std::cerr << "error: the chaos_hunt oracle is symmetric; "
-                   "'max_unfairness' hunts run through exp_e19_chaos_atlas\n";
+                   "'max_unfairness' hunts run through E19 "
+                   "(ffc_repro --only E19)\n";
       return usage();
     }
 

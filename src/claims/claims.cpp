@@ -195,20 +195,6 @@ bool ClaimRegistry::all_passed() const {
   return passed_count() == checks_.size();
 }
 
-void ClaimRegistry::merge(ClaimRegistry&& other) {
-  for (auto& check : other.checks_) {
-    const std::string full = check.id.full();
-    for (const auto& existing : checks_) {
-      if (existing.id.full() == full) {
-        throw std::logic_error("ClaimRegistry: duplicate claim id " + full +
-                               " in merge");
-      }
-    }
-    checks_.push_back(std::move(check));
-  }
-  other.checks_.clear();
-}
-
 void ClaimRegistry::write_json(report::JsonWriter& w) const {
   w.begin_array();
   for (const auto& check : checks_) check.write_json(w);

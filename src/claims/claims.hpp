@@ -2,9 +2,9 @@
 // claim to a measured value.
 //
 // EXPERIMENTS.md used to be the only map from Shenker '90's theorems to
-// what the exp_* binaries actually verify, and "exit 0 iff the claim
-// holds" was the only machine-readable contract. This layer replaces the
-// bare bool-accumulation in those binaries with first-class records: every
+// what the experiments actually verify, and "exit 0 iff the claim holds"
+// was the only machine-readable contract. This layer replaces the bare
+// bool-accumulation in the experiment bodies with first-class records: every
 // predicate an experiment checks becomes a ClaimCheck -- an id, the paper
 // claim in one sentence, the measured value, the expected value, a
 // tolerance, and the verdict -- collected in a ClaimRegistry. The unified
@@ -99,8 +99,7 @@ struct ClaimCheck {
   void write_json(report::JsonWriter& w) const;
 };
 
-/// Ordered collection of ClaimChecks for one experiment (or, merged, for a
-/// whole reproduction run). Registration order is preserved -- it is the
+/// Ordered collection of ClaimChecks for one experiment. Registration order is preserved -- it is the
 /// row order of the generated REPRODUCTION.md tables -- and ids must be
 /// unique (duplicate registration throws std::logic_error).
 class ClaimRegistry {
@@ -126,10 +125,6 @@ class ClaimRegistry {
   std::size_t size() const { return checks_.size(); }
   std::size_t passed_count() const;
   bool all_passed() const;  ///< true for an empty registry
-
-  /// Appends every check of `other` (preserving its order) after this
-  /// registry's checks. Duplicate ids across the merge throw, as in add().
-  void merge(ClaimRegistry&& other);
 
   /// Writes the registry as one JSON array of claim objects, in
   /// registration order.

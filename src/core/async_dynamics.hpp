@@ -17,7 +17,7 @@
 //   * queues still equilibrate instantly (the paper's separation of time
 //     scales), so observations come from the same FlowControlModel.
 //
-// Findings reproduced by exp_e11_asynchrony: staggered updates act like a
+// Findings reproduced by E11 (bench/exp_e11_asynchrony.cpp): staggered updates act like a
 // Gauss-Seidel sweep and STABILIZE configurations whose synchronous (Jacobi)
 // iteration oscillates, while stale feedback re-destabilizes them -- i.e.
 // the paper's synchronous instability results are pessimistic about update

@@ -2,7 +2,7 @@
 //
 // A "design" is a feedback style plus a gateway service discipline (the two
 // axes of the paper). evaluate_design() runs the same measured procedures
-// the experiment binaries use and returns a verdict per goal:
+// the experiments use and returns a verdict per goal:
 //
 //   tsi              -- steady states scale linearly with server rates
 //                       (probed with the additive TSI adjuster; Theorem 1
@@ -17,7 +17,7 @@
 //                       unilaterally stable yet fails to return from a
 //                       small perturbation (§3.3 / Theorem 4).
 //
-// This is the programmatic form of the paper's §5 summary table; exp_e12
+// This is the programmatic form of the paper's §5 summary table; E12
 // renders it.
 #pragma once
 

@@ -117,7 +117,7 @@ class PowerSignal final : public SignalFunction {
 /// and BinarySignal's hard threshold (k -> infinity). Satisfies the paper's
 /// axioms for every finite k -- B(0) = 0, B(inf) = 1, B' > 0 -- which makes
 /// it the tool for studying the AIMD oscillation onset as feedback sharpens
-/// (arXiv:0812.1321; exp_e18, docs/PROTOCOLS.md).
+/// (arXiv:0812.1321; E18, docs/PROTOCOLS.md).
 class SmoothStepSignal final : public SignalFunction {
  public:
   /// Requires sharpness > 0 and midpoint > 0, both finite.
@@ -142,7 +142,7 @@ class SmoothStepSignal final : public SignalFunction {
 /// Deliberately violates this paper's signalling axioms (it is not strictly
 /// increasing), which is the point: under binary feedback the system is
 /// "either increasing or decreasing at every point, and thus ... never in a
-/// steady state" (§1). Used by exp_e13 to reproduce the §4 analysis of
+/// steady state" (§1). Used by E13 to reproduce the §4 analysis of
 /// linear-increase multiplicative-decrease under binary feedback.
 /// inverse() returns the threshold for any signal in (0, 1) -- the only
 /// congestion value compatible with a non-extreme time-average signal.

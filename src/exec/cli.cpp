@@ -9,19 +9,6 @@
 
 namespace ffc::exec {
 
-namespace {
-
-/// Parses a numeric flag value or reports an error.
-bool parse_numeric_flag(std::string_view name, const std::string& value,
-                        std::uint64_t& out) {
-  if (parse_u64(value, out)) return true;
-  std::cerr << "error: " << name << " expects an unsigned integer, got '"
-            << value << "'\n";
-  return false;
-}
-
-}  // namespace
-
 TakeResult take_flag_value(std::string_view name, int argc, char** argv,
                            int& i, std::string& value) {
   const std::string_view arg = argv[i];
@@ -31,6 +18,10 @@ TakeResult take_flag_value(std::string_view name, int argc, char** argv,
       return TakeResult::Error;
     }
     const std::string_view next = argv[i + 1];
+    if (next.empty()) {
+      std::cerr << "error: " << name << " has an empty value\n";
+      return TakeResult::Error;
+    }
     if (next.substr(0, 2) == "--") {
       std::cerr << "error: " << name << " expects a value, got flag '" << next
                 << "'\n";
@@ -86,56 +77,6 @@ bool parse_double(std::string_view text, double& out) {
   if (ec != std::errc() || ptr != last || !std::isfinite(value)) return false;
   out = value;
   return true;
-}
-
-SweepCli parse_sweep_cli(int argc, char** argv, std::uint64_t default_seed) {
-  SweepCli cli;
-  cli.options.base_seed = default_seed;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    std::string value;
-    TakeResult taken;
-    if ((taken = take_flag_value("--jobs", argc, argv, i, value)) !=
-        TakeResult::NoMatch) {
-      std::uint64_t jobs = 0;
-      if (taken == TakeResult::Error ||
-          !parse_numeric_flag("--jobs", value, jobs)) {
-        cli.error = true;
-      } else {
-        cli.options.jobs = static_cast<std::size_t>(jobs);
-      }
-    } else if ((taken = take_flag_value("--seed", argc, argv, i, value)) !=
-               TakeResult::NoMatch) {
-      std::uint64_t seed = 0;
-      if (taken == TakeResult::Error ||
-          !parse_numeric_flag("--seed", value, seed)) {
-        cli.error = true;
-      } else {
-        cli.options.base_seed = seed;
-      }
-    } else if ((taken = take_flag_value("--metrics-out", argc, argv, i,
-                                        value)) != TakeResult::NoMatch) {
-      if (taken == TakeResult::Error) {
-        cli.error = true;
-      } else {
-        cli.metrics_out = value;
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      cli.help = true;
-      std::cout << "usage: " << argv[0]
-                << " [--jobs N] [--seed S] [--metrics-out FILE]\n"
-                << "  --jobs N          sweep worker threads (0 = all "
-                   "hardware threads; default 1)\n"
-                << "  --seed S          master RNG seed (default "
-                << default_seed << "); same seed => same output at any "
-                   "--jobs\n"
-                << "  --metrics-out F   write the JSON run manifest "
-                   "(seeds, durations, DES counters) to F\n";
-    } else {
-      std::cerr << "warning: unknown argument '" << arg << "' ignored\n";
-    }
-  }
-  return cli;
 }
 
 }  // namespace ffc::exec

@@ -1,7 +1,7 @@
 // Terminal scatter / line plots.
 //
 // The paper's §3.3 examples are dynamical-systems results (bifurcation to
-// chaos); since no plotting stack is available offline, experiment binaries
+// chaos); since no plotting stack is available offline, the experiments
 // render bifurcation diagrams and trajectories as ASCII scatter plots.
 #pragma once
 

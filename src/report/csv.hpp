@@ -1,6 +1,6 @@
 // Minimal CSV emission for experiment data series.
 //
-// Experiment binaries print human-readable tables and can additionally dump
+// Experiments print human-readable tables and can additionally dump
 // machine-readable CSV (e.g. for external plotting). Quoting follows RFC 4180:
 // fields containing commas, quotes, or newlines are quoted and inner quotes
 // doubled.

@@ -1,6 +1,6 @@
 // Plain-text table rendering for experiment harnesses.
 //
-// Every experiment binary in bench/ regenerates one of the paper's tables or
+// Every experiment in bench/ regenerates one of the paper's tables or
 // worked examples; TextTable produces aligned, boxed output comparable to the
 // rows the paper reports.
 #pragma once

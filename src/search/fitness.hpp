@@ -8,7 +8,7 @@
 // onset" becomes "every unstable candidate outranks every stable one, and
 // among unstable candidates a smaller gain outranks a larger one". The
 // catalog below pins those compositions as small pure functions so every
-// consumer (exp_e19_chaos_atlas, examples/chaos_hunt, the tests) ranks
+// consumer (E19's chaos atlas, examples/chaos_hunt, the tests) ranks
 // identically; docs/SEARCH.md documents each functional and the checklist
 // for adding a new one.
 //

@@ -91,16 +91,16 @@ class NetworkSimulator : private PacketSink, private EventHandler {
   std::uint64_t delivered(network::ConnectionId i) const;
 
   /// Raw one-way delay samples of connection i since the last reset (capped
-  /// at kMaxDelaySamples; later deliveries stop being recorded). Used for
-  /// distributional validation (KS tests against the M/M/1 sojourn law).
+  /// at kMaxDelaySamples; later deliveries stop being recorded). Empty
+  /// unless set_delay_sampling(true): only the distributional tests (KS
+  /// against the M/M/1 sojourn law) read them.
   const std::vector<double>& delay_samples(network::ConnectionId i) const;
 
   static constexpr std::size_t kMaxDelaySamples = 200000;
 
   /// Enables/disables raw delay-sample retention (mean/summary statistics
-  /// are unaffected). Off, delivery is allocation-free -- the allocation
-  /// tests and long benchmark runs use this. On (the default) samples
-  /// accumulate up to kMaxDelaySamples per connection.
+  /// are unaffected). Off (the default), delivery is allocation-free. On,
+  /// samples accumulate up to kMaxDelaySamples per connection.
   void set_delay_sampling(bool enabled) { delay_sampling_ = enabled; }
 
   double now() const { return sim_.now(); }
@@ -195,7 +195,7 @@ class NetworkSimulator : private PacketSink, private EventHandler {
 
   std::vector<stats::OnlineStats> delay_stats_;
   std::vector<std::vector<double>> delay_samples_;
-  bool delay_sampling_ = true;
+  bool delay_sampling_ = false;
   std::vector<std::uint64_t> delivered_;
   std::uint64_t packets_delivered_total_ = 0;
   double metrics_start_ = 0.0;

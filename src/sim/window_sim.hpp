@@ -16,7 +16,7 @@
 // This simulator exists to test the paper's §4 reading of those designs on
 // the real mechanism: window control is latency-biased under FIFO (short-RTT
 // connections grab the bottleneck), and fair-queueing-style gateways repair
-// much of that bias [Dem89] -- see exp_e14_windowed_decbit.
+// much of that bias [Dem89] -- see E14 (bench/exp_e14_windowed_decbit.cpp).
 //
 // The packet engine is NetworkSimulator's: its calendar, servers, RNG
 // streams, forwarding and delivery counts. This class is only the

@@ -321,7 +321,6 @@ TEST(AllocFree, NetworkSimulatorWindowDoesNotAllocate) {
                           SimDiscipline::FairShare}) {
     NetworkSimulator sim(ffc::network::single_bottleneck(4, 1.0),
                          discipline, 90210);
-    sim.set_delay_sampling(false);
     // Warm up ABOVE the measurement load so every ring buffer, the heap,
     // and the slot pool reach a high-water mark the measured window stays
     // inside. rho = 0.96 backlogs deeper than the measured rho = 0.8.
@@ -427,7 +426,6 @@ TEST(AllocFree, ClosedLoopEpochAllocationsDoNotGrowWithTopology) {
             topo, discipline,
             std::make_shared<ffc::core::RationalSignal>(), style,
             {n, std::make_shared<ffc::core::AdditiveTsi>(0.1, 0.5)}, 7, opts);
-        loop.network().set_delay_sampling(false);
         // Warm up ABOVE the measured load (rho = 0.9 against 0.6 per hop) so
         // the DES rings, calendar and slot pool, and the loop's own buffers,
         // reach every high-water mark the measured epoch stays inside.

@@ -32,7 +32,7 @@ TEST(AsyncDynamics, StableSyncCaseStaysStable) {
 
 TEST(AsyncDynamics, InterleavingStabilizesSyncUnstableAggregate) {
   // eta = 0.5 at N = 8 oscillates synchronously (eigenvalue 1 - eta N = -3,
-  // see exp_e4); one-at-a-time updates settle.
+  // see E4); one-at-a-time updates settle.
   auto model = th::single_gateway_model(8, th::fifo(),
                                         FeedbackStyle::Aggregate,
                                         /*eta=*/0.5, /*beta=*/0.5);

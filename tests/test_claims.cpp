@@ -152,21 +152,6 @@ TEST(ClaimRegistry, NanMeasurementFailsAtRegistration) {
   EXPECT_FALSE(reg.check_close({"E1", "nan_m"}, "d", kNan, 1.0, 10.0).passed);
 }
 
-TEST(ClaimRegistry, MergeAppendsInOrderAndRejectsCrossDuplicates) {
-  ClaimRegistry a, b;
-  a.check_true({"E1", "alpha"}, "d", true);
-  b.check_true({"E2", "beta"}, "d", false);
-  b.check_true({"E2", "gamma"}, "d", true);
-  a.merge(std::move(b));
-  ASSERT_EQ(a.size(), 3u);
-  EXPECT_EQ(a.checks()[1].id.full(), "E2.beta");
-  EXPECT_EQ(a.passed_count(), 2u);
-
-  ClaimRegistry c;
-  c.check_true({"E1", "alpha"}, "d", true);
-  EXPECT_THROW(a.merge(std::move(c)), std::logic_error);
-}
-
 // ---------- context + metric annotation ------------------------------------
 
 TEST(ClaimCheck, NotesPreserveInsertionOrder) {

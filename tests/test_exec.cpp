@@ -347,122 +347,6 @@ TEST(SweepRunner, JobsZeroExpandsToHardware) {
   EXPECT_GE(runner.jobs(), 1u);
 }
 
-// ---- CLI -----------------------------------------------------------------
-
-TEST(SweepCli, ParsesJobsAndSeedBothForms) {
-  const char* argv1[] = {"prog", "--jobs", "8", "--seed", "12345"};
-  auto cli = exec::parse_sweep_cli(5, const_cast<char**>(argv1), 1);
-  EXPECT_EQ(cli.options.jobs, 8u);
-  EXPECT_EQ(cli.options.base_seed, 12345u);
-
-  const char* argv2[] = {"prog", "--jobs=4", "--seed=7"};
-  cli = exec::parse_sweep_cli(3, const_cast<char**>(argv2), 1);
-  EXPECT_EQ(cli.options.jobs, 4u);
-  EXPECT_EQ(cli.options.base_seed, 7u);
-}
-
-TEST(SweepCli, DefaultsAreSerialWithGivenSeed) {
-  const char* argv[] = {"prog"};
-  const auto cli = exec::parse_sweep_cli(1, const_cast<char**>(argv), 2024);
-  EXPECT_EQ(cli.options.jobs, 1u);
-  EXPECT_EQ(cli.options.base_seed, 2024u);
-  EXPECT_FALSE(cli.help);
-  EXPECT_FALSE(cli.error);
-  EXPECT_TRUE(cli.metrics_out.empty());
-}
-
-// Regression: "--jobs --seed 5" used to consume "--seed" as the value of
-// --jobs, silently parse it as 0 (= all hardware threads), and drop the
-// seed. A flag-like token is never a value; the parse must fail loudly.
-TEST(SweepCli, JobsRefusesFlagLikeValueInsteadOfEatingNextFlag) {
-  const char* argv[] = {"prog", "--jobs", "--seed", "5"};
-  const auto cli = exec::parse_sweep_cli(4, const_cast<char**>(argv), 1);
-  EXPECT_TRUE(cli.error);
-}
-
-TEST(SweepCli, JobsMissingValueAtEndOfLineIsAnError) {
-  const char* argv[] = {"prog", "--jobs"};
-  const auto cli = exec::parse_sweep_cli(2, const_cast<char**>(argv), 1);
-  EXPECT_TRUE(cli.error);
-}
-
-TEST(SweepCli, JobsEqualsEmptyIsAnError) {
-  const char* argv[] = {"prog", "--jobs="};
-  const auto cli = exec::parse_sweep_cli(2, const_cast<char**>(argv), 1);
-  EXPECT_TRUE(cli.error);
-}
-
-TEST(SweepCli, NonNumericAndTrailingJunkValuesAreErrors) {
-  const char* argv1[] = {"prog", "--jobs", "junk"};
-  EXPECT_TRUE(exec::parse_sweep_cli(3, const_cast<char**>(argv1), 1).error);
-
-  const char* argv2[] = {"prog", "--seed", "5x"};
-  EXPECT_TRUE(exec::parse_sweep_cli(3, const_cast<char**>(argv2), 1).error);
-
-  const char* argv3[] = {"prog", "--jobs=1.5"};
-  EXPECT_TRUE(exec::parse_sweep_cli(2, const_cast<char**>(argv3), 1).error);
-
-  const char* argv4[] = {"prog", "--seed", "-3"};
-  EXPECT_TRUE(exec::parse_sweep_cli(3, const_cast<char**>(argv4), 1).error);
-}
-
-TEST(SweepCli, ErrorDoesNotCorruptEarlierOptions) {
-  const char* argv[] = {"prog", "--seed", "99", "--jobs", "junk"};
-  const auto cli = exec::parse_sweep_cli(5, const_cast<char**>(argv), 1);
-  EXPECT_TRUE(cli.error);
-  EXPECT_EQ(cli.options.base_seed, 99u);  // parsed before the bad flag
-}
-
-TEST(SweepCli, ParsesMetricsOutBothForms) {
-  const char* argv1[] = {"prog", "--metrics-out", "m.json"};
-  auto cli = exec::parse_sweep_cli(3, const_cast<char**>(argv1), 1);
-  EXPECT_FALSE(cli.error);
-  EXPECT_EQ(cli.metrics_out, "m.json");
-
-  const char* argv2[] = {"prog", "--metrics-out=run/m.json", "--jobs", "2"};
-  cli = exec::parse_sweep_cli(4, const_cast<char**>(argv2), 1);
-  EXPECT_FALSE(cli.error);
-  EXPECT_EQ(cli.metrics_out, "run/m.json");
-  EXPECT_EQ(cli.options.jobs, 2u);
-}
-
-TEST(SweepCli, MetricsOutRefusesFlagLikeOrMissingValue) {
-  const char* argv1[] = {"prog", "--metrics-out", "--jobs", "2"};
-  EXPECT_TRUE(exec::parse_sweep_cli(4, const_cast<char**>(argv1), 1).error);
-
-  const char* argv2[] = {"prog", "--metrics-out"};
-  EXPECT_TRUE(exec::parse_sweep_cli(2, const_cast<char**>(argv2), 1).error);
-}
-
-// Regression (PR 9): the "--flag value" form refused a "--"-prefixed value,
-// but "--flag=value" happily accepted one -- "--seed=--jobs" parsed "--jobs"
-// with std::from_chars, failed, and at least errored by luck, while a future
-// string-valued flag would have silently swallowed it. Both forms must
-// refuse flag-like values symmetrically.
-TEST(SweepCli, EqualsFormRefusesFlagLikeValuesToo) {
-  const char* argv1[] = {"prog", "--seed=--jobs"};
-  EXPECT_TRUE(exec::parse_sweep_cli(2, const_cast<char**>(argv1), 1).error);
-
-  const char* argv2[] = {"prog", "--jobs=--seed"};
-  EXPECT_TRUE(exec::parse_sweep_cli(2, const_cast<char**>(argv2), 1).error);
-
-  // String-valued flag: without the check this one would succeed and write
-  // the manifest to a file literally named "--jobs".
-  const char* argv3[] = {"prog", "--metrics-out=--jobs"};
-  const auto cli = exec::parse_sweep_cli(2, const_cast<char**>(argv3), 1);
-  EXPECT_TRUE(cli.error);
-  EXPECT_TRUE(cli.metrics_out.empty());
-}
-
-TEST(SweepCli, UnknownArgumentsAreStillIgnored) {
-  // Historical contract: unknown arguments warn and are skipped, so
-  // experiment-specific flags can coexist with the sweep flags.
-  const char* argv[] = {"prog", "--whatever", "--jobs", "3"};
-  const auto cli = exec::parse_sweep_cli(4, const_cast<char**>(argv), 1);
-  EXPECT_FALSE(cli.error);
-  EXPECT_EQ(cli.options.jobs, 3u);
-}
-
 // ---- PR 4: the strict argv parse helpers every example routes through ----
 
 TEST(ParseHelpers, U64AcceptsOnlyFullDecimalStrings) {

@@ -367,7 +367,7 @@ TEST(FaultSignals, RunAsyncExtraStalenessChangesTheTrajectory) {
 // --------------------------------------------------- sweep determinism ----
 
 TEST(FaultDeterminism, ImpairedSweepIsIdenticalAcrossJobCounts) {
-  // The exp_e13_impairment shape in miniature: impaired closed-loop tasks
+  // The E13b shape in miniature: impaired closed-loop tasks
   // fanned across threads must give byte-identical results and merged
   // metrics at --jobs 1 and --jobs 4 (docs/DETERMINISM.md).
   const auto run_sweep = [](std::size_t jobs) {

@@ -152,6 +152,7 @@ TEST(NetworkSim, FifoSojournDistributionIsExponential) {
   // 5% level over tens of thousands of packets.
   auto topo = ffc::network::single_bottleneck(1, 1.0);
   NetworkSimulator sim(topo, SimDiscipline::Fifo, 271828);
+  sim.set_delay_sampling(true);
   sim.set_rates({0.6});
   sim.run_for(5000.0);
   sim.reset_metrics();
@@ -170,10 +171,20 @@ TEST(NetworkSim, FifoSojournDistributionIsExponential) {
 TEST(NetworkSim, DelaySamplesResetWithMetrics) {
   auto topo = ffc::network::single_bottleneck(1, 1.0);
   NetworkSimulator sim(topo, SimDiscipline::Fifo, 3);
+  sim.set_delay_sampling(true);
   sim.set_rates({0.5});
   sim.run_for(1000.0);
   ASSERT_FALSE(sim.delay_samples(0).empty());
   sim.reset_metrics();
+  EXPECT_TRUE(sim.delay_samples(0).empty());
+}
+
+TEST(NetworkSim, DelaySamplingIsOffByDefault) {
+  auto topo = ffc::network::single_bottleneck(1, 1.0);
+  NetworkSimulator sim(topo, SimDiscipline::Fifo, 3);
+  sim.set_rates({0.5});
+  sim.run_for(1000.0);
+  ASSERT_GT(sim.delivered(0), 0u);
   EXPECT_TRUE(sim.delay_samples(0).empty());
 }
 

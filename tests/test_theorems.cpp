@@ -1,6 +1,6 @@
 // End-to-end verification of the paper's theorems on the analytic model.
-// Each test mirrors one claim of §3; the bench/ experiment binaries print
-// the corresponding tables.
+// Each test mirrors one claim of §3; the bench/ experiments print the
+// corresponding tables.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -221,11 +221,11 @@ TEST(Theorem4, FairShareUnilateralImpliesSystemicOnRandomNetworks) {
     ASSERT_TRUE(ss.converged);
     // Fair steady states tie rates at shared bottlenecks (MAX/MIN kinks);
     // unilateral stability must check BOTH one-sided branch multipliers,
-    // and systemic stability is verified dynamically (see exp_e6).
+    // and systemic stability is verified dynamically (see E6).
     const auto uni = ffc::core::unilateral_stability(model, ss.rates);
     if (uni.stable) {
       // Small kick only: Theorem 4 is about LINEAR stability; a large kick
-      // can leave the nonlinear basin (see exp_e6 notes).
+      // can leave the nonlinear basin (see E6's notes).
       std::vector<double> r0 = ss.rates;
       for (std::size_t i = 0; i < r0.size(); ++i) {
         r0[i] = std::max(0.0, r0[i] * (1.0 + (i % 2 ? 0.003 : -0.003)));

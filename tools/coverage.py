@@ -10,7 +10,8 @@ is refused), runs the whole shipped surface and reads the counters back with
   * every example's GOOD argv from examples/CMakeLists.txt, and every
     committed config under scenarios/ (`scenario_run` or, for a
     `[hunt]`-headed config, `chaos_hunt`);
-  * every `exp_*` binary with `--metrics-out FILE` and `FFC_CSV=FILE`;
+  * `ffc_repro --only ID` for every registry id, with `FFC_CSV=FILE`,
+    and with `--metrics-out FILE` for the sweep-enabled ones;
   * every `perf_*` binary at the minimum benchmark time.
 
 It then prints each never-run function body in src/ (file, first line,
@@ -41,6 +42,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def names(pattern):
     return sorted(os.path.splitext(os.path.basename(p))[0]
                   for p in glob.glob(os.path.join(ROOT, pattern)))
+
+
+def experiments():
+    """(id, sweep_enabled) for every row of the experiment registry."""
+    text = open(os.path.join(ROOT, "bench", "repro", "harness.cpp")).read()
+    rows = re.findall(r'\{"(\w+)",\s*"(?:[^"\\]|\\.)*",\s*(true|false),',
+                      text)
+    if not rows:
+        sys.exit("coverage.py: no registry rows in bench/repro/harness.cpp")
+    return [(exp_id, flag == "true") for exp_id, flag in rows]
 
 
 def good_argvs():
@@ -77,7 +88,7 @@ def build(build_dir):
                     "-DCMAKE_EXE_LINKER_FLAGS=--coverage"],
                    check=True, stdout=subprocess.DEVNULL)
     targets = (["ffc_repro"] + names("examples/*.cpp") +
-               names("bench/exp_*.cpp") + names("bench/perf_*.cpp"))
+               names("bench/perf_*.cpp"))
     jobs = min(4, os.cpu_count() or 1)
     subprocess.run(["cmake", "--build", build_dir, "-j", str(jobs),
                     "--target"] + targets, check=True,
@@ -99,10 +110,12 @@ def run_surface(build_dir):
         runs.append(([os.path.join(examples, name)] + argv, {}))
     for driver, path in configs():
         runs.append(([os.path.join(examples, driver), path], {}))
-    for name in names("bench/exp_*.cpp"):
-        runs.append(([os.path.join(bench, name), "--metrics-out",
-                      os.path.join(work, name + ".json")],
-                     {"FFC_CSV": os.path.join(work, name + ".csv")}))
+    for exp_id, sweep_enabled in experiments():
+        metrics = (["--metrics-out", os.path.join(work, exp_id + ".json")]
+                   if sweep_enabled else [])
+        runs.append(([os.path.join(bench, "ffc_repro"), "--only", exp_id] +
+                     metrics,
+                     {"FFC_CSV": os.path.join(work, exp_id + ".csv")}))
     for name in names("bench/perf_*.cpp"):
         runs.append(([os.path.join(bench, name),
                       "--benchmark_min_time=0.001"], {}))
