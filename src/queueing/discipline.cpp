@@ -1,7 +1,9 @@
 #include "queueing/discipline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -74,10 +76,20 @@ void ServiceDiscipline::queue_lengths_jvp_into(
       "differentiable");
 }
 
-void ServiceDiscipline::queue_lengths_jvp_ordered_into(
+std::size_t ServiceDiscipline::jvp_coefficients_into(
     std::span<const double> /*rates*/, double /*mu*/,
-    std::span<const double> /*queues*/, std::span<const double> /*dx*/,
-    std::span<const std::uint32_t> /*order*/, std::span<double> /*dq*/) const {
+    std::span<const double> /*queues*/,
+    std::span<const std::uint32_t> /*order*/,
+    std::span<double> /*coef*/) const {
+  throw std::logic_error(
+      "ServiceDiscipline::jvp_coefficients_into: discipline is not "
+      "tie-sensitive");
+}
+
+void ServiceDiscipline::queue_lengths_jvp_ordered_into(
+    double /*mu*/, std::span<const double> /*dx*/,
+    std::span<const std::uint32_t> /*order*/,
+    std::span<const double> /*coef*/, std::span<double> /*dq*/) const {
   throw std::logic_error(
       "ServiceDiscipline::queue_lengths_jvp_ordered_into: discipline is not "
       "tie-sensitive");
@@ -107,23 +119,75 @@ void rate_order_into(std::span<const double> rates,
   }
 }
 
+std::uint64_t direction_key(double dx) {
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(dx == 0.0 ? 0.0 : dx);
+  // Negative values: flip every bit (larger magnitude, smaller key).
+  // Nonnegative ones: set the sign bit, so they rank above every negative.
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
+
+namespace {
+
+/// Stable insertion sort of keys by key alone.
+void insertion_sort_keys(std::span<DirectionKey> keys) {
+  for (std::size_t k = 1; k < keys.size(); ++k) {
+    const DirectionKey v = keys[k];
+    std::size_t j = k;
+    for (; j > 0 && keys[j - 1].key > v.key; --j) keys[j] = keys[j - 1];
+    keys[j] = v;
+  }
+}
+
+/// Stable LSD radix sort of `keys` by key alone, one byte per pass, through
+/// `spare` (same size). Returns the buffer holding the result. A pass whose
+/// byte is the same in every key permutes nothing and is skipped.
+std::span<DirectionKey> radix_sort_keys(std::span<DirectionKey> keys,
+                                        std::span<DirectionKey> spare) {
+  constexpr int kPasses = 8;
+  std::array<std::array<std::uint32_t, 256>, kPasses> counts{};
+  for (const DirectionKey& k : keys) {
+    for (int d = 0; d < kPasses; ++d) ++counts[d][(k.key >> (8 * d)) & 0xff];
+  }
+  for (int d = 0; d < kPasses; ++d) {
+    std::array<std::uint32_t, 256>& count = counts[d];
+    if (count[(keys[0].key >> (8 * d)) & 0xff] == keys.size()) continue;
+    std::uint32_t sum = 0;
+    for (std::uint32_t& c : count) {
+      const std::uint32_t here = c;
+      c = sum;
+      sum += here;
+    }
+    for (const DirectionKey& k : keys) {
+      spare[count[(k.key >> (8 * d)) & 0xff]++] = k;
+    }
+    std::swap(keys, spare);
+  }
+  return keys;
+}
+
+}  // namespace
+
 void order_tie_runs_by_direction(std::span<const double> dx,
                                  std::span<const RateTieRun> runs,
                                  std::vector<DirectionKey>& keys,
                                  std::span<std::uint32_t> order) {
   for (const RateTieRun& run : runs) {
-    keys.resize(run.end - run.begin);
-    for (std::size_t k = 0; k < keys.size(); ++k) {
+    const std::size_t len = run.end - run.begin;
+    if (keys.size() < 2 * len) keys.resize(2 * len);
+    const std::span<DirectionKey> first(keys.data(), len);
+    for (std::size_t k = 0; k < len; ++k) {
       const std::uint32_t i = order[run.begin + k];
-      keys[k] = {dx[i], i};
+      first[k] = {direction_key(dx[i]), i};
     }
-    std::sort(keys.begin(), keys.end(),
-              [](const DirectionKey& a, const DirectionKey& b) {
-                if (a.dx != b.dx) return a.dx < b.dx;
-                return a.index < b.index;
-              });
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-      order[run.begin + k] = keys[k].index;
+    std::span<const DirectionKey> sorted = first;
+    if (len < kTieRunRadixCutoff) {
+      insertion_sort_keys(first);
+    } else {
+      sorted = radix_sort_keys(first, {keys.data() + len, len});
+    }
+    for (std::size_t k = 0; k < len; ++k) {
+      order[run.begin + k] = sorted[k].index;
     }
   }
 }

@@ -148,36 +148,53 @@ void FairShare::queue_lengths_jvp_into(std::span<const double> rates,
   ws.tie_runs.clear();
   rate_order_into(rates, ws.jvp_order, ws.tie_runs);
   order_tie_runs_by_direction(dx, ws.tie_runs, ws.keys, ws.jvp_order);
-  queue_lengths_jvp_ordered_into(rates, mu, queues, dx, ws.jvp_order, dq);
+  ws.jvp_coefficients.resize(rates.size());
+  const std::size_t unsaturated = jvp_coefficients_into(
+      rates, mu, queues, ws.jvp_order, ws.jvp_coefficients);
+  queue_lengths_jvp_ordered_into(
+      mu, dx, ws.jvp_order, {ws.jvp_coefficients.data(), unsaturated}, dq);
+}
+
+std::size_t FairShare::jvp_coefficients_into(
+    std::span<const double> rates, double mu, std::span<const double> queues,
+    std::span<const std::uint32_t> order, std::span<double> coef) const {
+  // The queue recursion's infinite queues form a suffix of the rate order
+  // (once sigma_p >= 1 every later queue is infinite, and tie averaging
+  // keeps a run all finite or all infinite), so the walk stops at the
+  // first one.
+  const std::size_t n = rates.size();
+  double prefix_rate = 0.0;  // sum of sorted rates up to and including p
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::size_t i = order[p];
+    if (std::isinf(queues[i])) return p;
+    prefix_rate += rates[i];
+    const double remaining = static_cast<double>(n - 1 - p);
+    coef[p] = g_prime((prefix_rate + remaining * rates[i]) / mu);
+  }
+  return n;
 }
 
 void FairShare::queue_lengths_jvp_ordered_into(
-    std::span<const double> rates, double mu, std::span<const double> queues,
-    std::span<const double> dx, std::span<const std::uint32_t> order,
+    double mu, std::span<const double> dx,
+    std::span<const std::uint32_t> order, std::span<const double> coef,
     std::span<double> dq) const {
-  const std::size_t n = rates.size();
-  double prefix_rate = 0.0;  // sum of sorted rates up to and including p
-  double prefix_dx = 0.0;    // sum of sorted dx up to and including p
-  double prefix_dq = 0.0;    // sum of dQ over finite sorted positions < p
-  for (std::size_t p = 0; p < n; ++p) {
+  const std::size_t n = order.size();
+  const std::size_t unsaturated = coef.size();
+  double prefix_dx = 0.0;  // sum of sorted dx up to and including p
+  double prefix_dq = 0.0;  // sum of dQ over sorted positions < p
+  for (std::size_t p = 0; p < unsaturated; ++p) {
     const std::size_t i = order[p];
-    prefix_rate += rates[i];
     prefix_dx += dx[i];
-    if (std::isinf(queues[i])) {
-      // Saturated suffix: the queue is pinned at +infinity on both sides of
-      // the perturbation, so its one-sided slope is 0 (and it contributes
-      // nothing to later prefix sums, matching the base recursion's break).
-      dq[i] = 0.0;
-      continue;
-    }
     const double remaining = static_cast<double>(n - 1 - p);
-    const double sigma = (prefix_rate + remaining * rates[i]) / mu;
     const double dsigma = (prefix_dx + remaining * dx[i]) / mu;
     const double value =
-        (g_prime(sigma) * dsigma - prefix_dq) / static_cast<double>(n - p);
+        (coef[p] * dsigma - prefix_dq) / static_cast<double>(n - p);
     dq[i] = value;
     prefix_dq += value;
   }
+  // Saturated suffix: the queue is pinned at +infinity on both sides of the
+  // perturbation, so its one-sided slope is 0.
+  for (std::size_t p = unsaturated; p < n; ++p) dq[order[p]] = 0.0;
 }
 
 std::size_t FairShareDecomposition::class_for(std::size_t k, double u) const {

@@ -96,17 +96,25 @@ class FairShare final : public ServiceDiscipline {
   /// Connections tied in BOTH rate and dx provably receive identical dQ
   /// through the recursion, so the index tie-break never leaks into values
   /// (docs/THEORY.md section 8). Builds the order in ws (rate_order_into,
-  /// then order_tie_runs_by_direction) and runs the ordered recursion below.
+  /// then order_tie_runs_by_direction), then runs the two stages below.
   void queue_lengths_jvp_into(std::span<const double> rates, double mu,
                               std::span<const double> queues,
                               std::span<const double> dx,
                               DisciplineWorkspace& ws,
                               std::span<double> dq) const override;
-  /// The recursion above in a caller-supplied (rate, dx, index) order. O(m).
-  void queue_lengths_jvp_ordered_into(std::span<const double> rates, double mu,
-                                      std::span<const double> queues,
-                                      std::span<const double> dx,
+  /// coef[p] = g'(sigma_p) over the unsaturated prefix of the rate order,
+  /// whose length it returns. sigma_p sums the sorted rates up to p, which
+  /// inside a tie run are bitwise equal, so a perturbed order of the same
+  /// rates gives the same bits. O(m).
+  std::size_t jvp_coefficients_into(std::span<const double> rates, double mu,
+                                    std::span<const double> queues,
+                                    std::span<const std::uint32_t> order,
+                                    std::span<double> coef) const override;
+  /// The dQ recursion above in the (rate, dx, index) order, with
+  /// g'(sigma_p) read from coef. O(m).
+  void queue_lengths_jvp_ordered_into(double mu, std::span<const double> dx,
                                       std::span<const std::uint32_t> order,
+                                      std::span<const double> coef,
                                       std::span<double> dq) const override;
   bool differentiable() const override { return true; }
   bool jvp_tie_sensitive() const override { return true; }

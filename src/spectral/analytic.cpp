@@ -62,12 +62,12 @@ void AnalyticJacobianOperator::precompute() {
   const network::CsrIncidence& csr = topo.incidence();
   const std::size_t num_gw = topo.num_gateways();
   const std::size_t n = base_.size();
+  const std::size_t entries = csr.num_entries();
   const core::NetworkState& st = ws_.state;
   const core::SignalFunction& sig = model_->signal();
-
-  dsig_coef_.resize(csr.num_entries());
-  for (std::size_t e = 0; e < dsig_coef_.size(); ++e) {
-    dsig_coef_[e] = sig.derivative(st.congestion[e]);
+  if (entries > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error(
+        "AnalyticJacobianOperator: 2^32 or more incidence entries");
   }
 
   adj_dr_.resize(n);
@@ -92,29 +92,55 @@ void AnalyticJacobianOperator::precompute() {
     boundary = boundary || u == 0.0;
   }
 
+  // Bottleneck layer: each connection's argmax hops, in path order, with
+  // the signal slope B'(C) there. A connection with two or more hops at its
+  // path maximum sits on the bottleneck max's kink.
+  argmax_offset_.resize(n + 1);
+  argmax_slot_.clear();
+  argmax_coef_.clear();
+  bool multi_bottleneck = false;
+  for (network::ConnectionId i = 0; i < n; ++i) {
+    argmax_offset_[i] = static_cast<std::uint32_t>(argmax_slot_.size());
+    for (std::size_t slot : csr.slots(i)) {
+      if (!core::is_bottleneck(st, i, slot)) continue;
+      argmax_slot_.push_back(static_cast<std::uint32_t>(slot));
+      argmax_coef_.push_back(sig.derivative(st.congestion[slot]));
+    }
+    multi_bottleneck = multi_bottleneck ||
+                       argmax_slot_.size() - argmax_offset_[i] > 1;
+  }
+  argmax_offset_[n] = static_cast<std::uint32_t>(argmax_slot_.size());
+
   // A tie-sensitive discipline's perturbed order is (rate, dx, index). The
   // base rate order is fixed for the operator's lifetime, so it is sorted
-  // once here; each pass then only re-sorts (or mirrors) the tie runs.
-  const std::size_t entries = csr.num_entries();
+  // once here, with the discipline's per-position JVP coefficients; each
+  // pass then only re-sorts (or mirrors) the tie runs and walks the order.
   const bool rate_ties_matter = model_->discipline().jvp_tie_sensitive();
   if (rate_ties_matter) {
     rate_order_.resize(entries);
     jvp_order_.resize(entries);
+    jvp_coef_.resize(entries);
+    unsaturated_.resize(num_gw);
     tie_runs_.clear();
     run_offset_.resize(num_gw + 1);
     for (network::GatewayId a = 0; a < num_gw; ++a) {
       const std::size_t offset = csr.gateway_offset(a);
       const std::size_t m = csr.fan_in(a);
-      run_offset_[a] = tie_runs_.size();
-      queueing::rate_order_into({ws_.local_rates.data() + offset, m},
-                                {rate_order_.data() + offset, m}, tie_runs_);
+      const std::span<const double> local(ws_.local_rates.data() + offset, m);
+      const std::span<std::uint32_t> order(rate_order_.data() + offset, m);
+      run_offset_[a] = static_cast<std::uint32_t>(tie_runs_.size());
+      queueing::rate_order_into(local, order, tie_runs_);
+      unsaturated_[a] = static_cast<std::uint32_t>(
+          model_->discipline().jvp_coefficients_into(
+              local, topo.gateway(a).mu, {st.queues.data() + offset, m},
+              order, {jvp_coef_.data() + offset, m}));
     }
-    run_offset_[num_gw] = tie_runs_.size();
+    run_offset_[num_gw] = static_cast<std::uint32_t>(tie_runs_.size());
     std::size_t longest = 0;
     for (const queueing::RateTieRun& run : tie_runs_) {
       longest = std::max<std::size_t>(longest, run.end - run.begin);
     }
-    keys_.reserve(longest);
+    keys_.reserve(2 * longest);
   }
 
   // Smoothness: one directional pass suffices iff no layer sits on a kink
@@ -129,25 +155,11 @@ void AnalyticJacobianOperator::precompute() {
           {st.queues.data() + csr.gateway_offset(a), csr.fan_in(a)}, scratch);
     }
   }
-  // A connection with two or more hops at its path maximum sits on the
-  // bottleneck max's kink.
-  bool multi_bottleneck = false;
-  for (network::ConnectionId i = 0; i < n && !multi_bottleneck; ++i) {
-    std::size_t at_max = 0;
-    for (std::size_t slot : csr.slots(i)) {
-      at_max += core::is_bottleneck(st, i, slot) ? 1 : 0;
-    }
-    multi_bottleneck = at_max > 1;
-  }
   smooth_ = !ties && !multi_bottleneck && !boundary;
 
   dx_flat_.resize(entries);
   dq_flat_.resize(entries);
   dc_flat_.resize(entries);
-  dsig_flat_.resize(entries);
-  db_.resize(n);
-  dd_.resize(n);
-  xneg_.resize(n);
   d_plus_.resize(n);
   d_minus_.resize(n);
 }
@@ -163,22 +175,27 @@ void AnalyticJacobianOperator::directional(const std::vector<double>& x,
   const queueing::ServiceDiscipline& discipline = model_->discipline();
   const bool ordered = !rate_order_.empty();
 
-  network::gather_by_gateway_into(csr, x, dx_flat_);
+  // The direction per entry: gathered for +x; negated in place for -x
+  // (negation is exact, so this is the gather of -x).
+  if (side == Side::Plus) {
+    network::gather_by_gateway_into(csr, x, dx_flat_);
+  } else {
+    for (double& v : dx_flat_) v = -v;
+  }
 
   // Discipline and congestion layers, gateway by gateway over the flat SoA
   // slices (same layout as observe_into).
   for (network::GatewayId a = 0; a < num_gw; ++a) {
     const std::size_t offset = csr.gateway_offset(a);
     const std::size_t m = csr.fan_in(a);
-    const std::span<const double> local(ws_.local_rates.data() + offset, m);
     const std::span<const double> dx(dx_flat_.data() + offset, m);
     const std::span<double> dq(dq_flat_.data() + offset, m);
     const std::span<double> dc(dc_flat_.data() + offset, m);
     const std::span<const double> queues(st.queues.data() + offset, m);
     const double mu = topo.gateway(a).mu;
     if (!ordered) {
-      discipline.queue_lengths_jvp_into(local, mu, queues, dx, ws_.discipline,
-                                        dq);
+      discipline.queue_lengths_jvp_into({ws_.local_rates.data() + offset, m},
+                                        mu, queues, dx, ws_.discipline, dq);
       core::congestion_jvp_into(model_->style(), queues, dq, ws_.congestion,
                                 dc);
       continue;
@@ -194,34 +211,29 @@ void AnalyticJacobianOperator::directional(const std::vector<double>& x,
     } else {
       queueing::mirror_tie_runs(dx, runs, order);
     }
-    discipline.queue_lengths_jvp_ordered_into(local, mu, queues, dx, order,
-                                              dq);
+    discipline.queue_lengths_jvp_ordered_into(
+        mu, dx, order, {jvp_coef_.data() + offset, unsaturated_[a]}, dq);
     core::congestion_jvp_into(model_->style(), queues, dq, ws_.congestion, dc,
                               order);
   }
 
-  // Signal layer: db^a = B'(C) dC per entry, branch-free.
-  for (std::size_t e = 0; e < dsig_flat_.size(); ++e) {
-    dsig_flat_[e] = dsig_coef_[e] * dc_flat_[e];
-  }
-
-  // Bottleneck layer: the one-sided derivative of max_a b^a is the max of
-  // the derivatives over the argmax set (every gateway tied at the max).
+  // Per connection, fused: the signal and bottleneck layers (the one-sided
+  // derivative of max_a b^a is the max of B'(C) dC over the argmax hops),
+  // the delay layer, the adjuster and the truncation.
+  out.resize(n);
   for (network::ConnectionId i = 0; i < n; ++i) {
-    double v = -std::numeric_limits<double>::infinity();
-    for (std::size_t slot : csr.slots(i)) {
-      if (core::is_bottleneck(st, i, slot)) v = std::max(v, dsig_flat_[slot]);
+    const double xi = side == Side::Plus ? x[i] : -x[i];
+    double db = -std::numeric_limits<double>::infinity();
+    for (std::uint32_t k = argmax_offset_[i]; k < argmax_offset_[i + 1]; ++k) {
+      db = std::max(db, argmax_coef_[k] * dc_flat_[argmax_slot_[k]]);
     }
-    db_[i] = v;
-  }
-
-  // Delay layer (only when some adjuster consumes it): quotient rule on the
-  // per-hop sojourn W = Q / r_i; pinned hops (W = inf at a saturated
-  // gateway) and zero-rate connections contribute slope 0, matching the FD
-  // operator's behaviour at those pinned observables.
-  if (need_delay_) {
-    for (network::ConnectionId i = 0; i < n; ++i) {
-      double sum = 0.0;
+    double df = adj_dr_[i] * xi + adj_db_[i] * db;
+    if (need_delay_) {
+      // Quotient rule on the per-hop sojourn W = Q / r_i; pinned hops
+      // (W = inf at a saturated gateway) and zero-rate connections
+      // contribute slope 0, matching the FD operator's behaviour at those
+      // pinned observables.
+      double dd = 0.0;
       const double r = base_[i];
       if (r > 0.0) {
         const auto slots = csr.slots(i);
@@ -229,28 +241,21 @@ void AnalyticJacobianOperator::directional(const std::vector<double>& x,
         for (std::size_t h = 0; h < slots.size(); ++h) {
           const double w = ws_.sojourns[slots[h]];
           if (!std::isinf(w)) {
-            sum += (dq_flat_[slots[h]] - w * x[i]) * inv;
+            dd += (dq_flat_[slots[h]] - w * xi) * inv;
           }
         }
       }
-      dd_[i] = sum;
+      df += adj_dd_[i] * dd;
     }
-  }
-
-  // Adjuster + truncation layers.
-  out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double df = adj_dr_[i] * x[i] + adj_db_[i] * db_[i];
-    if (need_delay_) df += adj_dd_[i] * dd_[i];
     switch (status_[i]) {
       case Truncation::Active:
-        out[i] = x[i] + df;
+        out[i] = xi + df;
         break;
       case Truncation::Clamped:
         out[i] = 0.0;
         break;
       case Truncation::Boundary:
-        out[i] = std::max(0.0, x[i] + df);
+        out[i] = std::max(0.0, xi + df);
         break;
     }
   }
@@ -267,9 +272,7 @@ void AnalyticJacobianOperator::apply(const linalg::Vector& x,
   } else {
     // Branch average (D(x) - D(-x)) / 2: the central-difference limit on
     // every kink, e.g. s/2 across the truncation boundary.
-    xneg_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) xneg_[i] = -x[i];
-    directional(xneg_, Side::Minus, d_minus_);
+    directional(x, Side::Minus, d_minus_);
     for (std::size_t i = 0; i < n; ++i) {
       y[i] = 0.5 * (d_plus_[i] - d_minus_[i]);
     }

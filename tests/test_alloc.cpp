@@ -27,12 +27,14 @@
 #include "linalg/sparse_eigen.hpp"
 #include "network/builders.hpp"
 #include "network/topology.hpp"
+#include "queueing/fair_share.hpp"
 #include "sim/feedback_sim.hpp"
 #include "sim/network_sim.hpp"
 #include "sim/simulator.hpp"
 #include "sim/window_sim.hpp"
 #include "spectral/analytic.hpp"
 #include "spectral/operator.hpp"
+#include "stats/rng.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
@@ -235,6 +237,83 @@ TEST(AllocFree, WarmAnalyticJacobianApplyDoesNotAllocate) {
     }
   };
   sweep();  // warm-up: sort scratch inside the shared workspaces materializes
+
+  AllocWindow window;
+  sweep();
+  EXPECT_EQ(window.count(), 0u);
+}
+
+/// Applies `count` signed unit directions to `op` through the caller's
+/// x and y (sized to the operator).
+void apply_unit_directions(const ffc::spectral::AnalyticJacobianOperator& op,
+                           std::size_t count, std::vector<double>& x,
+                           std::vector<double>& y) {
+  for (std::size_t k = 0; k < count; ++k) {
+    std::fill(x.begin(), x.end(), 0.0);
+    x[(k * 7919) % x.size()] = k % 2 ? 1.0 : -1.0;
+    op.apply(x, y);
+  }
+}
+
+TEST(AllocFree, AnalyticApplyOnLongTieRunDoesNotAllocate) {
+  // One fully tied gateway longer than the radix cut-off: the +x pass
+  // radix-sorts the run through two key buffers, which precompute()
+  // reserves, so even the FIRST apply after construction allocates nothing.
+  const std::size_t n = 3 * ffc::queueing::kTieRunRadixCutoff + 5;
+  auto model = th::single_gateway_model(n, th::fair_share(),
+                                        FeedbackStyle::Individual);
+  std::vector<double> rates(n, 0.8 / static_cast<double>(n));
+  const ffc::spectral::AnalyticJacobianOperator op(model, rates);
+  ASSERT_FALSE(op.smooth());
+  std::vector<double> x(n), y(n);
+  ffc::stats::Xoshiro256 rng(3);
+  for (auto& e : x) e = rng.uniform(-1.0, 1.0);
+  {
+    AllocWindow window;
+    op.apply(x, y);
+    EXPECT_EQ(window.count(), 0u);
+  }
+  AllocWindow window;
+  apply_unit_directions(op, 16, x, y);
+  EXPECT_EQ(window.count(), 0u);
+}
+
+TEST(AllocFree, AnalyticApplyOnParkingLotDoesNotAllocate) {
+  // Multi-gateway: four tie runs longer than the cut-off, the long
+  // connection's four argmax hops, and per-gateway coefficient prefixes.
+  auto model = th::make_model(ffc::network::parking_lot(4, 100, 101.0),
+                              th::fair_share(), FeedbackStyle::Individual,
+                              0.4, 0.5);
+  const std::vector<double> fair = ffc::core::fair_steady_state(model);
+  const ffc::spectral::AnalyticJacobianOperator op(model, fair);
+  ASSERT_FALSE(op.smooth());
+  std::vector<double> x(fair.size()), y(fair.size());
+  apply_unit_directions(op, 4, x, y);  // warm-up
+
+  AllocWindow window;
+  apply_unit_directions(op, 32, x, y);
+  EXPECT_EQ(window.count(), 0u);
+}
+
+TEST(AllocFree, WarmFairShareJvpWorkspaceDoesNotAllocate) {
+  // FairShare's self-contained JVP builds the order, the sorted runs and
+  // the coefficients in its DisciplineWorkspace: allocation-free once warm,
+  // on a short and a radix-length tie run alike.
+  const std::size_t n = 2 * ffc::queueing::kTieRunRadixCutoff;
+  std::vector<double> rates(n, 0.3 / static_cast<double>(n));
+  for (std::size_t i = 0; i < 6; ++i) rates[i] = 0.1 / static_cast<double>(n);
+  const ffc::queueing::FairShare fs;
+  const std::vector<double> queues = fs.queue_lengths(rates, 1.0);
+  std::vector<double> dx(n), dq(n);
+  ffc::stats::Xoshiro256 rng(11);
+  ffc::queueing::DisciplineWorkspace ws;
+  const auto sweep = [&] {
+    for (int rep = 0; rep < 4; ++rep) {
+      for (auto& e : dx) e = rng.uniform(-1.0, 1.0);
+      fs.queue_lengths_jvp_into(rates, 1.0, queues, dx, ws, dq);
+    }
+  };
+  sweep();  // warm-up
 
   AllocWindow window;
   sweep();
