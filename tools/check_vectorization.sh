@@ -13,8 +13,12 @@
 # Pinned (counts are minimums, robust to line drift):
 #   * queueing/fifo.hpp     >= 3 vectorized loops: the queue-length multiply,
 #                              the JVP fused multiply-add, the saturation fill
-#   * spectral/analytic.cpp >= 2 vectorized loops: the B'(C) dC signal
-#                              multiply, the two-pass branch average
+#   * spectral/analytic.cpp >= 2 vectorized loops: the -x pass's in-place
+#                              negation of the gathered direction, the
+#                              two-pass branch average (B'(C) dC is one
+#                              product per argmax hop inside the fused
+#                              per-connection loop, an indexed read the
+#                              baseline ISA does not vectorize)
 #
 # NOT pinned: FP sum reductions (vectorizing them needs -ffast-math
 # reassociation, which this project never enables) and the CSR gather
