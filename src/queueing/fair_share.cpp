@@ -204,10 +204,16 @@ std::size_t FairShareDecomposition::class_for(std::size_t k, double u) const {
   // cum_k(j) is nondecreasing in j (prefix sums of nonnegative widths over
   // one positive divisor) and constant past position[k], so the first
   // j < n-1 with u < cum_k(j) is a partition point of [0, min(pos_k, n-2)];
-  // if there is none, no later j < n-1 qualifies either.
+  // if there is none, no later j < n-1 qualifies either. The search runs
+  // over all of [0, n-2] with prefix[j] / r in place of cum_k(j): that
+  // ratio is nondecreasing in j as well and equals cum_k(j) up to
+  // position[k], so its first hit, clamped to `last`, is the same class.
+  // Every search at a gateway then walks one implicit search tree over
+  // [0, n-2], whatever the connection, so the entries of `prefix` near its
+  // root stay cached.
   const std::size_t last = std::min(position[k], n - 2);
   std::size_t lo = 0;
-  std::size_t hi = last + 1;
+  std::size_t hi = n - 1;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
     if (u >= prefix[mid] / r) {

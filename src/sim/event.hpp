@@ -1,10 +1,10 @@
 // Tagged events: the fixed-size calendar payload of the DES core.
 //
-// A SimEvent is a small POD union-of-meanings: one kind tag plus the
+// A SimEvent is a 48-byte POD union-of-meanings: one kind tag plus the
 // handler-defined fields (index / generation / packet). Scheduling one
-// copies bytes into a pooled slot and never touches the allocator, where a
-// std::function per event would heap-allocate any capture past its
-// small-buffer limit (docs/PERFORMANCE.md).
+// copies bytes into a pooled one-cache-line slot and never touches the
+// allocator, where a std::function per event would heap-allocate any
+// capture past its small-buffer limit (docs/PERFORMANCE.md).
 //
 // Dispatch is double: the Simulator routes the event to its EventHandler
 // (a gateway server, a network simulator, ...) which switches on `kind`.
@@ -37,6 +37,8 @@ struct SimEvent {
   std::uint64_t generation = 0;
   Packet packet{};
 };
+
+static_assert(sizeof(SimEvent) == 48);
 
 /// Receiver of tagged events. Handlers are borrowed, never owned: whoever
 /// schedules an event must keep its handler alive until the event fires

@@ -25,7 +25,7 @@ void FairQueueingServer::arrival(Packet packet, std::size_t local_conn) {
   const double start = std::max(last_finish_[local_conn], virtual_time_);
   job.finish_tag = start + job.service_time;
   last_finish_[local_conn] = job.finish_tag;
-  backlog_[local_conn].push_back(std::move(job));
+  backlog_.push_back(local_conn, std::move(job));
   if (!in_service_) start_service();
 }
 
@@ -44,22 +44,24 @@ void FairQueueingServer::on_service_factor_changed() {
 
 void FairQueueingServer::start_service() {
   if (service_halted()) return;
-  // Pick the head-of-line packet with the smallest finish tag.
-  std::size_t best = backlog_.size();
+  // Pick the head-of-line packet with the smallest finish tag, walking only
+  // the backlogged connections, in ascending local index: the strict `<`
+  // leaves a tie with the lowest index.
+  constexpr std::size_t kNone = ClassQueues<Job>::npos;
+  std::size_t best = kNone;
   double best_tag = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < backlog_.size(); ++k) {
-    if (backlog_[k].empty()) continue;
-    if (backlog_[k].front().finish_tag < best_tag) {
-      best_tag = backlog_[k].front().finish_tag;
+  for (std::size_t k = backlog_.next_nonempty(0); k != kNone;
+       k = backlog_.next_nonempty(k + 1)) {
+    if (backlog_.front(k).finish_tag < best_tag) {
+      best_tag = backlog_.front(k).finish_tag;
       best = k;
     }
   }
-  if (best == backlog_.size()) {
+  if (best == kNone) {
     // Idle: let lapsed finish numbers restart from the current round.
     return;
   }
-  in_service_ = std::move(backlog_[best].front());
-  backlog_[best].pop_front();
+  in_service_ = backlog_.pop_front(best);
   virtual_time_ = in_service_->finish_tag;
   const std::uint64_t gen = ++generation_;
   schedule_completion_in(in_service_->service_time / service_factor(), gen);

@@ -22,7 +22,7 @@
 #include <optional>
 #include <vector>
 
-#include "sim/ring_queue.hpp"
+#include "sim/class_queues.hpp"
 #include "sim/server.hpp"
 
 namespace ffc::sim {
@@ -49,8 +49,9 @@ class FairQueueingServer final : public GatewayServer {
   };
 
   /// Per-connection FIFO of tagged packets (tags are increasing within a
-  /// connection, so only head-of-line packets compete).
-  std::vector<RingQueue<Job>> backlog_;
+  /// connection, so only head-of-line packets compete), one list per local
+  /// connection over one node pool.
+  ClassQueues<Job> backlog_;
   std::optional<Job> in_service_;
   double virtual_time_ = 0.0;  ///< finish tag of the packet in service
   std::vector<double> last_finish_;  ///< F_i per connection

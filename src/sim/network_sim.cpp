@@ -1,5 +1,6 @@
 #include "sim/network_sim.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -37,8 +38,16 @@ void NetworkSimulator::build(std::uint64_t seed,
   const std::size_t num_conn = topology_.num_connections();
   if (!plan.empty()) plan.validate(num_gw, num_conn);
 
-  rates_.assign(num_conn, 0.0);
-  source_generation_.assign(num_conn, 0);
+  std::size_t longest_path = 0;
+  for (network::ConnectionId i = 0; i < num_conn; ++i) {
+    longest_path = std::max(longest_path, topology_.path(i).size());
+  }
+  std::size_t widest_fan_in = 0;
+  for (network::GatewayId a = 0; a < num_gw; ++a) {
+    widest_fan_in = std::max(widest_fan_in, topology_.fan_in(a));
+  }
+  check_packet_field_range(num_conn, longest_path, widest_fan_in);
+
   delay_stats_.resize(num_conn);
   delay_samples_.resize(num_conn);
   delivered_.assign(num_conn, 0);
@@ -68,10 +77,8 @@ void NetworkSimulator::build(std::uint64_t seed,
     }
   }
 
-  source_rng_.resize(num_conn);
-  for (network::ConnectionId i = 0; i < num_conn; ++i) {
-    source_rng_[i] = master_rng.split();
-  }
+  sources_.resize(num_conn);
+  for (Source& source : sources_) source.rng = master_rng.split();
 
   if (!plan.empty()) {
     impaired_ = true;
@@ -129,7 +136,7 @@ void NetworkSimulator::apply_fault_action(std::size_t action_index) {
     case FaultAction::Kind::SourceDown: {
       if (!source_active_.at(action.target)) return;  // already gone
       source_active_[action.target] = 0;
-      ++source_generation_[action.target];  // kills the pending arrival
+      ++sources_[action.target].generation;  // kills the pending arrival
       ++fault_counters_.source_leaves;
       refresh_fair_share_rates();
       return;
@@ -139,8 +146,8 @@ void NetworkSimulator::apply_fault_action(std::size_t action_index) {
       source_active_[action.target] = 1;
       refresh_fair_share_rates();
       ++fault_counters_.source_joins;
-      const std::uint64_t gen = ++source_generation_[action.target];
-      if (rates_[action.target] > 0.0) {
+      const std::uint64_t gen = ++sources_[action.target].generation;
+      if (sources_[action.target].rate > 0.0) {
         schedule_next_arrival(action.target, gen);
       }
       return;
@@ -155,7 +162,7 @@ void NetworkSimulator::refresh_fair_share_rates() {
     local_rates_.resize(members.size());
     for (std::size_t k = 0; k < members.size(); ++k) {
       const network::ConnectionId i = members[k];
-      local_rates_[k] = source_active_[i] ? rates_[i] : 0.0;
+      local_rates_[k] = source_active_[i] ? sources_[i].rate : 0.0;
     }
     static_cast<FairShareServer*>(servers_[a].get())->set_rates(local_rates_);
   }
@@ -171,15 +178,17 @@ void NetworkSimulator::set_rates(const std::vector<double>& rates) {
           "NetworkSimulator: rates must be finite and >= 0");
     }
   }
-  rates_ = rates;
+  for (network::ConnectionId i = 0; i < rates.size(); ++i) {
+    sources_[i].rate = rates[i];
+  }
   refresh_fair_share_rates();
 
   // Restart every source process under the new rate; stale arrival
   // events are invalidated by the generation counter. Churned-out sources
   // keep their installed rate but stay silent until their rejoin fires.
-  for (network::ConnectionId i = 0; i < rates_.size(); ++i) {
-    const std::uint64_t gen = ++source_generation_[i];
-    if (rates_[i] > 0.0 && source_active_[i]) {
+  for (network::ConnectionId i = 0; i < sources_.size(); ++i) {
+    const std::uint64_t gen = ++sources_[i].generation;
+    if (sources_[i].rate > 0.0 && source_active_[i]) {
       schedule_next_arrival(i, gen);
     }
   }
@@ -187,7 +196,8 @@ void NetworkSimulator::set_rates(const std::vector<double>& rates) {
 
 void NetworkSimulator::schedule_next_arrival(network::ConnectionId i,
                                              std::uint64_t gen) {
-  const double gap = source_rng_[i].exponential(rates_[i]);
+  Source& source = sources_[i];
+  const double gap = source.rng.exponential(source.rate);
   SimEvent event;
   event.kind = EventKind::Arrival;
   event.index = static_cast<std::uint32_t>(i);
@@ -199,10 +209,10 @@ void NetworkSimulator::handle_event(SimEvent& event) {
   switch (event.kind) {
     case EventKind::Arrival: {
       const network::ConnectionId i = event.index;
-      if (event.generation != source_generation_[i]) return;  // re-rated
+      if (event.generation != sources_[i].generation) return;  // re-rated
       Packet packet;
       packet.id = next_packet_id_++;
-      packet.connection = i;
+      packet.connection = event.index;
       packet.hop = 0;
       packet.created = sim_.now();
       arrive_at_hop(std::move(packet));

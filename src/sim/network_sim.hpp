@@ -185,13 +185,21 @@ class NetworkSimulator : private PacketSink, private EventHandler {
   SimDiscipline discipline_;
   Simulator sim_;
 
+  /// One Poisson source: everything an Arrival event reads, in one cache
+  /// line.
+  struct alignas(64) Source {
+    stats::Xoshiro256 rng;
+    /// Bumped on every restart; a pending Arrival of an older generation
+    /// is stale.
+    std::uint64_t generation = 0;
+    double rate = 0.0;  ///< installed by set_rates (churn masks it)
+  };
+
   std::vector<std::unique_ptr<GatewayServer>> servers_;
 
-  std::vector<double> rates_;
+  std::vector<Source> sources_;
   /// Scratch for one gateway's effective rates in refresh_fair_share_rates.
   std::vector<double> local_rates_;
-  std::vector<stats::Xoshiro256> source_rng_;
-  std::vector<std::uint64_t> source_generation_;
 
   std::vector<stats::OnlineStats> delay_stats_;
   std::vector<std::vector<double>> delay_samples_;

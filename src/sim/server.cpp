@@ -1,6 +1,5 @@
 #include "sim/server.hpp"
 
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -14,7 +13,6 @@ GatewayServer::GatewayServer(Simulator& sim, double mu, std::size_t num_local,
       num_local_(num_local),
       rng_(rng),
       sink_(sink),
-      in_system_(num_local, 0),
       occupancy_(num_local, stats::TimeWeightedStats(sim.now(), 0.0)) {
   if (!(mu > 0.0)) throw std::invalid_argument("GatewayServer: mu must be > 0");
   if (sink_ == nullptr) {
@@ -47,8 +45,10 @@ void GatewayServer::schedule_completion_in(double dt,
 }
 
 void GatewayServer::occupancy_delta(std::size_t local_conn, int delta) {
-  in_system_.at(local_conn) += delta;
-  if (in_system_[local_conn] < 0) {
+  stats::TimeWeightedStats& occupancy = occupancy_.at(local_conn);
+  // Packet counts are small integers, exact in a double.
+  const double in_system = occupancy.value() + delta;
+  if (in_system < 0.0) {
     throw std::logic_error("GatewayServer: negative occupancy");
   }
   // Every +1 is one accepted packet, every -1 one completed service; the
@@ -61,8 +61,7 @@ void GatewayServer::occupancy_delta(std::size_t local_conn, int delta) {
   }
   total_in_system_ =
       static_cast<std::size_t>(static_cast<long>(total_in_system_) + delta);
-  occupancy_[local_conn].update(sim_.now(),
-                                static_cast<double>(in_system_[local_conn]));
+  occupancy.update(sim_.now(), in_system);
 }
 
 double GatewayServer::mean_occupancy(std::size_t local_conn) const {
@@ -126,9 +125,7 @@ void FifoServer::on_service_complete(std::uint64_t generation) {
 PriorityServer::PriorityServer(Simulator& sim, double mu,
                                std::size_t num_local, std::size_t num_classes,
                                stats::Xoshiro256 rng, PacketSink* sink)
-    : GatewayServer(sim, mu, num_local, rng, sink),
-      classes_(num_classes),
-      nonempty_((num_classes + 63) / 64, 0) {
+    : GatewayServer(sim, mu, num_local, rng, sink), classes_(num_classes) {
   if (num_classes == 0) {
     throw std::invalid_argument("PriorityServer: need >= 1 class");
   }
@@ -137,11 +134,10 @@ PriorityServer::PriorityServer(Simulator& sim, double mu,
 void PriorityServer::arrival(Packet packet, std::size_t local_conn) {
   occupancy_delta(local_conn, +1);
   const std::size_t klass = packet.priority_class;
-  if (klass >= classes_.size()) {
+  if (klass >= classes_.num_classes()) {
     throw std::invalid_argument("PriorityServer: bad priority class");
   }
-  classes_[klass].push_back(Job{std::move(packet), local_conn});
-  mark_nonempty(klass);
+  classes_.push_back(klass, Job{std::move(packet), local_conn});
 
   if (!in_service_) {
     start_service();
@@ -149,8 +145,7 @@ void PriorityServer::arrival(Packet packet, std::size_t local_conn) {
     // Preempt: the running job returns to the HEAD of its class queue; a
     // fresh exponential sample on resume is distributionally exact.
     ++generation_;  // invalidates the pending completion event
-    classes_[in_service_class_].push_front(std::move(*in_service_));
-    mark_nonempty(in_service_class_);
+    classes_.push_front(in_service_class_, std::move(*in_service_));
     in_service_.reset();
     start_service();
   }
@@ -168,20 +163,12 @@ void PriorityServer::on_service_factor_changed() {
 
 void PriorityServer::start_service() {
   if (service_halted()) return;
-  for (std::size_t word = 0; word < nonempty_.size(); ++word) {
-    if (nonempty_[word] == 0) continue;
-    const auto bit =
-        static_cast<std::size_t>(std::countr_zero(nonempty_[word]));
-    const std::size_t klass = word * 64 + bit;
-    RingQueue<Job>& queue = classes_[klass];
-    in_service_ = std::move(queue.front());
-    queue.pop_front();
-    if (queue.empty()) nonempty_[word] &= ~(std::uint64_t{1} << bit);
-    in_service_class_ = klass;
-    const std::uint64_t gen = ++generation_;
-    schedule_completion_in(sample_service_time(), gen);
-    return;
-  }
+  const std::size_t klass = classes_.next_nonempty(0);
+  if (klass == ClassQueues<Job>::npos) return;
+  in_service_ = classes_.pop_front(klass);
+  in_service_class_ = klass;
+  const std::uint64_t gen = ++generation_;
+  schedule_completion_in(sample_service_time(), gen);
 }
 
 void PriorityServer::on_service_complete(std::uint64_t generation) {
@@ -219,8 +206,8 @@ void FairShareServer::arrival(Packet packet, std::size_t local_conn) {
   if (decomposition_.num_connections() != num_local()) {
     throw std::logic_error("FairShareServer: set_rates was never called");
   }
-  packet.priority_class =
-      decomposition_.class_for(local_conn, class_rng_.uniform01());
+  packet.priority_class = static_cast<std::uint32_t>(
+      decomposition_.class_for(local_conn, class_rng_.uniform01()));
   PriorityServer::arrival(std::move(packet), local_conn);
 }
 

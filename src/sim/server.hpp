@@ -7,13 +7,15 @@
 //
 // Hot path (docs/PERFORMANCE.md): servers are EventHandlers; a pending
 // service completion is a tagged ServiceComplete event carrying only the
-// generation counter, job queues are RingQueues, and departures go to a
-// borrowed PacketSink -- so a warmed-up server processes packets without
-// touching the allocator. FunctionSink adapts a lambda for tests and
-// examples that don't want to implement the interface.
+// generation counter; the FIFO server queues jobs in a RingQueue and the
+// priority server in per-class lists over one pooled node array
+// (ClassQueues); departures go to a borrowed PacketSink -- so a warmed-up
+// server processes packets without touching the allocator. FunctionSink
+// adapts a lambda for tests and examples that don't want to implement the
+// interface.
 //
-// The priority server finds the next class to serve in a bitmap of
-// non-empty classes (count-trailing-zeros, one word per 64 classes), and
+// The priority server finds the next class to serve in ClassQueues' bitmap
+// of non-empty classes (count-trailing-zeros, one word per 64 classes), and
 // the Fair Share server stores its class decomposition in O(fan-in) and
 // picks a class by binary search: per-gateway memory is linear in the
 // fan-in, and no event scans every class.
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "queueing/fair_share.hpp"
+#include "sim/class_queues.hpp"
 #include "sim/event.hpp"
 #include "sim/packet.hpp"
 #include "sim/ring_queue.hpp"
@@ -99,7 +102,7 @@ class GatewayServer : public EventHandler {
   /// Packets of one local connection in the system right now (the
   /// "selective" / individual DECbit rule marks based on this).
   std::size_t instantaneous_occupancy(std::size_t local_conn) const {
-    return static_cast<std::size_t>(in_system_.at(local_conn));
+    return static_cast<std::size_t>(occupancy_.at(local_conn).value());
   }
 
   /// Total time-average number in system across connections.
@@ -165,10 +168,10 @@ class GatewayServer : public EventHandler {
   std::size_t num_local_;
   stats::Xoshiro256 rng_;
   PacketSink* sink_;
-  std::vector<int> in_system_;
   std::size_t total_in_system_ = 0;
   std::uint64_t packets_arrived_ = 0;
   std::uint64_t packets_served_ = 0;
+  /// Per local connection; value() is its packets in the system right now.
   std::vector<stats::TimeWeightedStats> occupancy_;
 };
 
@@ -217,14 +220,9 @@ class PriorityServer : public GatewayServer {
     Packet packet;
     std::size_t local_conn = 0;
   };
-  void mark_nonempty(std::size_t klass) {
-    nonempty_[klass / 64] |= std::uint64_t{1} << (klass % 64);
-  }
 
-  std::vector<RingQueue<Job>> classes_;
-  /// Bit (klass % 64) of word klass / 64 is set iff classes_[klass] is
-  /// non-empty, so start_service reads one word per 64 classes.
-  std::vector<std::uint64_t> nonempty_;
+  /// One FIFO list per priority class over one node pool.
+  ClassQueues<Job> classes_;
   std::optional<Job> in_service_;
   std::size_t in_service_class_ = 0;
   std::uint64_t generation_ = 0;

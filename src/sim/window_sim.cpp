@@ -53,7 +53,7 @@ void WindowNetworkSimulator::try_send(network::ConnectionId i) {
     ++src.in_flight;
     Packet packet;
     packet.id = engine_.next_packet_id_++;
-    packet.connection = i;
+    packet.connection = static_cast<std::uint32_t>(i);
     packet.hop = 0;
     packet.created = engine_.now();
     maybe_mark(packet);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "network/builders.hpp"
@@ -96,6 +98,30 @@ TEST(FairQueueingSim, AvailableThroughNetworkSimulator) {
   EXPECT_NEAR(sim.throughput(0), 0.2, 0.02);
   EXPECT_NEAR(sim.throughput(1), 0.3, 0.02);
   EXPECT_GT(sim.mean_queue(0, 1), sim.mean_queue(0, 0));
+}
+
+TEST(FairQueueingSim, EqualHeadTagsGoToTheLowestLocalIndex) {
+  // An infinite service rate samples every packet's size as 0, so packets
+  // that arrive while the first one is in service all carry its finish tag:
+  // their head tags tie, and each tie must go to the lowest local index,
+  // whatever the arrival order. Fan-in 130 spreads the contenders over
+  // three words of the backlog bitmap.
+  Simulator sim;
+  std::vector<std::uint64_t> served;
+  ffc::sim::FunctionSink sink([&](Packet p) { served.push_back(p.id); });
+  FairQueueingServer server(sim, std::numeric_limits<double>::infinity(),
+                            130, Xoshiro256(3), &sink);
+  std::uint64_t id = 0;
+  for (std::uint32_t k : {129u, 65u, 3u, 128u, 64u, 3u, 1u, 0u}) {
+    Packet packet;
+    packet.id = id++;
+    packet.connection = k;
+    server.arrival(packet, k);
+  }
+  sim.run_until(1.0);
+  // By id: 129 is served first (the server was idle), then 0, 1, the two
+  // packets of 3 in their own FIFO order, 64, 65 and 128.
+  EXPECT_EQ(served, (std::vector<std::uint64_t>{0, 7, 6, 2, 5, 4, 1, 3}));
 }
 
 TEST(FairQueueingSim, DeterministicForFixedSeed) {

@@ -7,11 +7,13 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "oracles/priority.hpp"
 #include "queueing/fair_share.hpp"
 #include "queueing/feasibility.hpp"
+#include "sim/packet.hpp"
 #include "sim/server.hpp"
 #include "sim/simulator.hpp"
 #include "sim_helpers.hpp"
@@ -173,6 +175,60 @@ TEST(SimulatorCore, SlotPoolSizeMatchesConcurrencyHighWater) {
   EXPECT_EQ(chain.fired, 1000);
   EXPECT_EQ(sim.slot_pool_size(), 1u);
   EXPECT_EQ(sim.events_processed(), 1000u);
+}
+
+// The heap key packs seq << 24 | slot. The limits are tested on the packing
+// helper itself: reaching them by scheduling would take 2^24 pending events
+// or 2^40 scheduled ones.
+TEST(SimulatorCore, KeyPackingHoldsBothFieldsAtTheirLimits) {
+  constexpr std::uint64_t kTopSlot = Simulator::kMaxSlots - 1;
+  EXPECT_EQ(Simulator::kMaxSlots, std::uint64_t{1} << 24);
+  EXPECT_EQ(Simulator::kMaxSeq, (std::uint64_t{1} << 40) - 1);
+  const std::uint64_t top = Simulator::pack_key(Simulator::kMaxSeq, kTopSlot);
+  EXPECT_EQ(top, ~std::uint64_t{0});
+  EXPECT_EQ(Simulator::slot_of(top), kTopSlot);
+  EXPECT_EQ(top >> Simulator::kSlotBits, Simulator::kMaxSeq);
+  const std::uint64_t low = Simulator::pack_key(0, kTopSlot);
+  EXPECT_EQ(Simulator::slot_of(low), kTopSlot);
+  EXPECT_EQ(low >> Simulator::kSlotBits, 0u);
+  EXPECT_EQ(Simulator::slot_of(Simulator::pack_key(Simulator::kMaxSeq, 0)),
+            0u);
+  // Keys order as their sequence numbers do, whatever the slots.
+  EXPECT_LT(Simulator::pack_key(41, kTopSlot), Simulator::pack_key(42, 0));
+  EXPECT_LT(Simulator::pack_key(Simulator::kMaxSeq - 1, kTopSlot),
+            Simulator::pack_key(Simulator::kMaxSeq, 0));
+}
+
+TEST(SimulatorCore, KeyPackingPastEitherLimitThrows) {
+  const auto message = [](std::uint64_t seq, std::uint64_t slot) {
+    try {
+      Simulator::pack_key(seq, slot);
+    } catch (const std::length_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_NE(message(0, Simulator::kMaxSlots).find("2^24 events pending"),
+            std::string::npos);
+  EXPECT_NE(message(Simulator::kMaxSeq + 1, 0).find("2^40 events"),
+            std::string::npos);
+  EXPECT_NE(message(~std::uint64_t{0}, ~std::uint64_t{0}).find("2^24"),
+            std::string::npos);
+  EXPECT_NO_THROW(
+      Simulator::pack_key(Simulator::kMaxSeq, Simulator::kMaxSlots - 1));
+}
+
+TEST(PacketFields, RangeCheckAcceptsExactlyWhatFits32Bits) {
+  // Ids up to 2^32 - 1 fit: 2^32 connections, paths of 2^32 - 1 hops (the
+  // delivery hop index equals the length) and fan-ins of 2^32 classes. A
+  // topology this large cannot be built in a test, so the engine's check is
+  // exercised on the extents alone.
+  constexpr std::size_t kMax = 0xffffffffu;
+  using ffc::sim::check_packet_field_range;
+  EXPECT_NO_THROW(check_packet_field_range(kMax + 1, kMax, kMax + 1));
+  EXPECT_THROW(check_packet_field_range(kMax + 2, 1, 1), std::length_error);
+  EXPECT_THROW(check_packet_field_range(1, kMax + 1, 1), std::length_error);
+  EXPECT_THROW(check_packet_field_range(1, 1, kMax + 2), std::length_error);
 }
 
 TEST(SimulatorCore, CalendarSizeAndHighWaterTrackThePendingSet) {
