@@ -1,17 +1,16 @@
-// A vector-backed circular FIFO used for server job queues.
+// A vector-backed circular FIFO: the FIFO server's job queue (servers that
+// queue by class use ClassQueues, class_queues.hpp).
 //
 // std::deque allocates and frees ~512-byte map nodes as elements cycle
 // through, so a steady-state server still churns the allocator. RingQueue
 // keeps one contiguous power-of-two buffer that only ever grows: after
 // warm-up, push/pop cycles are pure index arithmetic (docs/PERFORMANCE.md).
-// push_front exists for preemptive-resume servers that return the running
-// job to the head of its class queue.
 //
 // front() and pop_front() on an empty queue are checked preconditions
 // (std::logic_error), not UB: the index mask is `size() - 1`, which on a
 // never-grown (empty) buffer is SIZE_MAX, so the unchecked forms would
 // silently index garbage and underflow the element count. The check is one
-// predictable compare on the hot path; the servers all test empty() first,
+// predictable compare on the hot path; the FIFO server tests empty() first,
 // so it never fires in a correct run.
 #pragma once
 
@@ -44,13 +43,6 @@ class RingQueue {
     ++count_;
   }
 
-  void push_front(T value) {
-    if (count_ == buf_.size()) grow();
-    head_ = wrap(head_ + buf_.size() - 1);
-    buf_[head_] = std::move(value);
-    ++count_;
-  }
-
   void pop_front() {
     check_nonempty();
     buf_[head_] = T{};  // release payload resources eagerly
@@ -73,8 +65,9 @@ class RingQueue {
     }
   }
 
-  /// Callers guarantee buf_ is nonempty (push_* grow first; front/pop_front
-  /// are precondition-checked), so the mask `size() - 1` is well defined.
+  /// Callers guarantee buf_ is nonempty (push_back grows first;
+  /// front/pop_front are precondition-checked), so the mask `size() - 1` is
+  /// well defined.
   std::size_t wrap(std::size_t i) const { return i & (buf_.size() - 1); }
 
   static std::size_t ceil_pow2(std::size_t n) {
