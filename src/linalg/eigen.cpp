@@ -55,15 +55,17 @@ namespace {
 
 using cd = std::complex<double>;
 
-/// Eigenvalue of the 2x2 complex matrix [[a,b],[c,d]] closer to d
-/// (Wilkinson shift).
-cd wilkinson_shift(cd a, cd b, cd c, cd d) {
-  const cd tr = a + d;
-  const cd det = a * d - b * c;
-  const cd disc = std::sqrt(tr * tr / 4.0 - det);
-  const cd l1 = tr / 2.0 + disc;
-  const cd l2 = tr / 2.0 - disc;
-  return std::abs(l1 - d) < std::abs(l2 - d) ? l1 : l2;
+/// Both eigenvalues of the 2x2 complex matrix [[a,b],[c,d]], the one closer
+/// to d second. The discriminant is sqrt(((a-d)/2)^2 + bc): the textbook
+/// tr^2/4 - det cancels to ~1e-8 absolute on a near-defective pair.
+std::array<cd, 2> eigenvalues_2x2(cd a, cd b, cd c, cd d) {
+  const cd half_gap = (a - d) / 2.0;
+  const cd disc = std::sqrt(half_gap * half_gap + b * c);
+  const cd mid = (a + d) / 2.0;
+  const cd l1 = mid + disc;
+  const cd l2 = mid - disc;
+  if (std::abs(l1 - d) < std::abs(l2 - d)) return {l2, l1};
+  return {l1, l2};
 }
 
 /// One shifted-QR sweep on the active Hessenberg block rows/cols [l, m] of h
@@ -139,12 +141,19 @@ EigenResult eigenvalues(const Matrix& a) {
   const std::size_t max_iters_per_eigenvalue = 60;
 
   while (true) {
-    // Locate l: start of the active unreduced block ending at m.
+    // Locate l: start of the active unreduced block ending at m. A
+    // subdiagonal deflates when it is roundoff next to its neighbouring
+    // diagonal entries. A cluster of equal eigenvalues can leave every
+    // subdiagonal at the eps * max|H| roundoff level without ever meeting
+    // that relative test, so after max_iters_per_eigenvalue sweeps on one
+    // block the absolute test eps * max|H| is accepted too.
+    const bool stalled = iters_since_deflation > max_iters_per_eigenvalue;
     std::size_t l = m;
     while (l > 0) {
       const double sub = std::abs(H(l, l - 1));
       const double neighbor = std::abs(H(l - 1, l - 1)) + std::abs(H(l, l));
-      if (sub <= eps * (neighbor > 0.0 ? neighbor : scale)) {
+      if (sub <= eps * (neighbor > 0.0 ? neighbor : scale) ||
+          (stalled && sub <= eps * scale)) {
         H(l, l - 1) = cd(0);
         break;
       }
@@ -160,16 +169,27 @@ EigenResult eigenvalues(const Matrix& a) {
       continue;
     }
 
-    if (++iters_since_deflation > max_iters_per_eigenvalue) {
-      // Give up on full convergence; report the remaining diagonal as the
-      // best available estimates.
+    if (l + 1 == m) {
+      // 2x2 block: both eigenvalues in closed form.
+      for (const cd lambda : eigenvalues_2x2(H(l, l), H(l, m), H(m, l),
+                                             H(m, m))) {
+        result.values.push_back(lambda);
+      }
+      iters_since_deflation = 0;
+      if (l == 0) break;
+      m -= 2;
+      continue;
+    }
+
+    if (++iters_since_deflation > 2 * max_iters_per_eigenvalue) {
+      // Give up: only the eigenvalues deflated so far are reported.
       result.converged = false;
-      for (std::size_t i = 0; i <= m; ++i) result.values.push_back(H(i, i));
       break;
     }
 
-    cd shift = wilkinson_shift(H(m - 1, m - 1), H(m - 1, m), H(m, m - 1),
-                               H(m, m));
+    // Wilkinson shift: the trailing 2x2 block's eigenvalue closer to H(m, m).
+    cd shift = eigenvalues_2x2(H(m - 1, m - 1), H(m - 1, m), H(m, m - 1),
+                               H(m, m))[1];
     if (iters_since_deflation % 12 == 0) {
       // Exceptional shift to break potential limit cycles.
       shift = H(m, m) + cd(1.2 * std::abs(H(m, m - 1)), 0.7 * scale * eps);

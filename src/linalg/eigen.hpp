@@ -25,8 +25,9 @@ struct EigenResult {
   /// Eigenvalues; complex-conjugate pairs of a real matrix appear as such
   /// (up to roundoff). Sorted by decreasing magnitude.
   std::vector<std::complex<double>> values;
-  /// False if the QR iteration hit its iteration cap before fully deflating
-  /// (should not happen in practice; callers may treat it as an error).
+  /// False if the QR iteration hit its iteration cap before fully deflating;
+  /// `values` then holds only the eigenvalues deflated so far (fewer than
+  /// n). Callers must not read a verdict off an unconverged spectrum.
   bool converged = true;
 };
 

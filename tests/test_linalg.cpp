@@ -1,8 +1,10 @@
 // Tests for the dense linear-algebra substrate: Matrix and eigenvalues.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstddef>
 #include <stdexcept>
 #include <utility>
 
@@ -136,6 +138,41 @@ TEST(Eigen, RankOnePerturbationOfIdentity) {
     if (std::abs(std::abs(v) - 1.0) < 1e-8) ++unit_count;
   }
   EXPECT_EQ(unit_count, static_cast<int>(n - 1));
+}
+
+TEST(Eigen, ExactClusterOfEqualEigenvaluesConverges) {
+  // a I + b 11^T, the exact Jacobian of a symmetric bottleneck: a with
+  // multiplicity n - 1 and a + n b once. Reduction leaves the cluster's
+  // subdiagonals at the eps * max|H| roundoff level, which a purely
+  // relative deflation test never accepts.
+  const std::pair<double, double> coefficients[] = {
+      {1.0, -0.5}, {1.0, 0.3}, {0.4, -0.25}, {-0.7, 0.05}, {0.99, -1e-3}};
+  for (const std::size_t n : {2u, 3u, 5u, 8u, 16u, 31u, 64u}) {
+    for (const auto& [a, b] : coefficients) {
+      Matrix m(n, n, b);
+      for (std::size_t i = 0; i < n; ++i) m(i, i) += a;
+      const auto res = eigenvalues(m);
+      const double transverse = a + b * static_cast<double>(n);
+      ASSERT_TRUE(res.converged) << "n=" << n << " a=" << a << " b=" << b;
+      ASSERT_EQ(res.values.size(), n);
+      std::size_t cluster = 0;
+      bool transverse_found = false;
+      for (const auto& lambda : res.values) {
+        EXPECT_NEAR(lambda.imag(), 0.0, 1e-10);
+        if (std::abs(lambda - a) < 1e-10) {
+          ++cluster;
+        } else {
+          EXPECT_NEAR(lambda.real(), transverse, 1e-10)
+              << "n=" << n << " a=" << a << " b=" << b;
+          transverse_found = true;
+        }
+      }
+      EXPECT_EQ(cluster + (transverse_found ? 1 : 0), n);
+      EXPECT_NEAR(spectral_radius(m),
+                  std::max(std::fabs(a), std::fabs(transverse)), 1e-10)
+          << "n=" << n << " a=" << a << " b=" << b;
+    }
+  }
 }
 
 TEST(Eigen, TriangularMatrixEigenvaluesAreDiagonal) {
