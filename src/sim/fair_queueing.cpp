@@ -19,7 +19,7 @@ void FairQueueingServer::arrival(Packet packet, std::size_t local_conn) {
   Job job;
   job.packet = std::move(packet);
   job.local_conn = local_conn;
-  job.service_time = sample_service_time();
+  job.service_time = sample_nominal_service_time();
   // Self-clocked tag: restart from the current virtual time if the
   // connection was idle long enough for its finish number to lapse.
   const double start = std::max(last_finish_[local_conn], virtual_time_);

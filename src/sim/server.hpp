@@ -158,6 +158,9 @@ class GatewayServer : public EventHandler {
   double sample_service_time() {
     return rng_.exponential(mu_ * service_factor_);
   }
+  /// Draws a service time at the nominal rate mu: a packet's size, which a
+  /// later service factor scales but never redraws. Safe during an outage.
+  double sample_nominal_service_time() { return rng_.exponential(mu_); }
   void occupancy_delta(std::size_t local_conn, int delta);
   void deliver(Packet packet) { sink_->packet_departed(std::move(packet)); }
 

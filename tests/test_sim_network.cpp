@@ -405,21 +405,51 @@ TEST(DesBits, FairQueueingNetworkMatchesRecordedBits) {
               39036, 487});
 }
 
-TEST(DesBits, FaultPlanRunMatchesRecordedBits) {
-  // An outage (the job in service parks and re-times), a degradation and
-  // churn, under FIFO and under Fair Share, which re-decomposes every
-  // gateway on each churn action.
+/// An outage (the job in service parks and re-times), a degradation and
+/// churn on the pinned network.
+ffc::faults::FaultPlan pinned_fault_plan() {
   ffc::faults::FaultPlan plan;
   plan.churn = {{3, 20.0, 35.0},
                 {17, 25.0, std::numeric_limits<double>::infinity()},
                 {200, 30.0, 50.0}};
   plan.gateway_faults = {{1, 22.0, 3.0, 0.0}, {4, 40.0, 6.0, 0.5}};
+  return plan;
+}
+
+TEST(DesBits, FaultPlanRunMatchesRecordedBits) {
+  // Under FIFO and under Fair Share, which re-decomposes every gateway on
+  // each churn action.
+  const ffc::faults::FaultPlan plan = pinned_fault_plan();
   expect_pin(run_pinned(SimDiscipline::Fifo, plan),
              {0x51d28c82ca1ac0f2, 0xeda174f2a1f2a52d, 0xf7b7bda313831ab6,
               38823, 535});
   expect_pin(run_pinned(SimDiscipline::FairShare, plan),
              {0xbf7f4005b07c5a4a, 0x470af2663cdb7ae3, 0xfe19affae4f75a62,
               41662, 564});
+}
+
+TEST(FairQueueing, PacketSizeIsDrawnAtTheNominalRate) {
+  // A packet's size is drawn at mu when it arrives; a gateway fault only
+  // rescales its transmission. A size drawn at mu * factor would throw at
+  // an outage (a zero exponential rate) and slow a degradation f by 1/f^2.
+  const DesPin pin =
+      run_pinned(SimDiscipline::FairQueueing, pinned_fault_plan());
+  EXPECT_GT(pin.events, 0u);
+
+  // One connection, so Fair Queueing serves in arrival order: under a
+  // constant degradation f the gateway is M/M/1 at mu f, with mean delay
+  // 1 / (mu f - lambda), within E8's 0.05 + 15 % band.
+  const double mu = 1.0, f = 0.5, lambda = 0.3;
+  ffc::faults::FaultPlan plan;
+  plan.gateway_faults = {{0, 0.0, 1e9, f}};
+  NetworkSimulator sim(ffc::network::single_bottleneck(1, mu),
+                       SimDiscipline::FairQueueing, 31, std::move(plan));
+  sim.set_rates({lambda});
+  sim.run_for(1000.0);
+  sim.reset_metrics();
+  sim.run_for(40000.0);
+  const double expected = 1.0 / (mu * f - lambda);
+  EXPECT_NEAR(sim.mean_delay(0), expected, 0.05 + 0.15 * expected);
 }
 
 TEST(DesBits, WindowNetworkMatchesRecordedBits) {
