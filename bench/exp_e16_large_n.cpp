@@ -1,6 +1,6 @@
 // E16 -- sparse spectral stability at N = 10^5 .. 10^6.
 //
-// The dense stability pipeline (core::jacobian + QR) is O(N^2) memory and
+// The dense stability pipeline (materialized DF + QR) is O(N^2) memory and
 // O(N^3) time, capping experiments near N ~ 10^3. This experiment runs the
 // paper's two sharpest large-population claims through the matrix-free
 // engine (spectral::spectral_stability over the CSR/SoA model path,
@@ -20,7 +20,7 @@
 //       fair and a skewed allocation; FIFO violates it by the analytic
 //       margin g(1/2)/(2N) - 1/(3N) = 1/(6N) ~ 1.667e-6 on the skewed one.
 //
-// A small-N cross-check feeds the SAME finite-difference Jacobian to both
+// A small-N cross-check feeds the SAME materialized Jacobian to both
 // the dense QR solver and the iterative solver and pins agreement to 1e-8
 // -- the golden bound the large-N numbers inherit their credibility from.
 //
@@ -44,12 +44,12 @@
 #include <vector>
 
 #include "core/ffc.hpp"
-#include "core/stability.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/sparse_eigen.hpp"
 #include "network/builders.hpp"
 #include "report/table.hpp"
 #include "repro/experiments.hpp"
+#include "spectral/analytic.hpp"
 #include "spectral/stability.hpp"
 
 namespace ffc::repro {
@@ -207,7 +207,7 @@ void run_e16(ExperimentContext& ctx) {
       fifo_skew, fifo_predicted, 1e-12);
 
   // ---- small-N golden cross-check ----------------------------------------
-  // Same finite-difference Jacobian, both eigensolvers: the iterative
+  // Same materialized analytic Jacobian, both eigensolvers: the iterative
   // radius must match dense QR to 1e-8 (the tests pin this up to N = 1024;
   // this claim keeps one instance in the generated artifacts).
   const std::size_t small_n = 256;
@@ -222,7 +222,8 @@ void run_e16(ExperimentContext& ctx) {
     cross_rates[i] =
         0.45 * (1.0 + 0.3 * double(i) / double(small_n));
   }
-  const linalg::Matrix df = core::jacobian(cross_model, cross_rates);
+  const linalg::Matrix df = linalg::materialize(
+      spectral::AnalyticJacobianOperator(cross_model, cross_rates));
   const double dense_radius = linalg::spectral_radius(df);
   linalg::IterativeEigenOptions cross_opts;
   cross_opts.real_spectrum = true;  // Theorem 4: individual + FairShare

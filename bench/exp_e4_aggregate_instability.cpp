@@ -52,10 +52,9 @@ void run_e4(ExperimentContext& ctx) {
   bool all_unilateral = true;
   bool dynamics_agree = true;
   bool reduced_agrees = true;
-  // The full dense spectrum, from core::jacobian's default FD step.
+  // The full dense spectrum of the exact (analytic) DF.
   spectral::SpectralOptions dense;
   dense.method = spectral::SpectralOptions::Method::Dense;
-  dense.jvp.relative_step = 1e-6;
   // N = 4 sits exactly on the threshold (eigenvalue -1, marginal) and is
   // omitted; linear analysis cannot classify it.
   for (std::size_t n : {2u, 3u, 5u, 6u, 8u, 12u, 16u}) {

@@ -15,8 +15,10 @@
 #include <memory>
 
 #include "core/ffc.hpp"
+#include "linalg/sparse_eigen.hpp"
 #include "report/table.hpp"
 #include "repro/experiments.hpp"
+#include "spectral/analytic.hpp"
 #include "spectral/stability.hpp"
 #include "stats/rng.hpp"
 
@@ -57,10 +59,9 @@ void run_e6(ExperimentContext& ctx) {
   bool fs_triangular = false;
   bool fifo_triangular = true;
   double fs_eig_diag_gap = 1e300;
-  // The full dense spectrum, from core::jacobian's default FD step.
+  // The full dense spectrum of the exact (analytic) DF.
   spectral::SpectralOptions dense;
   dense.method = spectral::SpectralOptions::Method::Dense;
-  dense.jvp.relative_step = 1e-6;
   for (auto disc : {std::shared_ptr<const queueing::ServiceDiscipline>(
                         std::make_shared<queueing::FairShare>()),
                     std::shared_ptr<const queueing::ServiceDiscipline>(
@@ -68,7 +69,8 @@ void run_e6(ExperimentContext& ctx) {
     auto model = make(single, disc, 0.3);
     const auto report = spectral::spectral_stability(model, probe, dense);
     const bool triangular = core::is_triangular_under_rate_order(
-        core::jacobian(model, probe), probe, 1e-5);
+        linalg::materialize(spectral::AnalyticJacobianOperator(model, probe)),
+        probe, 1e-5);
     double max_diag = 0.0;
     for (double d : report.diagonal) {
       max_diag = std::max(max_diag, std::fabs(d));

@@ -311,15 +311,23 @@ void BM_IndividualCongestionReference(benchmark::State& state) {
 }
 BENCHMARK(BM_IndividualCongestionReference)->Arg(64)->Arg(256)->Arg(1024);
 
+// The dense stability path's DF: the operator built at the point, then
+// materialized with N applications to e_j, for either operator
+// spectral_stability can pick.
+template <class Operator>
 void BM_Jacobian(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   auto model = make_model(n, core::FeedbackStyle::Individual, true);
   auto rates = make_rates(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::jacobian(model, rates));
+    const Operator op(model, rates);
+    benchmark::DoNotOptimize(linalg::materialize(op));
   }
 }
-BENCHMARK(BM_Jacobian)->Arg(4)->Arg(16);
+BENCHMARK_TEMPLATE(BM_Jacobian, spectral::AnalyticJacobianOperator)
+    ->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK_TEMPLATE(BM_Jacobian, spectral::ModelJacobianOperator)
+    ->Arg(4)->Arg(16)->Arg(64);
 
 void BM_FixedPointSolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -8,8 +8,7 @@
 
 namespace ffc::core {
 
-void validate_step_options(double relative_step, double step_floor,
-                           const char* caller) {
+void JvpOptions::validate(const char* caller) const {
   for (const double v : {relative_step, step_floor}) {
     if (!(v > 0.0) || !std::isfinite(v)) {
       throw std::invalid_argument(
@@ -19,88 +18,34 @@ void validate_step_options(double relative_step, double step_floor,
   }
 }
 
-linalg::Matrix jacobian(const FlowControlModel& model,
-                        const std::vector<double>& rates,
-                        const JacobianOptions& options) {
-  validate_step_options(options.relative_step, options.step_floor,
-                        "jacobian");
-  const std::size_t n = rates.size();
-  if (n != model.topology().num_connections()) {
-    throw std::invalid_argument("jacobian: rate vector size mismatch");
-  }
-  linalg::Matrix df(n, n);
-  std::vector<double> probe = rates;
-  // 2n F evaluations share one workspace; the first probe (rates with one
-  // coordinate nudged) carries the boundary validation for the whole batch,
-  // since every later probe differs from it only in one finite coordinate.
-  ModelWorkspace ws;
-  bool validated = false;
-  std::vector<double> f_plus, f_minus;
-  const auto eval = [&](std::vector<double>& out) {
-    out = validated ? model.step_unchecked(probe, ws) : model.step(probe, ws);
-    validated = true;
-  };
-  for (std::size_t j = 0; j < n; ++j) {
-    const double h =
-        options.relative_step * std::max(std::fabs(rates[j]),
-                                         options.step_floor /
-                                             options.relative_step);
-    double denom = 0.0;
-    switch (options.scheme) {
-      case JacobianOptions::Scheme::Central: {
-        probe[j] = rates[j] + h;
-        eval(f_plus);
-        probe[j] = std::max(0.0, rates[j] - h);
-        eval(f_minus);
-        denom = (rates[j] + h) - probe[j];
-        probe[j] = rates[j];
-        break;
-      }
-      case JacobianOptions::Scheme::Forward: {
-        probe[j] = rates[j] + h;
-        eval(f_plus);
-        probe[j] = rates[j];
-        eval(f_minus);
-        denom = h;
-        break;
-      }
-      case JacobianOptions::Scheme::Backward: {
-        probe[j] = rates[j];
-        eval(f_plus);
-        probe[j] = std::max(0.0, rates[j] - h);
-        eval(f_minus);
-        denom = rates[j] - probe[j];
-        probe[j] = rates[j];
-        break;
-      }
-    }
-    if (denom == 0.0) {
-      throw std::invalid_argument("jacobian: degenerate step (rate pinned at 0)");
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      df(i, j) = (f_plus[i] - f_minus[i]) / denom;
-    }
-  }
-  return df;
-}
-
 UnilateralReport unilateral_stability(const FlowControlModel& model,
                                       const std::vector<double>& rates,
-                                      const JacobianOptions& options) {
-  UnilateralReport report;
-  JacobianOptions fwd = options;
-  fwd.scheme = JacobianOptions::Scheme::Forward;
-  JacobianOptions bwd = options;
-  bwd.scheme = JacobianOptions::Scheme::Backward;
-  const linalg::Matrix jf = jacobian(model, rates, fwd);
-  const linalg::Matrix jb = jacobian(model, rates, bwd);
+                                      const JvpOptions& options) {
+  options.validate("unilateral_stability");
+  // The checked base evaluation validates the rates; every probe differs
+  // from them in one finite coordinate and takes the unchecked path.
+  ModelWorkspace ws;
+  const std::vector<double> base = model.step(rates, ws);
   const std::size_t n = rates.size();
+  std::vector<double> probe = rates;
+  UnilateralReport report;
   report.forward.resize(n);
   report.backward.resize(n);
   report.stable = true;
   for (std::size_t i = 0; i < n; ++i) {
-    report.forward[i] = jf(i, i);
-    report.backward[i] = jb(i, i);
+    const double h = std::max(options.relative_step * std::fabs(rates[i]),
+                              options.step_floor);
+    probe[i] = rates[i] + h;
+    report.forward[i] = (model.step_unchecked(probe, ws)[i] - base[i]) / h;
+    probe[i] = std::max(0.0, rates[i] - h);
+    const double down = rates[i] - probe[i];
+    if (down == 0.0) {
+      throw std::invalid_argument(
+          "unilateral_stability: degenerate step (rate pinned at 0)");
+    }
+    report.backward[i] =
+        (base[i] - model.step_unchecked(probe, ws)[i]) / down;
+    probe[i] = rates[i];
     if (std::fabs(report.forward[i]) >= 1.0 ||
         std::fabs(report.backward[i]) >= 1.0) {
       report.stable = false;

@@ -1,5 +1,5 @@
-// Finite-difference Jacobians of the flow-control map (§2.4.3, §3.3,
-// Theorem 4).
+// Finite-difference step control and the two stability questions of the
+// flow-control map (§2.4.3, §3.3, Theorem 4).
 //
 // A steady state r_ss of r̂ = F(r) is linearly stable when all eigenvalues
 // of the Jacobian DF_ij = dF_i/dr_j have magnitude < 1 (deviations along a
@@ -13,9 +13,10 @@
 // diagonal entries and unilateral stability implies systemic stability.
 //
 // Both verdicts come from spectral::spectral_stability (spectral/
-// stability.hpp), whose dense path materializes DF through jacobian()
-// here. This header keeps the FD oracle itself, the one-sided unilateral
-// analysis at fairness kinks, and the Theorem-4 structure check.
+// stability.hpp), whose dense path materializes DF from the Jacobian
+// operator it picks. This header keeps the step type every finite
+// difference of F shares, the one-sided unilateral analysis at fairness
+// kinks, and the Theorem-4 structure check.
 #pragma once
 
 #include <vector>
@@ -25,28 +26,24 @@
 
 namespace ffc::core {
 
-/// Options for the finite-difference Jacobian.
-struct JacobianOptions {
-  double relative_step = 1e-6;  ///< h_j = relative_step * max(r_j, floor)
-  double step_floor = 1e-7;     ///< absolute floor for the step
-  /// MAX/MIN terms in b_i and C^a_i make F only piecewise-smooth; one-sided
-  /// differences probe the dynamics on the chosen side of a kink.
-  enum class Scheme { Central, Forward, Backward } scheme = Scheme::Central;
+/// Step control for every finite difference of F: the matrix-free operator
+/// (spectral/operator.hpp) and unilateral_stability's one-sided diagonal.
+///
+/// The default step balances O(h^2) truncation against the roundoff noise
+/// floor, which at large N is dominated by the O(N)-term load sums inside
+/// the model (measured ~1e-12/h relative at N = 1e5, so h = 1e-5 leaves
+/// ~1e-7 relative accuracy in the Jacobian action -- docs/SCALING.md).
+struct JvpOptions {
+  double relative_step = 1e-5;  ///< h ~ relative_step * rate scale
+  double step_floor = 1e-7;     ///< absolute floor for the nominal step
+
+  /// Throws std::invalid_argument unless both values are finite and > 0: a
+  /// zero or NaN step turns every difference quotient into 0 or NaN, and a
+  /// negative one flips the probes, so a bad step would otherwise surface
+  /// as a wrong derivative (or a misleading rate error), not as an error.
+  /// `caller` prefixes the message.
+  void validate(const char* caller) const;
 };
-
-/// Throws std::invalid_argument unless a finite-difference step's
-/// `relative_step` and `step_floor` are both finite and > 0: a zero or NaN
-/// step turns every difference quotient into 0 or NaN, and a negative one
-/// flips the probes, so a bad step would otherwise surface as a wrong
-/// Jacobian (or a misleading rate error), not as an error. `caller` prefixes
-/// the message.
-void validate_step_options(double relative_step, double step_floor,
-                           const char* caller);
-
-/// Numerical Jacobian of F at `rates`. Validates the step options.
-linalg::Matrix jacobian(const FlowControlModel& model,
-                        const std::vector<double>& rates,
-                        const JacobianOptions& options = {});
 
 /// One-sided unilateral stability analysis.
 ///
@@ -63,10 +60,14 @@ struct UnilateralReport {
   bool stable = false;           ///< all |.| < 1 on both branches
 };
 
-/// Computes both one-sided diagonal derivatives at `rates`.
+/// Computes both one-sided diagonal derivatives at `rates` from 2N + 1
+/// model evaluations along +-e_i (step h_i = max(relative_step |r_i|,
+/// step_floor)), in O(N) memory. Validates the options and the rates;
+/// throws std::invalid_argument at a rate pinned at 0, which has no
+/// downward branch.
 UnilateralReport unilateral_stability(const FlowControlModel& model,
                                       const std::vector<double>& rates,
-                                      const JacobianOptions& options = {});
+                                      const JvpOptions& options = {});
 
 /// True iff there is a permutation `perm` ordering the connections by
 /// increasing rate for which jacobian(perm, perm) is lower-triangular within

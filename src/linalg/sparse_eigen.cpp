@@ -316,6 +316,20 @@ void MatrixOperator::apply(const Vector& x, Vector& y) const {
   }
 }
 
+Matrix materialize(const LinearOperator& op) {
+  const std::size_t n = op.dim();
+  Matrix a(n, n);
+  Vector e(n, 0.0);
+  Vector column(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    e[j] = 1.0;
+    op.apply(e, column);
+    e[j] = 0.0;
+    for (std::size_t i = 0; i < n; ++i) a(i, j) = column[i];
+  }
+  return a;
+}
+
 void iterative_eigenvalues_into(const LinearOperator& op, std::size_t count,
                                 const IterativeEigenOptions& opts,
                                 SparseEigenWorkspace& ws,

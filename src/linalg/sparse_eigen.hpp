@@ -72,6 +72,11 @@ class MatrixOperator final : public LinearOperator {
   const Matrix* a_;
 };
 
+/// The dense matrix of `op`: column j is op.apply(e_j), dim() applications.
+/// The dense stability path forms DF this way from the Jacobian operator it
+/// picks, so both paths see one source.
+Matrix materialize(const LinearOperator& op);
+
 /// Which stage produced an eigenvalue estimate.
 enum class IterativeMethod {
   Power,

@@ -4,16 +4,13 @@
 #include <cmath>
 #include <limits>
 
-#include "core/stability.hpp"
-
 namespace ffc::spectral {
 
 ModelJacobianOperator::ModelJacobianOperator(
     const core::FlowControlModel& model, std::vector<double> base_rates,
-    const JvpOptions& options)
+    const core::JvpOptions& options)
     : model_(&model), options_(options) {
-  core::validate_step_options(options_.relative_step, options_.step_floor,
-                              "ModelJacobianOperator");
+  options_.validate("ModelJacobianOperator");
   rebase(std::move(base_rates));
 }
 
@@ -77,8 +74,7 @@ void ModelJacobianOperator::apply(const linalg::Vector& x,
   }
 
   // Boundary fallback: one-sided difference on whichever side admits a
-  // usable step, reusing the cached F(base) -- mirrors the dense Jacobian's
-  // Forward/Backward schemes at a pinned rate.
+  // usable step, reusing the cached F(base).
   const bool forward = std::min(h0, h_plus) >= std::min(h0, h_minus);
   const double h = std::max(forward ? std::min(h0, h_plus)
                                     : std::min(h0, h_minus),

@@ -1,40 +1,28 @@
-// Matrix-free Jacobian-vector products for the flow-control map.
-//
-// The dense path (core/stability.hpp) materializes DF column by column: 2N
-// model evaluations and O(N^2) memory. For the large-N engine we only ever
-// need the ACTION of DF on a vector,
+// Matrix-free Jacobian-vector products for the flow-control map by
+// central differences:
 //
 //   DF(r) x  ~=  [F(r + h x) - F(r - h x)] / (2 h),
 //
-// which costs two model evaluations per application regardless of N and
-// never forms the matrix. Combined with the iterative eigensolver
-// (linalg/sparse_eigen.hpp) this yields spectral radii at N = 10^5..10^6 in
-// O(N log N) time per iteration and O(N) memory (docs/SCALING.md).
+// two model evaluations per application regardless of N, never forming
+// the matrix. Combined with the iterative eigensolver (linalg/
+// sparse_eigen.hpp) this yields spectral radii at N = 10^5..10^6 in
+// O(N log N) time per iteration and O(N) memory (docs/SCALING.md); the
+// dense path materializes it with N applications to e_j when a model layer
+// has no closed-form derivative (spectral/analytic.hpp).
 //
 // The model map is only defined for nonnegative rates, so the directional
 // step is clamped to keep both probes feasible; near the r_i = 0 boundary
-// the operator degrades to a one-sided difference exactly like the dense
-// Jacobian's Forward/Backward schemes.
+// the operator degrades to a one-sided difference from the cached F(r).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "core/model.hpp"
+#include "core/stability.hpp"
 #include "linalg/sparse_eigen.hpp"
 
 namespace ffc::spectral {
-
-/// Options for the directional finite difference.
-///
-/// The default step balances O(h^2) truncation against the roundoff noise
-/// floor, which at large N is dominated by the O(N)-term load sums inside
-/// the model (measured ~1e-12/h relative at N = 1e5, so h = 1e-5 leaves
-/// ~1e-7 relative accuracy in the Jacobian action -- docs/SCALING.md).
-struct JvpOptions {
-  double relative_step = 1e-5;  ///< h ~ relative_step * ||r||_inf / ||x||_inf
-  double step_floor = 1e-7;     ///< absolute floor for the nominal step
-};
 
 /// LinearOperator computing y = DF(r) x by central differences of the model
 /// map around a fixed base point r. All model evaluations run through one
@@ -47,7 +35,7 @@ class ModelJacobianOperator final : public linalg::LinearOperator {
   /// std::invalid_argument unless both step options are finite and > 0.
   ModelJacobianOperator(const core::FlowControlModel& model,
                         std::vector<double> base_rates,
-                        const JvpOptions& options = {});
+                        const core::JvpOptions& options = {});
 
   std::size_t dim() const override { return base_.size(); }
   void apply(const linalg::Vector& x, linalg::Vector& y) const override;
@@ -68,7 +56,7 @@ class ModelJacobianOperator final : public linalg::LinearOperator {
   const core::FlowControlModel* model_;
   std::vector<double> base_;
   std::vector<double> f_base_;  ///< F(base), for one-sided fallbacks
-  JvpOptions options_;
+  core::JvpOptions options_;
   double nominal_step_;  ///< relative_step * max(||base||_inf, floor-scale)
   mutable core::ModelWorkspace ws_;
   mutable std::vector<double> probe_;

@@ -8,7 +8,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "core/stability.hpp"
 #include "linalg/eigen.hpp"
 #include "network/csr.hpp"
 #include "queueing/fair_share.hpp"
@@ -23,27 +22,30 @@ bool near_unit(double magnitude, double tol) {
 }
 
 /// Fills the radii, counts and verdicts from report.eigenvalues and
-/// report.converged. A full spectrum (the dense path) resolves the reduced
-/// radius even when every eigenvalue is a unit mode; a deflation sequence
-/// resolves it only with a converged non-unit eigenvalue. A unit mode is on
-/// the unit circle to within the tolerance, so it is never systemically
-/// stable: the verdict must not depend on which side of 1 roundoff puts it.
+/// report.converged. Nothing is trusted unless the solver converged: an
+/// unconverged QR or deflation sequence holds no verdict. A converged full
+/// spectrum (the dense path) resolves the reduced radius even when every
+/// eigenvalue is a unit mode; a deflation sequence resolves it only with a
+/// non-unit eigenvalue. A unit mode is on the unit circle to within the
+/// tolerance, so it is never systemically stable: the verdict must not
+/// depend on which side of 1 roundoff puts it.
 void classify(const SpectralOptions& options, bool full_spectrum,
               SpectralReport& report) {
-  const bool trusted = full_spectrum || report.converged;
   for (const auto& lambda : report.eigenvalues) {
     const double mag = std::abs(lambda);
     report.spectral_radius = std::max(report.spectral_radius, mag);
     if (near_unit(mag, options.manifold_tolerance)) {
       ++report.unit_modes_deflated;
-    } else if (trusted) {
+    } else if (report.converged) {
       report.reduced_spectral_radius =
           std::max(report.reduced_spectral_radius, mag);
       report.reduced_resolved = true;
     }
   }
-  report.reduced_resolved = report.reduced_resolved || full_spectrum;
-  report.systemically_stable = trusted && report.unit_modes_deflated == 0 &&
+  report.reduced_resolved =
+      report.reduced_resolved || (full_spectrum && report.converged);
+  report.systemically_stable = report.converged &&
+                               report.unit_modes_deflated == 0 &&
                                report.spectral_radius < 1.0;
   report.stable_modulo_manifold =
       report.reduced_resolved && report.reduced_spectral_radius < 1.0;
@@ -105,18 +107,13 @@ void exchangeable_spectrum(const linalg::LinearOperator& op,
   report.converged = true;
 }
 
-SpectralReport dense_path(const core::FlowControlModel& model,
-                          const std::vector<double>& rates,
-                          const SpectralOptions& options) {
-  SpectralReport report;
-  core::JacobianOptions jac;
-  jac.relative_step = options.jvp.relative_step;
-  jac.step_floor = options.jvp.step_floor;
-  const linalg::Matrix df = core::jacobian(model, rates, jac);
-  report.model_evaluations = 2 * rates.size();
-  report.diagonal.resize(rates.size());
+void dense_path(const linalg::LinearOperator& op,
+                const SpectralOptions& options, SpectralReport& report) {
+  const linalg::Matrix df = linalg::materialize(op);
+  const std::size_t n = df.rows();
+  report.diagonal.resize(n);
   report.unilaterally_stable = true;
-  for (std::size_t i = 0; i < rates.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     report.diagonal[i] = df(i, i);
     if (std::fabs(df(i, i)) >= 1.0) report.unilaterally_stable = false;
   }
@@ -124,42 +121,16 @@ SpectralReport dense_path(const core::FlowControlModel& model,
   report.eigenvalues = eig.values;
   report.converged = eig.converged;
   classify(options, /*full_spectrum=*/true, report);
-  return report;
 }
 
-SpectralReport iterative_path(const core::FlowControlModel& model,
-                              const std::vector<double>& rates,
-                              const SpectralOptions& options) {
-  SpectralReport report;
+void iterative_path(const core::FlowControlModel& model,
+                    const linalg::LinearOperator& op,
+                    const SpectralOptions& options, SpectralReport& report) {
   const bool triangular =
       model.style() == core::FeedbackStyle::Individual &&
       dynamic_cast<const queueing::FairShare*>(&model.discipline()) != nullptr;
   report.path = triangular ? SpectralReport::Path::Triangular
                            : SpectralReport::Path::Eigensolver;
-
-  // Operator selection: the closed-form analytic JVP whenever every model
-  // layer carries a derivative, else the central-difference operator. The
-  // analytic operator costs 1 model evaluation total (the base) and has no
-  // step-size noise floor; the FD operator pays 2 evaluations per apply.
-  const bool analytic = AnalyticJacobianOperator::supported(model);
-  report.analytic_jvp = analytic;
-  std::optional<AnalyticJacobianOperator> analytic_op;
-  std::optional<ModelJacobianOperator> fd_op;
-  const linalg::LinearOperator* op;
-  if (analytic) {
-    analytic_op.emplace(model, rates);
-    op = &*analytic_op;
-  } else {
-    fd_op.emplace(model, rates, options.jvp);
-    op = &*fd_op;
-  }
-  if (analytic && exchangeable(model, rates, *analytic_op)) {
-    report.path = SpectralReport::Path::Exchangeable;
-    report.model_evaluations = 1;
-    exchangeable_spectrum(*op, options, report);
-    classify(options, /*full_spectrum=*/false, report);
-    return report;
-  }
   linalg::IterativeEigenOptions eig_opts = options.iterative;
   // Theorem 4 (docs/THEORY.md section 8): individual + FairShare makes DF
   // lower triangular under the sort-by-rate permutation, hence a real
@@ -173,7 +144,7 @@ SpectralReport iterative_path(const core::FlowControlModel& model,
   // non-unit eigenvalue decides stability-modulo-manifold, up to the cap.
   std::size_t count = 1;
   while (true) {
-    linalg::iterative_eigenvalues_into(*op, count, eig_opts, ws, result);
+    linalg::iterative_eigenvalues_into(op, count, eig_opts, ws, result);
     report.converged = result.converged;
     report.eigenvalues = result.eigenvalues;
     if (!result.converged) break;
@@ -183,7 +154,7 @@ SpectralReport iterative_path(const core::FlowControlModel& model,
         all_unit = false;
       }
     }
-    if (!all_unit || result.eigenvalues.size() >= op->dim() ||
+    if (!all_unit || result.eigenvalues.size() >= op.dim() ||
         count > options.max_unit_deflations) {
       break;
     }
@@ -192,10 +163,7 @@ SpectralReport iterative_path(const core::FlowControlModel& model,
     // eigenvalues converge immediately along the same deterministic path).
     ++count;
   }
-
   classify(options, /*full_spectrum=*/false, report);
-  report.model_evaluations = analytic ? 1 : fd_op->evaluations();
-  return report;
 }
 
 }  // namespace
@@ -214,15 +182,39 @@ SpectralReport spectral_stability(const core::FlowControlModel& model,
   }
   // A zero or NaN step made the FD operator return y = 0 (radius 0,
   // "stable"); checked on every path so the options are valid whichever
-  // operator Auto picks.
-  core::validate_step_options(options.jvp.relative_step,
-                              options.jvp.step_floor, "spectral_stability");
+  // operator is picked.
+  options.jvp.validate("spectral_stability");
   const bool iterative =
       options.method == SpectralOptions::Method::Iterative ||
       (options.method == SpectralOptions::Method::Auto &&
        rates.size() >= kDenseThreshold);
-  return iterative ? iterative_path(model, rates, options)
-                   : dense_path(model, rates, options);
+
+  // Operator selection, once for both paths: the closed-form analytic JVP
+  // whenever every model layer carries a derivative, else the
+  // central-difference operator. The analytic operator costs 1 model
+  // evaluation total (the base) and has no step-size noise floor; the FD
+  // operator pays 2 evaluations per application.
+  SpectralReport report;
+  report.analytic_jvp = AnalyticJacobianOperator::supported(model);
+  std::optional<AnalyticJacobianOperator> analytic_op;
+  std::optional<ModelJacobianOperator> fd_op;
+  const linalg::LinearOperator* op;
+  if (report.analytic_jvp) {
+    op = &analytic_op.emplace(model, rates);
+  } else {
+    op = &fd_op.emplace(model, rates, options.jvp);
+  }
+  if (!iterative) {
+    dense_path(*op, options, report);
+  } else if (analytic_op && exchangeable(model, rates, *analytic_op)) {
+    report.path = SpectralReport::Path::Exchangeable;
+    exchangeable_spectrum(*op, options, report);
+    classify(options, /*full_spectrum=*/false, report);
+  } else {
+    iterative_path(model, *op, options, report);
+  }
+  report.model_evaluations = fd_op ? fd_op->evaluations() : 1;
+  return report;
 }
 
 }  // namespace ffc::spectral

@@ -1,11 +1,14 @@
 // The stability front end: is the spectral radius of DF at this point below
-// 1, ignoring unit-magnitude manifold modes (§2.4.3, §3.3, Theorem 4)? The
-// solver is picked by problem size:
+// 1, ignoring unit-magnitude manifold modes (§2.4.3, §3.3, Theorem 4)? One
+// Jacobian operator serves both solvers: the closed-form
+// AnalyticJacobianOperator whenever every model layer has a derivative,
+// else the central-difference ModelJacobianOperator. The solver is picked
+// by problem size:
 //
-//   * N <  kDenseThreshold: materialize DF (2N model evaluations) and run
-//     the Hessenberg+QR dense solver. Exact full spectrum, plus the
-//     diagonal DF_ii for the paper's *unilateral* stability (|DF_ii| < 1)
-//     next to the *systemic* verdict.
+//   * N <  kDenseThreshold: materialize DF from the operator (N
+//     applications to e_j) and run the Hessenberg+QR dense solver. Exact
+//     full spectrum, plus the diagonal DF_ii for the paper's *unilateral*
+//     stability (|DF_ii| < 1) next to the *systemic* verdict.
 //   * N >= kDenseThreshold: power iteration with Schur-Wielandt deflation
 //     over the matrix-free Jacobian-vector operator, falling back to Arnoldi
 //     for complex-dominant spectra (linalg/sparse_eigen.hpp). O(N) memory.
@@ -36,7 +39,7 @@ namespace ffc::spectral {
 /// Method::Auto switches to the iterative path at this connection count.
 /// Retuned from 512 to 128 for the analytic JVP operator: the iterative
 /// solve costs O(N log N) per application instead of two full model
-/// evaluations, and overtakes the dense path (2N model evaluations to
+/// evaluations, and overtakes the dense path (N operator applications to
 /// materialize DF + O(N^3) eigensolve) at N = 128 on the reference host;
 /// see docs/SCALING.md "Dense/iterative crossover" for the measured table.
 inline constexpr std::size_t kDenseThreshold = 128;
@@ -57,11 +60,11 @@ struct SpectralOptions {
   /// so the hunt must be capped; if the cap is exhausted the report flags
   /// reduced_resolved = false instead of guessing.
   std::size_t max_unit_deflations = 4;
-  /// Finite-difference step control: the dense path's DF columns, and the
-  /// iterative path's operator when a model layer has no closed-form
-  /// derivative (AnalyticJacobianOperator::supported is false). Both values
-  /// must be finite and > 0 on every path.
-  JvpOptions jvp;
+  /// Finite-difference step control for the operator both paths use when a
+  /// model layer has no closed-form derivative
+  /// (AnalyticJacobianOperator::supported is false). Both values must be
+  /// finite and > 0 on every path.
+  core::JvpOptions jvp;
   /// Solver budgets and tolerance. The default tolerance sits at the
   /// finite-difference noise floor of the matrix-free operator (~1e-7
   /// relative with the default jvp step): asking the eigensolver for more
@@ -87,17 +90,18 @@ struct SpectralReport {
   };
   Path path = Path::Dense;
   double spectral_radius = 0.0;
-  /// spectral_radius < 1 with no unit mode (and, on the iterative path,
-  /// converged): a mode within manifold_tolerance of the unit circle is not
-  /// strictly inside it, whichever side roundoff puts it on.
+  /// converged, spectral_radius < 1 and no unit mode: a mode within
+  /// manifold_tolerance of the unit circle is not strictly inside it,
+  /// whichever side roundoff puts it on.
   bool systemically_stable = false;
   /// Spectral radius over non-unit-magnitude eigenvalues, when resolved.
   double reduced_spectral_radius = 0.0;
   bool reduced_resolved = false;
   bool stable_modulo_manifold = false;  ///< meaningful iff reduced_resolved
   std::size_t unit_modes_deflated = 0;
-  /// Eigenvalues actually computed: the full spectrum on the dense path,
-  /// the deflation sequence on the iterative path.
+  /// Eigenvalues actually computed: the full spectrum on the dense path
+  /// (only the deflated ones if QR did not converge), the deflation
+  /// sequence on the iterative path.
   std::vector<std::complex<double>> eigenvalues;
   /// DF_ii, read off the materialized DF: filled on the dense path only
   /// (empty on the iterative paths, which never form DF).
@@ -107,12 +111,11 @@ struct SpectralReport {
   /// the iterative paths.
   bool unilaterally_stable = false;
   bool converged = false;
-  /// The iterative path ran on the closed-form AnalyticJacobianOperator
-  /// (always false on the dense path).
+  /// The solve ran on the closed-form AnalyticJacobianOperator, on either
+  /// path.
   bool analytic_jvp = false;
-  /// Model evaluations spent (dense: 2N column probes; iterative FD: 2
-  /// per operator application plus the base evaluation; iterative analytic:
-  /// 1 -- the base evaluation only).
+  /// Model evaluations spent: analytic, 1 (the base evaluation only); FD,
+  /// the base evaluation plus 2 per operator application (dense: 2N + 1).
   std::size_t model_evaluations = 0;
 };
 

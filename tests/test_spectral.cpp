@@ -82,7 +82,8 @@ TEST(AnalyticJacobianOperator, MatchesDenseJacobianAction) {
                                         FeedbackStyle::Individual);
   std::vector<double> rates(12);
   for (std::size_t i = 0; i < 12; ++i) rates[i] = 0.02 + 0.003 * double(i);
-  const ffc::linalg::Matrix df = ffc::core::jacobian(model, rates);
+  const ffc::linalg::Matrix df =
+      ffc::linalg::materialize(ModelJacobianOperator(model, rates));
   const AnalyticJacobianOperator op(model, rates);
 
   Xoshiro256 rng(7);
@@ -145,6 +146,52 @@ TEST(AnalyticJacobianOperator, TiedRatesAtFairSteadyState) {
     const AnalyticJacobianOperator op(model, fair);
     EXPECT_FALSE(op.smooth());  // tied rates: two-pass branch average
     expect_matches_fd(model, fair, kFdNoiseTol, "tied fair steady state");
+  }
+}
+
+TEST(AnalyticJacobianOperator, UnitColumnsMatchFdAtTiedBases) {
+  // The dense path materializes DF from the unit directions e_j, and at a
+  // tied base e_j alone breaks a rate tie (r_j becomes the largest of its
+  // group). Materialized analytic and FD DFs must agree entrywise at the
+  // tied points of E4 (aggregate FIFO), E6 (individual Fair Share on random
+  // networks) and E18 (the RCP cells). A central difference across a kink
+  // is off by O(h), so the FD side runs at 1e-7 of the rate scale (the
+  // largest gap measured there is 7e-8; at an absolute 1e-7 step, 1.7e-6).
+  const ffc::core::JvpOptions fine{1e-7, 1e-10};
+  const auto expect_columns_match = [&](const ffc::core::FlowControlModel& m,
+                                        const std::vector<double>& rates,
+                                        const std::string& what) {
+    const auto analytic =
+        ffc::linalg::materialize(AnalyticJacobianOperator(m, rates));
+    const auto fd =
+        ffc::linalg::materialize(ModelJacobianOperator(m, rates, fine));
+    const double diff = ffc::linalg::Matrix::max_abs_diff(analytic, fd);
+    EXPECT_LT(diff, 5e-7) << what;
+  };
+  for (const std::size_t n : {5u, 8u, 16u}) {
+    const auto m = th::single_gateway_model(n, th::fifo(),
+                                            FeedbackStyle::Aggregate, 0.5, 0.5);
+    expect_columns_match(m, std::vector<double>(n, 0.5 / double(n)),
+                         "E4 n=" + std::to_string(n));
+  }
+  Xoshiro256 rng(4040);
+  for (int trial = 0; trial < 6; ++trial) {
+    ffc::network::RandomTopologyParams params;
+    params.num_gateways = 2 + rng.uniform_index(3);
+    params.num_connections = 3 + rng.uniform_index(4);
+    const auto m = th::make_model(ffc::network::random_topology(rng, params),
+                                  th::fair_share(), FeedbackStyle::Individual,
+                                  rng.uniform(0.05, 0.8), 0.5);
+    expect_columns_match(m, ffc::core::fair_steady_state(m),
+                         "E6 trial " + std::to_string(trial));
+  }
+  for (const auto& [eta, kappa] : {std::pair{4.0, 0.5}, std::pair{8.0, 0.0}}) {
+    const ffc::core::FlowControlModel m(
+        ffc::network::single_bottleneck(8, 1.0), th::fifo(),
+        th::rational_signal(), FeedbackStyle::Individual,
+        std::make_shared<ffc::core::RcpAdjustment>(eta, 1.0, kappa, 0.6));
+    expect_columns_match(m, ffc::core::fair_steady_state(m),
+                         "E18 eta=" + std::to_string(eta));
   }
 }
 
@@ -587,7 +634,9 @@ TEST(SpectralStability, AnalyticRadiusMatchesDense) {
   dense_opts.method = ffc::spectral::SpectralOptions::Method::Dense;
   const auto dense = ffc::spectral::spectral_stability(model, rates, dense_opts);
   ASSERT_TRUE(dense.converged);
-  EXPECT_FALSE(dense.analytic_jvp);
+  // Both paths run on the operator picked once: the exact one here.
+  EXPECT_TRUE(dense.analytic_jvp);
+  EXPECT_EQ(dense.model_evaluations, 1u);
 
   ffc::spectral::SpectralOptions iter_opts;
   iter_opts.method = ffc::spectral::SpectralOptions::Method::Iterative;
@@ -629,7 +678,7 @@ TEST(SpectralStability, AutoDispatchBoundaryIsPinnedAt128) {
   const auto below = run(ffc::spectral::kDenseThreshold - 1);
   ASSERT_TRUE(below.converged);
   EXPECT_EQ(below.path, Path::Dense);
-  EXPECT_FALSE(below.analytic_jvp);
+  EXPECT_TRUE(below.analytic_jvp);
 
   const auto at = run(ffc::spectral::kDenseThreshold);
   ASSERT_TRUE(at.converged);
@@ -691,16 +740,12 @@ TEST(SpectralStability, OptionValidation) {
     EXPECT_THROW(ModelJacobianOperator(model, rates, {1e-5, bad}),
                  std::invalid_argument)
         << "step_floor " << bad;
-    ffc::core::JacobianOptions jac;
-    jac.relative_step = bad;
-    EXPECT_THROW(ffc::core::jacobian(model, rates, jac),
+    EXPECT_THROW(ffc::core::unilateral_stability(model, rates, {bad, 1e-7}),
                  std::invalid_argument)
-        << "JacobianOptions::relative_step " << bad;
-    jac = {};
-    jac.step_floor = bad;
-    EXPECT_THROW(ffc::core::unilateral_stability(model, rates, jac),
+        << "unilateral relative_step " << bad;
+    EXPECT_THROW(ffc::core::unilateral_stability(model, rates, {1e-5, bad}),
                  std::invalid_argument)
-        << "JacobianOptions::step_floor " << bad;
+        << "unilateral step_floor " << bad;
   }
 }
 
@@ -724,32 +769,41 @@ TEST(SpectralStability, AutoFallsBackToFdWhenUnsupported) {
 TEST(SpectralStability, DenseReportCarriesTheDiagonal) {
   // §3.3's counterexample (aggregate FIFO, N = 6, eta = 1): |DF_ii| =
   // |1 - eta| = 0 < 1 for every source, yet the transverse eigenvalue
-  // 1 - eta N = -5 leaves the unit circle.
+  // 1 - eta N = -5 leaves the unit circle. The dense path materializes the
+  // operator it picks -- the analytic one for this differentiable stack,
+  // the FD one when a layer has no closed form -- and reads the diagonal
+  // bit for bit off that matrix.
   const std::size_t n = 6;
   auto model = th::single_gateway_model(n, th::fifo(),
                                         FeedbackStyle::Aggregate, 1.0, 0.5);
+  auto fd_model = ffc::core::FlowControlModel(
+      ffc::network::single_bottleneck(n, 1.0), th::fifo(),
+      th::rational_signal(), FeedbackStyle::Aggregate, fd_only_tsi(1.0, 0.5));
   const std::vector<double> fair(n, 0.5 / n);
-  for (double step : {1e-5, 1e-6}) {
-    SpectralOptions dense;
-    dense.method = SpectralOptions::Method::Dense;
-    dense.jvp.relative_step = step;
-    const SpectralReport r = ffc::spectral::spectral_stability(model, fair,
-                                                               dense);
-    ffc::core::JacobianOptions jac;
-    jac.relative_step = step;
-    const ffc::linalg::Matrix df = ffc::core::jacobian(model, fair, jac);
+  SpectralOptions dense;
+  dense.method = SpectralOptions::Method::Dense;
+  for (const bool analytic : {true, false}) {
+    const auto& m = analytic ? model : fd_model;
+    const SpectralReport r = ffc::spectral::spectral_stability(m, fair, dense);
+    const ffc::linalg::Matrix df =
+        analytic ? ffc::linalg::materialize(AnalyticJacobianOperator(m, fair))
+                 : ffc::linalg::materialize(
+                       ModelJacobianOperator(m, fair, dense.jvp));
+    EXPECT_EQ(r.analytic_jvp, analytic);
+    EXPECT_EQ(r.model_evaluations, analytic ? 1u : 2 * n + 1);
+    ASSERT_TRUE(r.converged);
     ASSERT_EQ(r.diagonal.size(), n);
     bool unilateral = true;
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(r.diagonal[i]),
                 std::bit_cast<std::uint64_t>(df(i, i)))
-          << "step " << step << " i " << i;
+          << "analytic " << analytic << " i " << i;
       unilateral = unilateral && std::fabs(df(i, i)) < 1.0;
     }
     EXPECT_EQ(r.unilaterally_stable, unilateral);
     EXPECT_TRUE(r.unilaterally_stable);
     EXPECT_FALSE(r.stable_modulo_manifold);
-    EXPECT_NEAR(r.reduced_spectral_radius, 5.0, 1e-4);
+    EXPECT_NEAR(r.reduced_spectral_radius, 5.0, analytic ? 1e-12 : 1e-4);
   }
   // The iterative paths never form DF, so they report no diagonal.
   SpectralOptions iterative;

@@ -1,4 +1,4 @@
-// Tests for the numerical Jacobian and the stability analyses of §3.3.
+// Tests for the materialized Jacobian and the stability analyses of §3.3.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,23 +8,26 @@
 #include "core/stability.hpp"
 #include "core/steady_state.hpp"
 #include "helpers.hpp"
+#include "linalg/sparse_eigen.hpp"
 #include "network/builders.hpp"
+#include "spectral/analytic.hpp"
+#include "spectral/operator.hpp"
 #include "spectral/stability.hpp"
 
 namespace {
 
 using ffc::core::FeedbackStyle;
 using ffc::core::is_triangular_under_rate_order;
-using ffc::core::jacobian;
-using ffc::core::JacobianOptions;
+using ffc::linalg::materialize;
+using ffc::spectral::AnalyticJacobianOperator;
+using ffc::spectral::ModelJacobianOperator;
 namespace th = ffc::testing;
 
-/// The dense spectrum at core::jacobian's default step.
+/// The dense spectrum of the operator spectral_stability picks.
 ffc::spectral::SpectralReport dense_stability(
     const ffc::core::FlowControlModel& model, const std::vector<double>& r) {
   ffc::spectral::SpectralOptions options;
   options.method = ffc::spectral::SpectralOptions::Method::Dense;
-  options.jvp.relative_step = JacobianOptions{}.relative_step;
   return ffc::spectral::spectral_stability(model, r, options);
 }
 
@@ -34,34 +37,67 @@ TEST(Jacobian, MatchesClosedFormForAggregateAdditive) {
   const double eta = 0.3;
   auto model = th::single_gateway_model(3, th::fifo(),
                                         FeedbackStyle::Aggregate, eta, 0.5);
-  const auto df = jacobian(model, {0.1, 0.2, 0.15});
+  const std::vector<double> r{0.1, 0.2, 0.15};
+  const auto analytic = materialize(AnalyticJacobianOperator(model, r));
+  const auto fd = materialize(ModelJacobianOperator(model, r));
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = 0; j < 3; ++j) {
       const double expected = (i == j ? 1.0 : 0.0) - eta;
-      EXPECT_NEAR(df(i, j), expected, 1e-6);
+      EXPECT_NEAR(analytic(i, j), expected, 1e-12);
+      EXPECT_NEAR(fd(i, j), expected, 1e-6);
     }
   }
 }
 
-TEST(Jacobian, SchemesAgreeAwayFromKinks) {
+TEST(Jacobian, OneSidedDiagonalMatchesOperatorsAwayFromKinks) {
+  // Away from every kink both one-sided derivatives are the two-sided one,
+  // so unilateral_stability's branches agree with the materialized
+  // diagonal of either operator.
   auto model = th::single_gateway_model(2, th::fair_share(),
                                         FeedbackStyle::Individual, 0.1, 0.5);
   const std::vector<double> r{0.1, 0.3};
-  JacobianOptions forward;
-  forward.scheme = JacobianOptions::Scheme::Forward;
-  JacobianOptions backward;
-  backward.scheme = JacobianOptions::Scheme::Backward;
-  const auto central = jacobian(model, r);
-  const auto fwd = jacobian(model, r, forward);
-  const auto bwd = jacobian(model, r, backward);
-  EXPECT_LT(ffc::linalg::Matrix::max_abs_diff(central, fwd), 1e-4);
-  EXPECT_LT(ffc::linalg::Matrix::max_abs_diff(central, bwd), 1e-4);
+  const auto analytic = materialize(AnalyticJacobianOperator(model, r));
+  const auto fd = materialize(ModelJacobianOperator(model, r));
+  EXPECT_LT(ffc::linalg::Matrix::max_abs_diff(analytic, fd), 1e-6);
+  const auto uni = ffc::core::unilateral_stability(model, r);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_NEAR(uni.forward[i], analytic(i, i), 1e-4) << i;
+    EXPECT_NEAR(uni.backward[i], analytic(i, i), 1e-4) << i;
+  }
 }
 
 TEST(Jacobian, SizeMismatchThrows) {
   auto model = th::single_gateway_model(2, th::fifo(),
                                         FeedbackStyle::Aggregate);
-  EXPECT_THROW(jacobian(model, {0.1}), std::invalid_argument);
+  const std::vector<double> short_rates{0.1};
+  EXPECT_THROW(AnalyticJacobianOperator(model, short_rates),
+               std::invalid_argument);
+  EXPECT_THROW(ModelJacobianOperator(model, short_rates),
+               std::invalid_argument);
+  EXPECT_THROW(dense_stability(model, short_rates), std::invalid_argument);
+  EXPECT_THROW(ffc::core::unilateral_stability(model, short_rates),
+               std::invalid_argument);
+}
+
+TEST(Unilateral, TiedBranchesAndPinnedRate) {
+  // Fair Share at the fair point of one bottleneck: the rates tie, so the
+  // upward branch (r_i becomes the largest of its tie group) and the
+  // downward one (the smallest) differ. 2N + 1 model evaluations read both
+  // off the model. A rate pinned at 0 has no downward branch.
+  const std::size_t n = 4;
+  auto model = th::single_gateway_model(n, th::fair_share(),
+                                        FeedbackStyle::Individual, 0.3, 0.5);
+  const std::vector<double> fair = ffc::core::fair_steady_state(model);
+  const auto uni = ffc::core::unilateral_stability(model, fair);
+  ASSERT_EQ(uni.forward.size(), n);
+  ASSERT_EQ(uni.backward.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_GT(std::fabs(uni.forward[i] - uni.backward[i]), 1e-3) << i;
+  }
+  std::vector<double> pinned(n, 0.1);
+  pinned[1] = 0.0;
+  EXPECT_THROW(ffc::core::unilateral_stability(model, pinned),
+               std::invalid_argument);
 }
 
 TEST(Stability, AggregateUnilateralButNotSystemic) {
@@ -99,7 +135,7 @@ TEST(Stability, FairShareIndividualJacobianIsTriangular) {
   // Analyze at a NON-steady point with distinct rates, where triangularity
   // is a structural property of Fair Share (Q_i ignores larger rates).
   const std::vector<double> r{0.05, 0.1, 0.2, 0.3};
-  const auto df = jacobian(model, r);
+  const auto df = materialize(AnalyticJacobianOperator(model, r));
   EXPECT_TRUE(is_triangular_under_rate_order(df, r, 1e-5));
 }
 
@@ -107,7 +143,7 @@ TEST(Stability, FifoIndividualJacobianIsNotTriangular) {
   auto model = th::single_gateway_model(3, th::fifo(),
                                         FeedbackStyle::Individual, 0.1, 0.5);
   const std::vector<double> r{0.05, 0.15, 0.3};
-  const auto df = jacobian(model, r);
+  const auto df = materialize(AnalyticJacobianOperator(model, r));
   EXPECT_FALSE(is_triangular_under_rate_order(df, r, 1e-5));
 }
 
