@@ -1,6 +1,7 @@
 #include "linalg/sparse_eigen.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -12,6 +13,11 @@ namespace ffc::linalg {
 namespace {
 
 constexpr double kTiny = 1e-300;
+/// Power steps over which the residual's contraction is measured.
+constexpr std::size_t kContractionWindow = 8;
+/// Arnoldi restarts without a new minimum of the Ritz residual before the
+/// stage gives up.
+constexpr std::size_t kStagnationRestarts = 8;
 
 // SplitMix64: deterministic start-vector entropy with no dependency on the
 // stats library (linalg stays a leaf module).
@@ -128,7 +134,10 @@ struct StageResult {
 };
 
 /// Power iteration with signed Rayleigh quotient against the deflated
-/// complement. On convergence ws.v holds the unit eigenvector.
+/// complement. On convergence ws.v holds the unit eigenvector. Stops early,
+/// unconverged, once the residual's contraction rho over the last
+/// kContractionWindow steps shows the budget cannot reach the tolerance:
+/// rho >= 1, or residual * rho^(steps left) still above it.
 StageResult power_stage(const LinearOperator& op,
                         const IterativeEigenOptions& opts,
                         SparseEigenWorkspace& ws, std::size_t budget,
@@ -138,6 +147,7 @@ StageResult power_stage(const LinearOperator& op,
   Vector& v = ws.v;
   Vector& w = ws.w;
   prepare_start(ws.deflated, opts.start_seed, v);
+  std::array<double, kContractionWindow> history{};
   for (std::size_t it = 0; it < budget; ++it) {
     op.apply(v, w);
     ++applications;
@@ -156,7 +166,8 @@ StageResult power_stage(const LinearOperator& op,
     const double scale = std::max(std::abs(lambda), op_scale * 1e-12);
     result.value = lambda;
     result.residual = scale > 0.0 ? res / std::max(scale, kTiny) : 0.0;
-    if (res <= opts.tolerance * std::max(scale, kTiny) || wn <= kTiny) {
+    const double target = opts.tolerance * std::max(scale, kTiny);
+    if (res <= target || wn <= kTiny) {
       // wn == 0 means v is (numerically) in the kernel of the deflated
       // operator: lambda = 0 is exact.
       if (wn <= kTiny) {
@@ -166,6 +177,13 @@ StageResult power_stage(const LinearOperator& op,
       result.converged = true;
       return result;
     }
+    double& oldest = history[it % kContractionWindow];
+    if (it >= kContractionWindow) {
+      const double rho = std::pow(res / oldest, 1.0 / kContractionWindow);
+      const double left = static_cast<double>(budget - it - 1);
+      if (!(rho < 1.0) || res * std::pow(rho, left) > target) return result;
+    }
+    oldest = res;
     const double inv = 1.0 / wn;
     for (std::size_t i = 0; i < v.size(); ++i) v[i] = w[i] * inv;
   }
@@ -194,6 +212,8 @@ StageResult arnoldi_stage(const LinearOperator& op,
   // orthogonal to the deflated set).
   ws.restart = ws.v;
 
+  double best_residual = std::numeric_limits<double>::infinity();
+  std::size_t since_best = 0;
   for (std::size_t cycle = 0;; ++cycle) {
     ws.basis[0] = ws.restart;
     std::size_t mm = m;          // achieved subspace size
@@ -288,6 +308,14 @@ StageResult arnoldi_stage(const LinearOperator& op,
       return result;
     }
 
+    // Stagnation: no new minimum of the Ritz residual over
+    // kStagnationRestarts restarts ends the stage, whatever the budget.
+    if (result.residual < best_residual) {
+      best_residual = result.residual;
+      since_best = 0;
+    } else if (++since_best == kStagnationRestarts) {
+      return result;
+    }
     // Explicit restart with the best available direction, unless this was
     // the last cycle (tested before the increment: no wrap at SIZE_MAX).
     if (cycle == opts.arnoldi_restarts) return result;

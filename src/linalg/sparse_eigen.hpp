@@ -9,17 +9,24 @@
 //
 //   1. Power iteration with a signed Rayleigh quotient. Cost O(N) memory and
 //      one operator application per step. Converges whenever the dominant
-//      eigenvalue is real and separated -- which is GUARANTEED for the
-//      individual+FairShare flow-control Jacobian, whose spectrum is real by
-//      the Theorem 4 triangularity argument (docs/THEORY.md section 8); pass
-//      IterativeEigenOptions::real_spectrum = true to extend the power
-//      budget accordingly.
+//      eigenvalue is real and separated. The stage judges from its own
+//      progress whether it can finish: it measures the residual's
+//      contraction rho over the last 8 steps and hands over to Arnoldi as
+//      soon as rho >= 1 or residual * rho^(steps left) is still above the
+//      tolerance, so its budget is an upper limit, not a sentence to serve.
+//      A spectrum known to be real (the individual+FairShare Jacobian is
+//      triangular by Theorem 4, docs/THEORY.md section 8) has no complex
+//      dominant pair, so IterativeEigenOptions::real_spectrum = true lifts
+//      the stage's 300-step cap to the full budget. Real is not separated:
+//      a clustered real top still hands over early.
 //   2. Arnoldi fallback for complex-dominant or clustered spectra: an
 //      m-step Krylov factorization A V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T
 //      whose small m x m Hessenberg matrix is solved with the existing dense
 //      QR solver; explicit restarts with the dominant Ritz vector until the
-//      Ritz residual |h_{m+1,m}| |e_m^T y| meets tolerance. Cost O(m N)
-//      memory -- the reason the real-spectrum hint matters at N = 10^6.
+//      Ritz residual |h_{m+1,m}| |e_m^T y| meets tolerance. A residual that
+//      sets no new minimum over 8 restarts ends the stage unconverged,
+//      whatever the restart budget. Cost O(m N) memory -- the reason the
+//      power stage keeps every separated spectrum at N = 10^6.
 //
 // Already-converged eigenvectors are removed by orthogonal projection
 // (Schur-Wielandt deflation): restricted to the orthogonal complement of a
@@ -30,9 +37,11 @@
 //
 // Everything is deterministic: start vectors come from a fixed-seed integer
 // mix, so repeated runs (and ffc_repro at any --jobs) reproduce bit-identical
-// results. The warm path allocates nothing: buffers live in
-// SparseEigenWorkspace and results can be written into a caller-owned
-// IterativeEigenResult.
+// results. A warm solve that the power stage answers allocates nothing:
+// buffers live in SparseEigenWorkspace and results can be written into a
+// caller-owned IterativeEigenResult. The Arnoldi stage does allocate: it
+// builds its Hessenberg matrix, the block handed to dense QR and QR's
+// result on every call.
 #pragma once
 
 #include <complex>
@@ -87,21 +96,24 @@ struct IterativeEigenOptions {
   /// Relative residual target: an estimate (lambda, v) is accepted when
   /// ||A v - lambda v|| <= tolerance * max(|lambda|, ||A||_est).
   double tolerance = 1e-10;
-  /// Power-iteration budget per eigenvalue when real_spectrum is set; a
-  /// short probe of min(300, power_iterations) steps is used otherwise
-  /// before handing over to Arnoldi. 0 goes straight to Arnoldi.
+  /// Upper limit on power steps per eigenvalue when real_spectrum is set,
+  /// min(300, power_iterations) otherwise. The stage hands over to Arnoldi
+  /// earlier once its residual's contraction shows it cannot finish within
+  /// the limit. 0 goes straight to Arnoldi.
   std::size_t power_iterations = 2000;
   /// Krylov subspace dimension m of the Arnoldi fallback (memory O(m N)),
   /// capped at the undeflated dimension. Must be >= 1: the solver throws
   /// std::invalid_argument on 0.
   std::size_t arnoldi_subspace = 48;
   /// Maximum explicit Arnoldi restarts per eigenvalue: 0 runs one cycle,
-  /// and SIZE_MAX restarts until convergence.
+  /// and SIZE_MAX restarts until convergence or stagnation (no new minimum
+  /// of the Ritz residual over 8 restarts).
   std::size_t arnoldi_restarts = 60;
   /// Structure hint: the operator's spectrum is known to be real (e.g. the
   /// individual+FairShare Jacobian, lower triangular under the sort-by-rate
-  /// permutation per Theorem 4 -- docs/THEORY.md section 8). Extends the
-  /// power budget so the O(m N) Arnoldi basis is rarely needed.
+  /// permutation per Theorem 4 -- docs/THEORY.md section 8). Lifts the
+  /// power stage's 300-step cap, so a separated real spectrum never needs
+  /// the O(m N) Arnoldi basis.
   bool real_spectrum = false;
   /// Seed of the deterministic start-vector mix.
   std::uint64_t start_seed = 0x8a5cd789635d2dffULL;
@@ -142,8 +154,8 @@ struct IterativeEigenResult {
 
 /// Computes the `count` dominant eigenvalues of `op` by power iteration with
 /// orthogonal deflation and Arnoldi fallback, writing into `out` (buffers
-/// reused across calls: the warm path allocates nothing). Requesting more
-/// eigenvalues than dim() stops at dim().
+/// reused across calls: a warm solve the power stage answers allocates
+/// nothing). Requesting more eigenvalues than dim() stops at dim().
 void iterative_eigenvalues_into(const LinearOperator& op, std::size_t count,
                                 const IterativeEigenOptions& opts,
                                 SparseEigenWorkspace& ws,

@@ -97,6 +97,7 @@ void exchangeable_spectrum(const linalg::LinearOperator& op,
       std::accumulate(y.begin(), y.end(), 0.0) / static_cast<double>(n);
   const bool transverse_first =
       n == 1 || std::fabs(transverse) > std::fabs(manifold);
+  report.applications = 2;
   report.eigenvalues.clear();
   for (std::size_t k = 0; k < n && k <= options.max_unit_deflations; ++k) {
     const bool is_transverse = transverse_first ? k == 0 : k == 1;
@@ -111,6 +112,7 @@ void dense_path(const linalg::LinearOperator& op,
                 const SpectralOptions& options, SpectralReport& report) {
   const linalg::Matrix df = linalg::materialize(op);
   const std::size_t n = df.rows();
+  report.applications = n;
   report.diagonal.resize(n);
   report.unilaterally_stable = true;
   for (std::size_t i = 0; i < n; ++i) {
@@ -134,8 +136,8 @@ void iterative_path(const core::FlowControlModel& model,
   linalg::IterativeEigenOptions eig_opts = options.iterative;
   // Theorem 4 (docs/THEORY.md section 8): individual + FairShare makes DF
   // lower triangular under the sort-by-rate permutation, hence a real
-  // spectrum -- the power-only path applies and the O(mN) Arnoldi basis is
-  // not needed.
+  // spectrum -- the power stage may run its full budget, and the O(mN)
+  // Arnoldi basis is needed only for a clustered top.
   eig_opts.real_spectrum = eig_opts.real_spectrum || triangular;
 
   linalg::SparseEigenWorkspace ws;
@@ -145,6 +147,7 @@ void iterative_path(const core::FlowControlModel& model,
   std::size_t count = 1;
   while (true) {
     linalg::iterative_eigenvalues_into(op, count, eig_opts, ws, result);
+    report.applications += result.applications;
     report.converged = result.converged;
     report.eigenvalues = result.eigenvalues;
     if (!result.converged) break;

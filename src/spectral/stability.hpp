@@ -15,9 +15,11 @@
 //
 // For individual feedback + FairShare service the map's Jacobian is lower
 // triangular under the sort-by-rate permutation (Theorem 4), so its spectrum
-// is real and the cheap power-only path is reliable; the dispatcher detects
-// that combination and sets the solver's real_spectrum hint automatically
-// (docs/THEORY.md section 8, docs/SCALING.md).
+// is real and the O(N)-memory power stage may run its full budget; the
+// dispatcher detects that combination and sets the solver's real_spectrum
+// hint automatically (docs/THEORY.md section 8, docs/SCALING.md). A
+// clustered real top still goes to Arnoldi, as soon as the power stage sees
+// it cannot converge.
 //
 // The paper's symmetric bottleneck (section 3.3: one shared path, one
 // adjuster, tied rates) skips the eigensolver on the iterative analytic
@@ -68,8 +70,8 @@ struct SpectralOptions {
   /// Solver budgets and tolerance. The default tolerance sits at the
   /// finite-difference noise floor of the matrix-free operator (~1e-7
   /// relative with the default jvp step): asking the eigensolver for more
-  /// digits than the operator carries just burns the power-iteration budget
-  /// and falls through to Arnoldi on noise (docs/SCALING.md). Callers
+  /// digits than the operator carries stalls the power stage and falls
+  /// through to Arnoldi on noise (docs/SCALING.md). Callers
   /// supplying an exact operator can tighten this back to 1e-10.
   linalg::IterativeEigenOptions iterative{.tolerance = 1e-7};
 };
@@ -117,6 +119,10 @@ struct SpectralReport {
   /// Model evaluations spent: analytic, 1 (the base evaluation only); FD,
   /// the base evaluation plus 2 per operator application (dense: 2N + 1).
   std::size_t model_evaluations = 0;
+  /// Operator applications spent: N on the dense path (materializing DF), 2
+  /// on the exchangeable certificate, and the eigensolver's count (summed
+  /// over the unit-mode re-solves) on the iterative paths.
+  std::size_t applications = 0;
 };
 
 /// Spectral stability of `model` at `rates` with size-dispatched solvers.

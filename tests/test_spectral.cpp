@@ -559,6 +559,45 @@ TEST(AnalyticJacobianOperator, TiedCertifyCellsMatchRecordedBits) {
   }
 }
 
+TEST(SpectralStability, ApplicationsCountTheOperatorWork) {
+  // The iterative path on parking_lot(4, 2000, 2001) at its fixed point:
+  // the Theorem-4 cell, whose separated radius the power stage reaches by
+  // itself. The count is the eigensolver's own.
+  const TiedCell c = tied_cell(0);
+  const SpectralReport report =
+      ffc::spectral::spectral_stability(c.model, c.rates);
+  ASSERT_TRUE(report.converged);
+  EXPECT_EQ(report.path, Path::Triangular);
+  EXPECT_EQ(report.applications, 52u);
+  ffc::linalg::IterativeEigenOptions eig = SpectralOptions{}.iterative;
+  eig.real_spectrum = true;
+  const auto solve = ffc::linalg::iterative_eigenvalues(
+      AnalyticJacobianOperator(c.model, c.rates), 1, eig);
+  EXPECT_EQ(solve.method, ffc::linalg::IterativeMethod::Power);
+  EXPECT_EQ(report.applications, solve.applications);
+
+  // The dense path materializes DF: one application per connection.
+  auto small = th::single_gateway_model(40, th::fair_share(),
+                                        FeedbackStyle::Individual);
+  std::vector<double> rates(40);
+  for (std::size_t i = 0; i < 40; ++i) {
+    rates[i] = (0.8 / 40.0) * (1.0 + 0.2 * double(i) / 40.0);
+  }
+  SpectralOptions dense_opts;
+  dense_opts.method = SpectralOptions::Method::Dense;
+  EXPECT_EQ(
+      ffc::spectral::spectral_stability(small, rates, dense_opts).applications,
+      40u);
+
+  // The exchangeable certificate reads its spectrum off two applications.
+  auto symmetric =
+      th::single_gateway_model(128, th::fifo(), FeedbackStyle::Aggregate);
+  const SpectralReport cert = ffc::spectral::spectral_stability(
+      symmetric, std::vector<double>(128, 0.4 / 128.0));
+  ASSERT_EQ(cert.path, Path::Exchangeable);
+  EXPECT_EQ(cert.applications, 2u);
+}
+
 TEST(AnalyticJacobianOperator, RebaseAcrossTieStructuresMatchesFreshBits) {
   // Rebasing must rebuild everything the base point determines: the cached
   // rate order and its tie runs, the Fair Share coefficients, the
