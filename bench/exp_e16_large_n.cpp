@@ -104,9 +104,9 @@ void run_e16(ExperimentContext& ctx) {
 
   // Below the onset: the only eigenvalues on or outside |s| = 0.697's disc
   // are the N-1 unit modes of the sum-zero manifold, so the radius -- not
-  // the reduced radius -- carries the claim. Deflating past a 99999-fold
-  // degenerate manifold one mode at a time is futile, so the hunt is
-  // disabled outright rather than left to exhaust its cap.
+  // the reduced radius -- carries the claim. max_unit_deflations = 0 stops
+  // the certificate's sequence at the dominant unit mode, so the reduced
+  // radius is left unresolved and the row prints "-".
   {
     const double eta = 1.2;
     auto model = s2_model(big_n, eta, beta);
@@ -227,8 +227,8 @@ void run_e16(ExperimentContext& ctx) {
   const double dense_radius = linalg::spectral_radius(df);
   linalg::IterativeEigenOptions cross_opts;
   cross_opts.real_spectrum = true;  // Theorem 4: individual + FairShare
-  const auto cross =
-      linalg::iterative_spectral_radius(linalg::MatrixOperator(df), cross_opts);
+  const auto cross = linalg::iterative_eigenvalues(linalg::MatrixOperator(df),
+                                                   1, cross_opts);
 
   TextTable golden({"N", "dense QR radius", "iterative radius", "|diff|"});
   golden.set_title("\nSparse-vs-dense golden cross-check (same Jacobian)");

@@ -29,15 +29,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-void fill_start_vector(Vector& v, std::uint64_t seed) {
-  std::uint64_t state = seed;
-  for (double& x : v) {
-    // Uniform in [-1, 1): sign diversity gives generic overlap with every
-    // eigenvector; the fixed seed keeps runs bit-identical.
-    x = static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-52 * 2.0 - 1.0;
-  }
-}
-
 double dot(const Vector& a, const Vector& b) {
   double s = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
@@ -46,16 +37,7 @@ double dot(const Vector& a, const Vector& b) {
 
 double norm(const Vector& a) { return std::sqrt(dot(a, a)); }
 
-/// x -= U (U^T x) against the orthonormal deflation set.
-void project_out(const std::vector<Vector>& deflated, Vector& x) {
-  for (const Vector& u : deflated) {
-    const double c = dot(u, x);
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] -= c * u[i];
-  }
-}
-
-/// Normalizes x; returns false if it vanished (fully inside the deflated
-/// span).
+/// Normalizes x; returns false if it vanished.
 bool normalize(Vector& x) {
   const double n = norm(x);
   if (!(n > kTiny)) return false;
@@ -64,22 +46,15 @@ bool normalize(Vector& x) {
   return true;
 }
 
-/// Prepares a unit start vector orthogonal to the deflated set, re-seeding
-/// if a draw happens to lie (numerically) inside the deflated span.
-void prepare_start(const std::vector<Vector>& deflated, std::uint64_t seed,
-                   Vector& v) {
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    fill_start_vector(v, seed + static_cast<std::uint64_t>(attempt) * 0x51ed);
-    project_out(deflated, v);
-    if (normalize(v)) return;
+/// Fills v with the unit start vector of `seed`.
+void prepare_start(std::uint64_t seed, Vector& v) {
+  std::uint64_t state = seed;
+  for (double& x : v) {
+    // Uniform in [-1, 1): sign diversity gives generic overlap with every
+    // eigenvector; the fixed seed keeps runs bit-identical.
+    x = static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-52 * 2.0 - 1.0;
   }
-  // Deterministic last resort: coordinate sweep.
-  for (std::size_t k = 0; k < v.size(); ++k) {
-    std::fill(v.begin(), v.end(), 0.0);
-    v[k] = 1.0;
-    project_out(deflated, v);
-    if (normalize(v)) return;
-  }
+  normalize(v);
 }
 
 /// Solves the small complex system a y = rhs in place by Gaussian
@@ -130,14 +105,14 @@ struct StageResult {
   std::complex<double> value{0.0, 0.0};
   double residual = std::numeric_limits<double>::infinity();
   IterativeMethod method = IterativeMethod::Power;
-  bool pair = false;  ///< complex pair: two deflation vectors were appended
+  bool pair = false;  ///< converged complex pair: report both members
 };
 
-/// Power iteration with signed Rayleigh quotient against the deflated
-/// complement. On convergence ws.v holds the unit eigenvector. Stops early,
-/// unconverged, once the residual's contraction rho over the last
-/// kContractionWindow steps shows the budget cannot reach the tolerance:
-/// rho >= 1, or residual * rho^(steps left) still above it.
+/// Power iteration with signed Rayleigh quotient. On convergence ws.v holds
+/// the unit eigenvector. Stops early, unconverged, once the residual's
+/// contraction rho over the last kContractionWindow steps shows the budget
+/// cannot reach the tolerance: rho >= 1, or residual * rho^(steps left)
+/// still above it.
 StageResult power_stage(const LinearOperator& op,
                         const IterativeEigenOptions& opts,
                         SparseEigenWorkspace& ws, std::size_t budget,
@@ -146,12 +121,11 @@ StageResult power_stage(const LinearOperator& op,
   result.method = IterativeMethod::Power;
   Vector& v = ws.v;
   Vector& w = ws.w;
-  prepare_start(ws.deflated, opts.start_seed, v);
+  prepare_start(opts.start_seed, v);
   std::array<double, kContractionWindow> history{};
   for (std::size_t it = 0; it < budget; ++it) {
     op.apply(v, w);
     ++applications;
-    project_out(ws.deflated, w);
     const double lambda = dot(v, w);
     double res2 = 0.0;
     double w2 = 0.0;
@@ -168,8 +142,8 @@ StageResult power_stage(const LinearOperator& op,
     result.residual = scale > 0.0 ? res / std::max(scale, kTiny) : 0.0;
     const double target = opts.tolerance * std::max(scale, kTiny);
     if (res <= target || wn <= kTiny) {
-      // wn == 0 means v is (numerically) in the kernel of the deflated
-      // operator: lambda = 0 is exact.
+      // wn == 0 means v is (numerically) in the kernel of the operator:
+      // lambda = 0 is exact.
       if (wn <= kTiny) {
         result.value = 0.0;
         result.residual = 0.0;
@@ -190,7 +164,7 @@ StageResult power_stage(const LinearOperator& op,
   return result;
 }
 
-/// One explicitly restarted Arnoldi process on the deflated complement.
+/// One explicitly restarted Arnoldi process.
 /// On convergence ws.v holds the (real part of the) dominant Ritz vector;
 /// for a complex pair ws.w additionally holds the imaginary part.
 StageResult arnoldi_stage(const LinearOperator& op,
@@ -200,16 +174,13 @@ StageResult arnoldi_stage(const LinearOperator& op,
   StageResult result;
   result.method = IterativeMethod::Arnoldi;
   const std::size_t n = op.dim();
-  const std::size_t avail = n - ws.deflated.size();
-  const std::size_t m = std::min(opts.arnoldi_subspace, avail);
-  if (m == 0) return result;
+  const std::size_t m = std::min(opts.arnoldi_subspace, n);
 
   ws.basis.resize(m + 1);
   for (Vector& b : ws.basis) b.resize(n);
   ws.hess = Matrix(m + 1, m, 0.0);
 
-  // Warm start from the power stage's final iterate (already unit and
-  // orthogonal to the deflated set).
+  // Warm start from the power stage's final iterate (already unit).
   ws.restart = ws.v;
 
   double best_residual = std::numeric_limits<double>::infinity();
@@ -221,7 +192,6 @@ StageResult arnoldi_stage(const LinearOperator& op,
     for (std::size_t j = 0; j < m; ++j) {
       op.apply(ws.basis[j], ws.w);
       ++applications;
-      project_out(ws.deflated, ws.w);
       op_scale = std::max(op_scale, norm(ws.w));
       // Modified Gram-Schmidt with one reorthogonalization pass.
       for (int pass = 0; pass < 2; ++pass) {
@@ -320,12 +290,10 @@ StageResult arnoldi_stage(const LinearOperator& op,
     // the last cycle (tested before the increment: no wrap at SIZE_MAX).
     if (cycle == opts.arnoldi_restarts) return result;
     ws.restart = ws.v;
-    project_out(ws.deflated, ws.restart);
     if (!normalize(ws.restart)) {
       ws.restart = ws.w;
-      project_out(ws.deflated, ws.restart);
       if (!normalize(ws.restart)) {
-        prepare_start(ws.deflated, opts.start_seed + cycle + 1, ws.restart);
+        prepare_start(opts.start_seed + cycle + 1, ws.restart);
       }
     }
   }
@@ -366,6 +334,11 @@ void iterative_eigenvalues_into(const LinearOperator& op, std::size_t count,
     throw std::invalid_argument(
         "iterative_eigenvalues: arnoldi_subspace must be >= 1");
   }
+  if (count > 1) {
+    throw std::invalid_argument(
+        "iterative_eigenvalues: count must be 0 or 1 (the solver computes "
+        "the dominant eigenvalue only)");
+  }
   const std::size_t n = op.dim();
   out.eigenvalues.clear();
   out.spectral_radius = 0.0;
@@ -373,7 +346,6 @@ void iterative_eigenvalues_into(const LinearOperator& op, std::size_t count,
   out.residual = 0.0;
   out.applications = 0;
   out.method = IterativeMethod::Power;
-  ws.deflated.clear();
   if (n == 0 || count == 0) return;
 
   ws.v.resize(n);
@@ -383,44 +355,18 @@ void iterative_eigenvalues_into(const LinearOperator& op, std::size_t count,
       opts.real_spectrum
           ? opts.power_iterations
           : std::min<std::size_t>(opts.power_iterations, 300);
-
-  while (out.eigenvalues.size() < count && ws.deflated.size() < n) {
-    StageResult stage =
-        power_stage(op, opts, ws, power_budget, op_scale, out.applications);
-    if (!stage.converged) {
-      stage = arnoldi_stage(op, opts, ws, op_scale, out.applications);
-    }
-    out.residual = stage.residual;
-    out.method = stage.method;
-    if (!stage.converged) {
-      out.converged = false;
-      // Record the best estimate so callers can still inspect it.
-      out.eigenvalues.push_back(stage.value);
-      out.spectral_radius =
-          std::max(out.spectral_radius, std::abs(stage.value));
-      return;
-    }
-
-    out.eigenvalues.push_back(stage.value);
-    out.spectral_radius = std::max(out.spectral_radius, std::abs(stage.value));
-    if (stage.pair) {
-      out.eigenvalues.push_back(std::conj(stage.value));
-    }
-    if (out.eigenvalues.size() >= count) break;
-
-    // Deflate the converged invariant subspace: one vector for a real
-    // eigenvalue, the orthonormalized {Re, Im} plane for a complex pair.
-    // Skipped once `count` is reached (above), which keeps the warm
-    // spectral-radius solve free of heap allocations entirely.
-    Vector u1 = ws.v;
-    project_out(ws.deflated, u1);
-    if (normalize(u1)) ws.deflated.push_back(std::move(u1));
-    if (stage.pair) {
-      Vector u2 = ws.w;
-      project_out(ws.deflated, u2);
-      if (normalize(u2)) ws.deflated.push_back(std::move(u2));
-    }
+  StageResult stage =
+      power_stage(op, opts, ws, power_budget, op_scale, out.applications);
+  if (!stage.converged) {
+    stage = arnoldi_stage(op, opts, ws, op_scale, out.applications);
   }
+  // An unconverged stage still reports its best estimate.
+  out.converged = stage.converged;
+  out.residual = stage.residual;
+  out.method = stage.method;
+  out.eigenvalues.push_back(stage.value);
+  out.spectral_radius = std::abs(stage.value);
+  if (stage.pair) out.eigenvalues.push_back(std::conj(stage.value));
 }
 
 IterativeEigenResult iterative_eigenvalues(const LinearOperator& op,
@@ -430,11 +376,6 @@ IterativeEigenResult iterative_eigenvalues(const LinearOperator& op,
   IterativeEigenResult out;
   iterative_eigenvalues_into(op, count, opts, ws, out);
   return out;
-}
-
-IterativeEigenResult iterative_spectral_radius(
-    const LinearOperator& op, const IterativeEigenOptions& opts) {
-  return iterative_eigenvalues(op, 1, opts);
 }
 
 }  // namespace ffc::linalg

@@ -1,11 +1,11 @@
-// Iterative (matrix-free) eigenvalue estimation for large spectra.
+// Iterative (matrix-free) estimation of the dominant eigenvalue.
 //
 // The dense Hessenberg+QR path in eigen.hpp materializes the full N x N
 // matrix and costs O(N^3) -- fine for N <= ~1000, hopeless for the
 // N = 10^5..10^6 regimes of the large-N experiments. This layer computes the
-// spectral radius (and, via deflation, the next few dominant eigenvalues)
-// from nothing but matrix-vector products y = A x supplied by a
-// LinearOperator:
+// spectral radius -- the dominant eigenvalue, which is all the stability
+// test (section 2.4.3, section 3.3, Theorem 4) needs -- from nothing but
+// matrix-vector products y = A x supplied by a LinearOperator:
 //
 //   1. Power iteration with a signed Rayleigh quotient. Cost O(N) memory and
 //      one operator application per step. Converges whenever the dominant
@@ -28,12 +28,11 @@
 //      whatever the restart budget. Cost O(m N) memory -- the reason the
 //      power stage keeps every separated spectrum at N = 10^6.
 //
-// Already-converged eigenvectors are removed by orthogonal projection
-// (Schur-Wielandt deflation): restricted to the orthogonal complement of a
-// right-invariant subspace, (I - U U^T) A (I - U U^T) has exactly the
-// remaining eigenvalues, so repeating the solve yields the next-dominant
-// eigenvalue. Convergence criteria and tolerances are documented in
-// docs/SCALING.md.
+// Only the dominant eigenvalue is computed (a complex-conjugate pair
+// reports both members); asking for more throws. Subdominant eigenvalues
+// come from the dense path or from a structural certificate
+// (spectral/stability.hpp). Convergence criteria and tolerances are
+// documented in docs/SCALING.md.
 //
 // Everything is deterministic: start vectors come from a fixed-seed integer
 // mix, so repeated runs (and ffc_repro at any --jobs) reproduce bit-identical
@@ -96,16 +95,16 @@ struct IterativeEigenOptions {
   /// Relative residual target: an estimate (lambda, v) is accepted when
   /// ||A v - lambda v|| <= tolerance * max(|lambda|, ||A||_est).
   double tolerance = 1e-10;
-  /// Upper limit on power steps per eigenvalue when real_spectrum is set,
+  /// Upper limit on power steps when real_spectrum is set,
   /// min(300, power_iterations) otherwise. The stage hands over to Arnoldi
   /// earlier once its residual's contraction shows it cannot finish within
   /// the limit. 0 goes straight to Arnoldi.
   std::size_t power_iterations = 2000;
   /// Krylov subspace dimension m of the Arnoldi fallback (memory O(m N)),
-  /// capped at the undeflated dimension. Must be >= 1: the solver throws
+  /// capped at the operator's dimension. Must be >= 1: the solver throws
   /// std::invalid_argument on 0.
   std::size_t arnoldi_subspace = 48;
-  /// Maximum explicit Arnoldi restarts per eigenvalue: 0 runs one cycle,
+  /// Maximum explicit Arnoldi restarts: 0 runs one cycle,
   /// and SIZE_MAX restarts until convergence or stagnation (no new minimum
   /// of the Ritz residual over 8 restarts).
   std::size_t arnoldi_restarts = 60;
@@ -126,7 +125,6 @@ struct SparseEigenWorkspace {
   Vector v;        ///< current iterate
   Vector w;        ///< operator application target
   Vector restart;  ///< Arnoldi restart vector
-  std::vector<Vector> deflated;  ///< orthonormal converged eigenvectors
   std::vector<Vector> basis;     ///< Arnoldi basis V (m+1 vectors)
   Matrix hess;                   ///< Arnoldi Hessenberg ((m+1) x m)
   Matrix small;                  ///< leading block handed to dense QR
@@ -136,26 +134,26 @@ struct SparseEigenWorkspace {
 };
 
 struct IterativeEigenResult {
-  /// Computed eigenvalues in deflation order (approximately decreasing
-  /// magnitude). A complex-conjugate pair found by Arnoldi contributes both
-  /// members, since its whole 2-dimensional invariant subspace is deflated.
+  /// The dominant eigenvalue, or its best estimate if unconverged; empty
+  /// for count = 0 or dim() = 0. A complex-conjugate pair found by Arnoldi
+  /// contributes both members.
   std::vector<std::complex<double>> eigenvalues;
-  /// max |eigenvalues[k]| -- the spectral radius once `count` >= 1.
+  /// |eigenvalues[0]| -- the spectral radius once `count` is 1.
   double spectral_radius = 0.0;
-  /// True iff every requested eigenvalue met the residual tolerance.
+  /// True iff the eigenvalue met the residual tolerance (and for count 0).
   bool converged = false;
-  /// Relative residual of the last accepted (or attempted) eigenvalue.
+  /// Relative residual of the accepted (or attempted) eigenvalue.
   double residual = 0.0;
-  /// Total operator applications across all stages.
+  /// Total operator applications across both stages.
   std::size_t applications = 0;
-  /// Stage that produced the LAST eigenvalue.
+  /// Stage that produced the eigenvalue.
   IterativeMethod method = IterativeMethod::Power;
 };
 
-/// Computes the `count` dominant eigenvalues of `op` by power iteration with
-/// orthogonal deflation and Arnoldi fallback, writing into `out` (buffers
-/// reused across calls: a warm solve the power stage answers allocates
-/// nothing). Requesting more eigenvalues than dim() stops at dim().
+/// Computes the dominant eigenvalue of `op` by power iteration with Arnoldi
+/// fallback, writing into `out` (buffers reused across calls: a warm solve
+/// the power stage answers allocates nothing). `count` is 1, or 0 for an
+/// empty, converged result; any larger count throws std::invalid_argument.
 void iterative_eigenvalues_into(const LinearOperator& op, std::size_t count,
                                 const IterativeEigenOptions& opts,
                                 SparseEigenWorkspace& ws,
@@ -165,9 +163,5 @@ void iterative_eigenvalues_into(const LinearOperator& op, std::size_t count,
 IterativeEigenResult iterative_eigenvalues(
     const LinearOperator& op, std::size_t count,
     const IterativeEigenOptions& opts = {});
-
-/// Dominant eigenvalue magnitude only (count = 1).
-IterativeEigenResult iterative_spectral_radius(
-    const LinearOperator& op, const IterativeEigenOptions& opts = {});
 
 }  // namespace ffc::linalg

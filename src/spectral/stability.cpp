@@ -23,12 +23,13 @@ bool near_unit(double magnitude, double tol) {
 
 /// Fills the radii, counts and verdicts from report.eigenvalues and
 /// report.converged. Nothing is trusted unless the solver converged: an
-/// unconverged QR or deflation sequence holds no verdict. A converged full
-/// spectrum (the dense path) resolves the reduced radius even when every
-/// eigenvalue is a unit mode; a deflation sequence resolves it only with a
-/// non-unit eigenvalue. A unit mode is on the unit circle to within the
-/// tolerance, so it is never systemically stable: the verdict must not
-/// depend on which side of 1 roundoff puts it.
+/// unconverged QR or eigensolve holds no verdict. A converged full spectrum
+/// (the dense path) resolves the reduced radius even when every eigenvalue
+/// is a unit mode; a partial one (the dominant eigenvalue, or the
+/// certificate's sequence) resolves it only with a non-unit eigenvalue. A
+/// unit mode is on the unit circle to within the tolerance, so it is never
+/// systemically stable: the verdict must not depend on which side of 1
+/// roundoff puts it.
 void classify(const SpectralOptions& options, bool full_spectrum,
               SpectralReport& report) {
   for (const auto& lambda : report.eigenvalues) {
@@ -74,14 +75,13 @@ bool exchangeable(const core::FlowControlModel& model,
   return true;
 }
 
-/// The deflation sequence the iterative path converges to, read off the
-/// known spectrum of DF = aI + b 11^T: the manifold eigenvalue a (N - 1
-/// times, on 1-perp) and the transverse a + N b (on 1). Two applications:
-/// a = (DF e_0)_0 - (DF e_0)_1 and a + N b = mean(DF 1). The solver's start
-/// vector spans one manifold direction and 1, so it reports the dominant of
-/// the two, then the other, and only then (from a re-seeded start) further
-/// copies of a. Like the iterative loop, the sequence stops after the first
-/// non-unit eigenvalue or after max_unit_deflations unit ones.
+/// The eigenvalue sequence of DF = aI + b 11^T, read off its known
+/// spectrum: the manifold eigenvalue a (N - 1 times, on 1-perp) and the
+/// transverse a + N b (on 1). Two applications: a = (DF e_0)_0 -
+/// (DF e_0)_1 and a + N b = mean(DF 1). The dominant of the two comes
+/// first: the eigensolver's answer on the same operator. The sequence stops
+/// at the first non-unit eigenvalue, and goes past at most
+/// max_unit_deflations unit ones.
 void exchangeable_spectrum(const linalg::LinearOperator& op,
                            const SpectralOptions& options,
                            SpectralReport& report) {
@@ -140,32 +140,13 @@ void iterative_path(const core::FlowControlModel& model,
   // Arnoldi basis is needed only for a clustered top.
   eig_opts.real_spectrum = eig_opts.real_spectrum || triangular;
 
-  linalg::SparseEigenWorkspace ws;
-  linalg::IterativeEigenResult result;
-  // Deflate past unit-magnitude modes (the aggregate manifold) until a
-  // non-unit eigenvalue decides stability-modulo-manifold, up to the cap.
-  std::size_t count = 1;
-  while (true) {
-    linalg::iterative_eigenvalues_into(op, count, eig_opts, ws, result);
-    report.applications += result.applications;
-    report.converged = result.converged;
-    report.eigenvalues = result.eigenvalues;
-    if (!result.converged) break;
-    bool all_unit = true;
-    for (const auto& lambda : result.eigenvalues) {
-      if (!near_unit(std::abs(lambda), options.manifold_tolerance)) {
-        all_unit = false;
-      }
-    }
-    if (!all_unit || result.eigenvalues.size() >= op.dim() ||
-        count > options.max_unit_deflations) {
-      break;
-    }
-    // Every eigenvalue found so far sits on the unit circle: deflate one
-    // more and re-run (the workspace re-solves from scratch but the early
-    // eigenvalues converge immediately along the same deterministic path).
-    ++count;
-  }
+  // One solve: the dominant eigenvalue. A unit one leaves the reduced
+  // radius unresolved (the certificate and the dense path resolve it).
+  const linalg::IterativeEigenResult result =
+      linalg::iterative_eigenvalues(op, 1, eig_opts);
+  report.applications = result.applications;
+  report.converged = result.converged;
+  report.eigenvalues = result.eigenvalues;
   classify(options, /*full_spectrum=*/false, report);
 }
 

@@ -1,5 +1,5 @@
 // Iterative eigensolver tests: correctness on known spectra, the Arnoldi
-// fallback for complex-dominant matrices, deflation, and the golden
+// fallback for complex-dominant matrices, its integer budgets, and the golden
 // sparse-vs-dense equivalence the large-N engine rests on -- the iterative
 // spectral radius must agree with the dense Hessenberg+QR solver to 1e-8 on
 // the SAME matrix for N up to 1024, across random topologies, tied rates,
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/steady_state.hpp"
@@ -33,7 +34,6 @@ using ffc::linalg::IterativeMethod;
 using ffc::linalg::Matrix;
 using ffc::linalg::MatrixOperator;
 using ffc::linalg::iterative_eigenvalues;
-using ffc::linalg::iterative_spectral_radius;
 using ffc::linalg::materialize;
 using ffc::stats::Xoshiro256;
 namespace th = ffc::testing;
@@ -43,7 +43,7 @@ constexpr double kGoldenTol = 1e-8;
 TEST(SparseEigen, DiagonalDominant) {
   const Matrix a{{3.0, 0.0, 0.0}, {0.0, -1.0, 0.0}, {0.0, 0.0, 0.5}};
   const MatrixOperator op(a);
-  const auto result = iterative_spectral_radius(op);
+  const auto result = iterative_eigenvalues(op, 1);
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.spectral_radius, 3.0, 1e-10);
   EXPECT_EQ(result.method, IterativeMethod::Power);
@@ -53,7 +53,7 @@ TEST(SparseEigen, NegativeDominantEigenvalue) {
   // The signed Rayleigh quotient must lock onto lambda = -2 even though the
   // iterate flips sign every step.
   const Matrix a{{-2.0, 1.0}, {0.0, 0.9}};
-  const auto result = iterative_spectral_radius(MatrixOperator(a));
+  const auto result = iterative_eigenvalues(MatrixOperator(a), 1);
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.spectral_radius, 2.0, 1e-10);
   ASSERT_FALSE(result.eigenvalues.empty());
@@ -67,37 +67,23 @@ TEST(SparseEigen, ComplexDominantPairFallsBackToArnoldi) {
   const double c = 1.5 * std::cos(0.25 * 3.14159265358979323846);
   const double s = 1.5 * std::sin(0.25 * 3.14159265358979323846);
   const Matrix a{{c, -s, 0.0}, {s, c, 0.0}, {0.0, 0.0, 0.25}};
-  const auto result = iterative_spectral_radius(MatrixOperator(a));
+  const auto result = iterative_eigenvalues(MatrixOperator(a), 1);
   ASSERT_TRUE(result.converged);
   EXPECT_EQ(result.method, IterativeMethod::Arnoldi);
   EXPECT_NEAR(result.spectral_radius, 1.5, 1e-9);
-  // The whole conjugate pair is reported (its 2D subspace was deflated).
+  // The whole conjugate pair is reported.
   ASSERT_EQ(result.eigenvalues.size(), 2u);
   EXPECT_NEAR(std::abs(result.eigenvalues[0].imag()), s, 1e-8);
 }
 
-TEST(SparseEigen, DeflationFindsSubdominantEigenvalues) {
-  const Matrix a{{4.0, 1.0, 0.0, 0.0},
-                 {0.0, -3.0, 1.0, 0.0},
-                 {0.0, 0.0, 2.0, 1.0},
-                 {0.0, 0.0, 0.0, 0.5}};
-  const auto result = iterative_eigenvalues(MatrixOperator(a), 3);
-  ASSERT_TRUE(result.converged);
-  ASSERT_GE(result.eigenvalues.size(), 3u);
-  EXPECT_NEAR(std::abs(result.eigenvalues[0]), 4.0, 1e-8);
-  EXPECT_NEAR(std::abs(result.eigenvalues[1]), 3.0, 1e-8);
-  EXPECT_NEAR(std::abs(result.eigenvalues[2]), 2.0, 1e-7);
-  EXPECT_NEAR(result.eigenvalues[1].real(), -3.0, 1e-7);
-}
-
 TEST(SparseEigen, ZeroAndIdentityMatrices) {
   const Matrix zero(5, 5, 0.0);
-  const auto rz = iterative_spectral_radius(MatrixOperator(zero));
+  const auto rz = iterative_eigenvalues(MatrixOperator(zero), 1);
   ASSERT_TRUE(rz.converged);
   EXPECT_EQ(rz.spectral_radius, 0.0);
 
   const Matrix eye = Matrix::identity(7);
-  const auto ri = iterative_spectral_radius(MatrixOperator(eye));
+  const auto ri = iterative_eigenvalues(MatrixOperator(eye), 1);
   ASSERT_TRUE(ri.converged);
   EXPECT_NEAR(ri.spectral_radius, 1.0, 1e-12);
 }
@@ -108,7 +94,7 @@ TEST(SparseEigen, RepeatedDominantEigenvalueConverges) {
   Matrix a(6, 6, 0.0);
   for (std::size_t i = 0; i < 6; ++i) a(i, i) = i < 4 ? 1.25 : 0.3;
   a(0, 5) = 0.7;
-  const auto result = iterative_spectral_radius(MatrixOperator(a));
+  const auto result = iterative_eigenvalues(MatrixOperator(a), 1);
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.spectral_radius, 1.25, 1e-10);
 }
@@ -133,7 +119,7 @@ TEST(SparseEigen, IntegerBudgetsAtZeroAndSizeMax) {
   const auto solve = [&op](auto set) {
     IterativeEigenOptions opts;
     set(opts);
-    return iterative_spectral_radius(op, opts);
+    return iterative_eigenvalues(op, 1, opts);
   };
   const auto expect_pair = [](const IterativeEigenResult& result) {
     EXPECT_TRUE(result.converged);
@@ -160,6 +146,37 @@ TEST(SparseEigen, IntegerBudgetsAtZeroAndSizeMax) {
   EXPECT_THROW(solve([](auto& o) { o.arnoldi_subspace = 0; }),
                std::invalid_argument);
 
+  // The count: the solver computes the dominant eigenvalue only. 0 returns
+  // an empty, converged result in both forms; 2 and SIZE_MAX throw a
+  // diagnostic that names the limit.
+  ffc::linalg::SparseEigenWorkspace ws;
+  IterativeEigenResult into;
+  ffc::linalg::iterative_eigenvalues_into(op, 1, {}, ws, into);
+  expect_pair(into);
+  ffc::linalg::iterative_eigenvalues_into(op, 0, {}, ws, into);
+  for (const IterativeEigenResult& none :
+       {into, iterative_eigenvalues(op, 0)}) {
+    EXPECT_TRUE(none.converged);
+    EXPECT_TRUE(none.eigenvalues.empty());
+    EXPECT_EQ(none.spectral_radius, 0.0);
+    EXPECT_EQ(none.applications, 0u);
+  }
+  const auto expect_limit = [](auto call) {
+    try {
+      call();
+      ADD_FAILURE() << "count > 1 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("0 or 1"), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const std::size_t count : {std::size_t{2}, kMax}) {
+    expect_limit([&] { iterative_eigenvalues(op, count); });
+    expect_limit([&] {
+      ffc::linalg::iterative_eigenvalues_into(op, count, {}, ws, into);
+    });
+  }
+
   // The probe hands over once its first 8-step contraction window shows
   // no progress (9 applications), then one two-vector cycle and no
   // restart: 11 applications, whatever the estimate's residual.
@@ -176,7 +193,7 @@ TEST(SparseEigen, IntegerBudgetsAtZeroAndSizeMax) {
   hinted.real_spectrum = true;
   hinted.power_iterations = kMax;
   const auto power =
-      iterative_spectral_radius(MatrixOperator(real_diag), hinted);
+      iterative_eigenvalues(MatrixOperator(real_diag), 1, hinted);
   EXPECT_TRUE(power.converged);
   EXPECT_EQ(power.method, IterativeMethod::Power);
   EXPECT_NEAR(power.spectral_radius, 3.0, 1e-10);
@@ -223,7 +240,7 @@ TEST(SparseEigen, ArnoldiStagnationEndsUnboundedRestarts) {
   IterativeEigenOptions opts;
   opts.arnoldi_subspace = 8;
   opts.arnoldi_restarts = std::numeric_limits<std::size_t>::max();
-  const auto result = iterative_spectral_radius(MatrixOperator(shift), opts);
+  const auto result = iterative_eigenvalues(MatrixOperator(shift), 1, opts);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.method, IterativeMethod::Arnoldi);
   EXPECT_GT(result.residual, opts.tolerance);
@@ -244,7 +261,7 @@ TEST(SparseEigen, ClusteredRealSpectrumHandsOverEarly) {
   const Matrix a = with_spectrum(d, 31);
   IterativeEigenOptions opts;
   opts.real_spectrum = true;
-  const auto result = iterative_spectral_radius(MatrixOperator(a), opts);
+  const auto result = iterative_eigenvalues(MatrixOperator(a), 1, opts);
   ASSERT_TRUE(result.converged);
   EXPECT_EQ(result.method, IterativeMethod::Arnoldi);
   EXPECT_NEAR(result.spectral_radius, ffc::linalg::spectral_radius(a),
@@ -286,7 +303,7 @@ TEST(SparseEigen, RandomDenseMatricesMatchQr) {
         }
       }
       const double dense = ffc::linalg::spectral_radius(a);
-      const auto iter = iterative_spectral_radius(MatrixOperator(a));
+      const auto iter = iterative_eigenvalues(MatrixOperator(a), 1);
       ASSERT_TRUE(iter.converged) << "n=" << n << " rep=" << rep;
       EXPECT_NEAR(iter.spectral_radius, dense, kGoldenTol)
           << "n=" << n << " rep=" << rep;
@@ -313,7 +330,7 @@ bool expect_same_radius(const ffc::core::FlowControlModel& model,
     for (const auto& lambda : dense.values) {
       dense_radius = std::max(dense_radius, std::abs(lambda));
     }
-    const auto iter = iterative_spectral_radius(MatrixOperator(df));
+    const auto iter = iterative_eigenvalues(MatrixOperator(df), 1);
     EXPECT_TRUE(iter.converged) << what;
     EXPECT_NEAR(iter.spectral_radius, dense_radius, kGoldenTol) << what;
   }
@@ -373,7 +390,7 @@ TEST(SparseDenseGolden, LargeSingleBottleneck1024) {
   const double dense = ffc::linalg::spectral_radius(df);
   IterativeEigenOptions opts;
   opts.real_spectrum = true;  // Theorem 4: individual + FairShare
-  const auto iter = iterative_spectral_radius(MatrixOperator(df), opts);
+  const auto iter = iterative_eigenvalues(MatrixOperator(df), 1, opts);
   ASSERT_TRUE(iter.converged);
   EXPECT_NEAR(iter.spectral_radius, dense, kGoldenTol);
 }
