@@ -1,6 +1,7 @@
 // Microbenchmarks: discrete-event simulator throughput (events/second),
 // which bounds how much simulated time the validation experiments can cover,
-// the bare calendar's cost per event (the hold model), plus the
+// the bare calendar's cost per event (the hold model), the cost of one
+// random-stream split (the engine's set-up makes G + N of them), plus the
 // sweep-execution layer itself (exec::SweepRunner fanning replica
 // DES runs and bifurcation scans across threads).
 //
@@ -115,6 +116,15 @@ void BM_CalendarHold(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CalendarHold)->Arg(10)->Arg(1000)->Arg(30000)->Arg(100000);
+
+// One Xoshiro256::split(), the 2^128 jump: a NetworkSimulator makes one per
+// gateway and one per connection at construction.
+void BM_XoshiroSplit(benchmark::State& state) {
+  ffc::stats::Xoshiro256 rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.split());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_XoshiroSplit);
 
 // ---- sweep-layer benchmarks (honour --jobs) ------------------------------
 

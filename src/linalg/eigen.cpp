@@ -8,12 +8,14 @@
 
 namespace ffc::linalg {
 
-Matrix hessenberg(Matrix a) {
-  if (!a.is_square()) {
-    throw std::invalid_argument("hessenberg: matrix must be square");
-  }
+namespace {
+
+/// Householder reduction of the square `a` to upper Hessenberg form, in
+/// place; `v` is the reflection vector's buffer.
+void reduce_to_hessenberg(Matrix& a, std::vector<double>& v) {
   const std::size_t n = a.rows();
-  if (n < 3) return a;
+  if (n < 3) return;
+  v.resize(n);
 
   for (std::size_t k = 0; k + 2 < n; ++k) {
     // Householder vector annihilating a(k+2..n-1, k).
@@ -23,7 +25,7 @@ Matrix hessenberg(Matrix a) {
     if (alpha == 0.0) continue;
     if (a(k + 1, k) > 0.0) alpha = -alpha;
 
-    std::vector<double> v(n, 0.0);
+    // Entries k + 1 .. n - 1 are this reflection's; no loop reads below.
     v[k + 1] = a(k + 1, k) - alpha;
     for (std::size_t i = k + 2; i < n; ++i) v[i] = a(i, k);
     double vnorm2 = 0.0;
@@ -48,6 +50,16 @@ Matrix hessenberg(Matrix a) {
     a(k + 1, k) = alpha;
     for (std::size_t i = k + 2; i < n; ++i) a(i, k) = 0.0;
   }
+}
+
+}  // namespace
+
+Matrix hessenberg(Matrix a) {
+  if (!a.is_square()) {
+    throw std::invalid_argument("hessenberg: matrix must be square");
+  }
+  std::vector<double> v;
+  reduce_to_hessenberg(a, v);
   return a;
 }
 
@@ -71,7 +83,7 @@ std::array<cd, 2> eigenvalues_2x2(cd a, cd b, cd c, cd d) {
 /// One shifted-QR sweep on the active Hessenberg block rows/cols [l, m] of h
 /// (a dense complex matrix stored row-major in a flat vector of dimension n).
 void qr_sweep(std::vector<cd>& h, std::size_t n, std::size_t l, std::size_t m,
-              cd shift) {
+              cd shift, std::vector<std::array<cd, 4>>& rot) {
   // h(i,j) == h[i*n + j]
   auto H = [&](std::size_t i, std::size_t j) -> cd& { return h[i * n + j]; };
 
@@ -79,7 +91,7 @@ void qr_sweep(std::vector<cd>& h, std::size_t n, std::size_t l, std::size_t m,
 
   // Left Givens rotations zeroing the subdiagonal of the shifted block.
   // g[k] = {g00, g01, g10, g11} applied to rows k, k+1.
-  std::vector<std::array<cd, 4>> rot(m);  // indices l..m-1 used
+  rot.resize(m);  // indices l..m-1 used, each written before it is read
   for (std::size_t k = l; k < m; ++k) {
     const cd a = H(k, k);
     const cd b = H(k + 1, k);
@@ -116,16 +128,21 @@ void qr_sweep(std::vector<cd>& h, std::size_t n, std::size_t l, std::size_t m,
 
 }  // namespace
 
-EigenResult eigenvalues(const Matrix& a) {
+void eigenvalues_into(const Matrix& a, EigenWorkspace& ws,
+                      EigenResult& result) {
   if (!a.is_square()) {
     throw std::invalid_argument("eigenvalues: matrix must be square");
   }
   const std::size_t n = a.rows();
-  EigenResult result;
-  if (n == 0) return result;
+  result.values.clear();
+  result.converged = true;
+  if (n == 0) return;
 
-  const Matrix hess = hessenberg(a);
-  std::vector<cd> h(n * n);
+  ws.hess = a;
+  reduce_to_hessenberg(ws.hess, ws.householder);
+  const Matrix& hess = ws.hess;
+  std::vector<cd>& h = ws.h;
+  h.resize(n * n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) h[i * n + j] = cd(hess(i, j));
   }
@@ -194,11 +211,17 @@ EigenResult eigenvalues(const Matrix& a) {
       // Exceptional shift to break potential limit cycles.
       shift = H(m, m) + cd(1.2 * std::abs(H(m, m - 1)), 0.7 * scale * eps);
     }
-    qr_sweep(h, n, l, m, shift);
+    qr_sweep(h, n, l, m, shift, ws.rotations);
   }
 
   std::sort(result.values.begin(), result.values.end(),
             [](const cd& x, const cd& y) { return std::abs(x) > std::abs(y); });
+}
+
+EigenResult eigenvalues(const Matrix& a) {
+  EigenWorkspace ws;
+  EigenResult result;
+  eigenvalues_into(a, ws, result);
   return result;
 }
 

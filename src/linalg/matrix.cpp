@@ -9,6 +9,12 @@ namespace ffc::linalg {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
+void Matrix::assign(std::size_t rows, std::size_t cols, double fill) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, fill);
+}
+
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   rows_ = rows.size();
   cols_ = rows_ == 0 ? 0 : rows.begin()->size();

@@ -31,6 +31,10 @@ class Matrix {
   /// Identity matrix of size n.
   static Matrix identity(std::size_t n);
 
+  /// Reshapes to rows x cols, every entry `fill`: Matrix(rows, cols, fill)
+  /// that reuses the storage when it is large enough.
+  void assign(std::size_t rows, std::size_t cols, double fill = 0.0);
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool is_square() const { return rows_ == cols_; }

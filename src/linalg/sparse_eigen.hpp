@@ -36,11 +36,10 @@
 //
 // Everything is deterministic: start vectors come from a fixed-seed integer
 // mix, so repeated runs (and ffc_repro at any --jobs) reproduce bit-identical
-// results. A warm solve that the power stage answers allocates nothing:
-// buffers live in SparseEigenWorkspace and results can be written into a
-// caller-owned IterativeEigenResult. The Arnoldi stage does allocate: it
-// builds its Hessenberg matrix, the block handed to dense QR and QR's
-// result on every call.
+// results. A warm solve allocates nothing, through either stage: buffers,
+// the Arnoldi Hessenberg matrix and dense QR's work and result included,
+// live in SparseEigenWorkspace, and results can be written into a
+// caller-owned IterativeEigenResult.
 #pragma once
 
 #include <complex>
@@ -48,6 +47,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "linalg/eigen.hpp"
 #include "linalg/matrix.hpp"
 
 namespace ffc::linalg {
@@ -128,6 +128,8 @@ struct SparseEigenWorkspace {
   std::vector<Vector> basis;     ///< Arnoldi basis V (m+1 vectors)
   Matrix hess;                   ///< Arnoldi Hessenberg ((m+1) x m)
   Matrix small;                  ///< leading block handed to dense QR
+  EigenWorkspace small_ws;       ///< dense QR's buffers
+  EigenResult small_eigen;       ///< dense QR's Ritz values
   std::vector<std::complex<double>> cmat;  ///< small complex solver scratch
   std::vector<std::complex<double>> cvec;  ///< Ritz vector
   std::vector<std::complex<double>> crhs;  ///< inverse-iteration rhs

@@ -192,6 +192,19 @@ void order_tie_runs_by_direction(std::span<const double> dx,
   }
 }
 
+bool tie_run_ordered_by_direction(std::span<const double> dx,
+                                  std::span<const std::uint32_t> run) {
+  for (std::size_t k = 1; k < run.size(); ++k) {
+    const double prev = dx[run[k - 1]];
+    const double next = dx[run[k]];
+    // Double comparison is direction_key's order: -0.0 == 0.0.
+    if (!(prev < next || (prev == next && run[k - 1] < run[k]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void mirror_tie_runs(std::span<const double> dx,
                      std::span<const RateTieRun> runs,
                      std::span<std::uint32_t> order) {

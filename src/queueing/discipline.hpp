@@ -104,6 +104,13 @@ void order_tie_runs_by_direction(std::span<const double> dx,
                                  std::vector<DirectionKey>& keys,
                                  std::span<std::uint32_t> order);
 
+/// True iff the local indices `run` are strictly ascending in (dx, index),
+/// signed zeros equal: exactly the order order_tie_runs_by_direction gives
+/// a run of these indices. O(run.size()), returning at the first violation.
+/// A NaN in dx reads as a violation.
+bool tie_run_ordered_by_direction(std::span<const double> dx,
+                                  std::span<const std::uint32_t> run);
+
 /// Turns the (rate, dx, index) order into the (rate, -dx, index) order in
 /// place, in O(m): negation is exact, so inside each tie run the groups of
 /// equal dx come in reverse, each still in ascending index. `dx` may be

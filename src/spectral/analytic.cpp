@@ -136,6 +136,9 @@ void AnalyticJacobianOperator::precompute() {
               order, {jvp_coef_.data() + offset, m}));
     }
     run_offset_[num_gw] = static_cast<std::uint32_t>(tie_runs_.size());
+    // The history restarts from the base order: every run of it is a
+    // permutation of that run's members, as the reuse check requires.
+    plus_order_.assign(rate_order_.begin(), rate_order_.end());
     std::size_t longest = 0;
     for (const queueing::RateTieRun& run : tie_runs_) {
       longest = std::max<std::size_t>(longest, run.end - run.begin);
@@ -202,14 +205,26 @@ void AnalyticJacobianOperator::directional(const std::vector<double>& x,
     }
     // The perturbed rate order: the base order with its tie runs sorted by
     // dx (Plus), or that order mirrored for -x (Minus, right after Plus).
-    const std::span<std::uint32_t> order(jvp_order_.data() + offset, m);
+    // A Plus pass keeps each run of the last Plus order that is still
+    // sorted by (dx, index), which is then the one sorted result, and
+    // sorts the others afresh from the base order.
+    std::span<std::uint32_t> order(plus_order_.data() + offset, m);
     const std::span<const queueing::RateTieRun> runs(
         tie_runs_.data() + run_offset_[a], run_offset_[a + 1] - run_offset_[a]);
     if (side == Side::Plus) {
-      std::copy_n(rate_order_.data() + offset, m, order.begin());
-      queueing::order_tie_runs_by_direction(dx, runs, keys_, order);
+      for (const queueing::RateTieRun& run : runs) {
+        const std::span<std::uint32_t> members =
+            order.subspan(run.begin, run.end - run.begin);
+        if (queueing::tie_run_ordered_by_direction(dx, members)) continue;
+        std::copy_n(rate_order_.data() + offset + run.begin, members.size(),
+                    members.begin());
+        queueing::order_tie_runs_by_direction(dx, {&run, 1}, keys_, order);
+      }
     } else {
-      queueing::mirror_tie_runs(dx, runs, order);
+      const std::span<std::uint32_t> mirrored(jvp_order_.data() + offset, m);
+      std::copy(order.begin(), order.end(), mirrored.begin());
+      queueing::mirror_tie_runs(dx, runs, mirrored);
+      order = mirrored;
     }
     discipline.queue_lengths_jvp_ordered_into(
         mu, dx, order, {jvp_coef_.data() + offset, unsaturated_[a]}, dq);

@@ -68,8 +68,18 @@ class Xoshiro256 {
 
   /// Jump ahead by 2^128 steps: yields a generator whose stream is
   /// independent of the original for any realistic draw count. Used to give
-  /// each simulation component its own stream from one master seed.
+  /// each simulation component its own stream from one master seed. The
+  /// returned child keeps the current stream position; this generator
+  /// moves to jump(state). Constant time, no allocation.
   Xoshiro256 split();
+
+  /// The state 2^128 transitions after `state`. The transition is linear
+  /// over GF(2), so the jump is one fixed 256 x 256 bit matrix J: the jump
+  /// polynomial of Blackman & Vigna evaluated at the transition. J is
+  /// applied through a table of its images of every nibble, derived from
+  /// that polynomial at compile time: 64 lookups and XORs of 4 words.
+  static std::array<std::uint64_t, 4> jump(
+      const std::array<std::uint64_t, 4>& state);
 
  private:
   std::array<std::uint64_t, 4> s_;

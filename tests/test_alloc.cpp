@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -225,6 +226,39 @@ TEST(AllocFree, WarmSparseSpectralIterateDoesNotAllocate) {
   EXPECT_TRUE(out.converged);
   EXPECT_GT(out.applications, 10u);
   EXPECT_NEAR(out.spectral_radius, 0.8, 1e-6);
+}
+
+TEST(AllocFree, WarmArnoldiSolveDoesNotAllocate) {
+  // A 200 x 200 matrix whose dominant eigenvalues are the complex pair
+  // 1.5 e^{+-i pi/4}: the power stage hands over to Arnoldi, which builds
+  // its Hessenberg matrix and solves the leading block by dense QR. All of
+  // that lives in the workspace, so a warm solve allocates nothing.
+  const std::size_t n = 200;
+  ffc::linalg::Matrix a(n, n, 0.0);
+  const double c = 1.5 * std::cos(0.25 * 3.14159265358979323846);
+  const double s = 1.5 * std::sin(0.25 * 3.14159265358979323846);
+  a(0, 0) = c;
+  a(0, 1) = -s;
+  a(1, 0) = s;
+  a(1, 1) = c;
+  for (std::size_t i = 2; i < n; ++i) {
+    a(i, i) = 0.5 * static_cast<double>(i) / static_cast<double>(n);
+    a(i, i - 1) = 0.1;
+  }
+  const ffc::linalg::MatrixOperator op(a);
+  const ffc::linalg::IterativeEigenOptions opts;
+  ffc::linalg::SparseEigenWorkspace ws;
+  ffc::linalg::IterativeEigenResult out;
+  ffc::linalg::iterative_eigenvalues_into(op, 1, opts, ws, out);
+  ASSERT_TRUE(out.converged);
+  ASSERT_EQ(out.method, ffc::linalg::IterativeMethod::Arnoldi);
+
+  AllocWindow window;
+  ffc::linalg::iterative_eigenvalues_into(op, 1, opts, ws, out);
+  EXPECT_EQ(window.count(), 0u);
+  EXPECT_TRUE(out.converged);
+  EXPECT_EQ(out.eigenvalues.size(), 2u);
+  EXPECT_NEAR(out.spectral_radius, 1.5, 1e-9);
 }
 
 TEST(AllocFree, WarmJacobianOperatorApplyDoesNotAllocate) {

@@ -9,12 +9,14 @@
 // below any structural disagreement a wrong derivative would produce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstddef>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -631,6 +633,66 @@ TEST(AnalyticJacobianOperator, RebaseAcrossTieStructuresMatchesFreshBits) {
   expect_same(rebased, fresh_detour, "rebased to the detour");
   rebased.rebase(c.rates);
   expect_same(rebased, fresh, "rebased back");
+}
+
+TEST(AnalyticJacobianOperator, ReusedTieOrderMatchesFreshOperatorBits) {
+  // A +x pass keeps each tie run of the previous +x pass's order that is
+  // still sorted by (dx, index). The sequence makes that history hold (2x,
+  // an order-preserving perturbation), fail (-x, a random direction), and
+  // hold in dx but not in index (-x rounded to halves: exact ties and both
+  // signed zeros inside runs, each group left in -x's order), then rebases
+  // across a change of tie structure. Every apply must match one apply on
+  // a fresh operator bit for bit.
+  for (int cell = 0; cell < 2; ++cell) {
+    const TiedCell c = tied_cell(cell);
+    const std::size_t n = c.rates.size();
+    const std::vector<double> x = recorded_direction(n, 2);
+    std::vector<double> twice(n), nudged(n), negated(n), tied(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      twice[i] = 2.0 * x[i];
+      nudged[i] = 0.75 * x[i] + 0.125;
+      negated[i] = -x[i];
+      tied[i] = std::round(-2.0 * x[i]) / 2.0;  // round(-0.3) is -0.0
+    }
+    std::vector<std::size_t> by_x(n);
+    std::iota(by_x.begin(), by_x.end(), std::size_t{0});
+    std::sort(by_x.begin(), by_x.end(),
+              [&](std::size_t a, std::size_t b) { return x[a] < x[b]; });
+    for (std::size_t k = 1; k < n; ++k) {
+      ASSERT_LT(nudged[by_x[k - 1]], nudged[by_x[k]]) << "cell " << cell;
+    }
+    const auto zeros = [&](bool negative) {
+      return std::count_if(tied.begin(), tied.end(), [&](double v) {
+        return v == 0.0 && std::signbit(v) == negative;
+      });
+    };
+    ASSERT_GT(zeros(true), 0) << "cell " << cell;
+    ASSERT_GT(zeros(false), 0) << "cell " << cell;
+    std::vector<double> detour = c.rates;
+    for (std::size_t i = 0; i < n; i += 3) {
+      detour[i] *= 1.0 - 1e-3 * double(i % 7 + 1);
+    }
+
+    AnalyticJacobianOperator op(c.model, c.rates);
+    const auto expect_fresh_bits = [&](const std::vector<double>& base,
+                                       const std::vector<double>& d,
+                                       const char* what) {
+      std::vector<double> reused, fresh;
+      op.apply(d, reused);
+      AnalyticJacobianOperator(c.model, base).apply(d, fresh);
+      ASSERT_EQ(reused.size(), fresh.size());
+      EXPECT_EQ(bit_digest(reused), bit_digest(fresh))
+          << "cell " << cell << ": " << what;
+    };
+    expect_fresh_bits(c.rates, x, "x");
+    expect_fresh_bits(c.rates, twice, "2x");
+    expect_fresh_bits(c.rates, nudged, "order-preserving perturbation");
+    expect_fresh_bits(c.rates, negated, "-x");
+    expect_fresh_bits(c.rates, tied, "ties and signed zeros");
+    expect_fresh_bits(c.rates, recorded_direction(n, 4), "random");
+    op.rebase(detour);
+    expect_fresh_bits(detour, x, "x after rebase");
+  }
 }
 
 TEST(ModelJacobianOperator, RebaseMatchesFreshOperator) {
