@@ -89,21 +89,6 @@ void perturbed_prefix_walk(std::span<const double> queues,
 
 }  // namespace
 
-double aggregate_congestion(const std::vector<double>& queues) {
-  check_queues(queues);
-  double total = 0.0;
-  for (double q : queues) total += q;
-  return total;
-}
-
-std::vector<double> individual_congestion(const std::vector<double>& queues) {
-  check_queues(queues);
-  CongestionWorkspace ws;
-  std::vector<double> out(queues.size());
-  individual_congestion_into(queues, ws, out);
-  return out;
-}
-
 std::vector<double> individual_congestion_reference(
     const std::vector<double>& queues) {
   check_queues(queues);

@@ -43,16 +43,6 @@ struct CongestionWorkspace {
   std::vector<std::size_t> order;  ///< sort permutation of the queues
 };
 
-/// C^a = sum of queue lengths. Infinite entries propagate to +infinity.
-double aggregate_congestion(const std::vector<double>& queues);
-
-/// C^a_i = sum_k min(Q_k, Q_i) for every connection i at this gateway.
-/// C_i is infinite iff Q_i itself is infinite; a connection with a finite
-/// queue sees a finite measure even when other queues have diverged
-/// (min(inf, Q_i) = Q_i) -- which is exactly how Fair Share protects small
-/// senders at an overloaded gateway.
-std::vector<double> individual_congestion(const std::vector<double>& queues);
-
 /// The original O(N^2) min-sum formulation, kept as the golden reference
 /// for equivalence tests and benchmarks.
 std::vector<double> individual_congestion_reference(
@@ -60,7 +50,9 @@ std::vector<double> individual_congestion_reference(
 
 /// Dispatches on `style`: writes the per-connection congestion measures
 /// into `out` (aggregate replicates C^a for every connection), reusing the
-/// workspace's sort buffer. `out` must already have queues.size() entries
+/// workspace's sort buffer. An infinite queue makes C^a infinite, but an
+/// individual C^a_i only if Q_i itself is infinite (min(inf, Q_i) = Q_i):
+/// that is how Fair Share protects small senders at an overloaded gateway. `out` must already have queues.size() entries
 /// (it may be a slice of a flat SoA buffer). Unchecked and allocation-free
 /// once ws is warm: the caller guarantees the queues are nonnegative and
 /// non-NaN (entries may be +infinity) -- FlowControlModel's observables and

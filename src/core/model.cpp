@@ -168,20 +168,6 @@ const std::vector<double>& FlowControlModel::step_unchecked(
   return ws.next;
 }
 
-double FlowControlModel::queue_of(const NetworkState& state,
-                                  network::ConnectionId i,
-                                  network::GatewayId a) const {
-  if (a >= topology_.num_gateways()) {
-    throw std::out_of_range("FlowControlModel::queue_of: bad gateway id");
-  }
-  const network::CsrIncidence& csr = topology_.incidence();
-  if (const auto k = csr.local_index(i, a)) {
-    return state.queues.at(csr.gateway_offset(a) + *k);
-  }
-  throw std::invalid_argument(
-      "FlowControlModel::queue_of: connection not at gateway");
-}
-
 bool FlowControlModel::homogeneous_tsi() const {
   const auto first = adjusters_.front()->steady_signal();
   if (!first) return false;

@@ -121,11 +121,6 @@ class FlowControlModel {
   const std::vector<double>& step_unchecked(const std::vector<double>& rates,
                                             ModelWorkspace& ws) const;
 
-  /// Q^a_i from a NetworkState; throws std::invalid_argument if connection
-  /// `i` does not traverse gateway `a`.
-  double queue_of(const NetworkState& state, network::ConnectionId i,
-                  network::GatewayId a) const;
-
   const network::Topology& topology() const { return topology_; }
   const queueing::ServiceDiscipline& discipline() const {
     return *discipline_;

@@ -17,12 +17,6 @@ OneDMap::OneDMap(Fn fn) : fn_(std::move(fn)) {
   if (!fn_) throw std::invalid_argument("OneDMap: empty callable");
 }
 
-double OneDMap::iterate(double x0, std::size_t n) const {
-  double x = x0;
-  for (std::size_t t = 0; t < n; ++t) x = fn_(x);
-  return x;
-}
-
 std::vector<double> OneDMap::trajectory(double x0, std::size_t n) const {
   std::vector<double> out;
   out.reserve(n + 1);
@@ -105,23 +99,6 @@ double OneDMap::lyapunov(double x0, std::size_t transient, std::size_t steps,
     if (!std::isfinite(x)) return std::numeric_limits<double>::infinity();
   }
   return log_sum / static_cast<double>(steps);
-}
-
-std::vector<BifurcationPoint> bifurcation_scan(
-    const std::function<OneDMap(double)>& family,
-    const std::vector<double>& parameters, double x0, std::size_t transient,
-    std::size_t window) {
-  std::vector<BifurcationPoint> out;
-  out.reserve(parameters.size());
-  for (double param : parameters) {
-    const OneDMap map = family(param);
-    BifurcationPoint point;
-    point.parameter = param;
-    point.orbit = map.classify(x0, transient, window);
-    point.lyapunov = map.lyapunov(x0, transient, window * 4);
-    out.push_back(std::move(point));
-  }
-  return out;
 }
 
 OneDMap make_symmetric_aggregate_map(

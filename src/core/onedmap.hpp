@@ -42,9 +42,6 @@ class OneDMap {
 
   double operator()(double x) const { return fn_(x); }
 
-  /// x after n iterations from x0.
-  double iterate(double x0, std::size_t n) const;
-
   /// The full orbit x0, x1, ..., x_n (n+1 values).
   std::vector<double> trajectory(double x0, std::size_t n) const;
 
@@ -64,19 +61,13 @@ class OneDMap {
   Fn fn_;
 };
 
-/// One row of a bifurcation diagram.
+/// One row of a bifurcation diagram: the attractor (classify) and the
+/// Lyapunov exponent of the map at one parameter value.
 struct BifurcationPoint {
   double parameter = 0.0;
   ScalarOrbit orbit;
   double lyapunov = 0.0;
 };
-
-/// Sweeps a one-parameter family of maps and records the attractor at each
-/// parameter value -- the data behind a bifurcation diagram.
-std::vector<BifurcationPoint> bifurcation_scan(
-    const std::function<OneDMap(double)>& family,
-    const std::vector<double>& parameters, double x0,
-    std::size_t transient = 2000, std::size_t window = 256);
 
 /// The symmetric-aggregate scalar map described above, for N sources at one
 /// gateway of rate mu whose round-trip latency is `latency`. The delay fed

@@ -6,13 +6,6 @@
 
 namespace ffc::exec {
 
-double GridPoint::at(std::size_t axis) const {
-  if (axis >= coords_.size()) {
-    throw std::out_of_range("GridPoint::at: axis index out of range");
-  }
-  return coords_[axis];
-}
-
 double GridPoint::get(std::string_view name) const {
   return coords_[grid_->axis_index(name)];
 }

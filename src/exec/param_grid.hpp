@@ -30,10 +30,6 @@ class GridPoint {
   /// Coordinates, one per axis, in axis order.
   const std::vector<double>& coords() const { return coords_; }
 
-  /// Coordinate of axis `axis` (0-based). Throws std::out_of_range if
-  /// `axis` is out of range.
-  double at(std::size_t axis) const;
-
   /// Coordinate of the axis named `name`. Throws std::out_of_range if no
   /// axis has that name.
   double get(std::string_view name) const;

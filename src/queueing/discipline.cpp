@@ -261,15 +261,4 @@ void ServiceDiscipline::sojourn_times_into(std::span<const double> rates,
   }
 }
 
-std::vector<double> ServiceDiscipline::sojourn_times(
-    const std::vector<double>& rates, double mu) const {
-  validate_rates(rates, mu);
-  DisciplineWorkspace ws;
-  std::vector<double> queues(rates.size());
-  queue_lengths_into(rates, mu, ws, queues);
-  std::vector<double> out(rates.size());
-  sojourn_times_into(rates, mu, queues, ws, out);
-  return out;
-}
-
 }  // namespace ffc::queueing

@@ -11,9 +11,9 @@
 // All of these are property-tested in tests/test_queueing_disciplines.cpp.
 //
 // Two call paths (docs/PERFORMANCE.md):
-//   * the validated wrappers (queue_lengths / sojourn_times) allocate their
-//     result and validate the inputs -- one validation per call, counted by
-//     the validation_count() test hook;
+//   * the validated wrapper (queue_lengths) allocates its result and
+//     validates the inputs -- one validation per call, counted by the
+//     validation_count() test hook;
 //   * the *_into primitives are the unchecked, allocation-free fast path:
 //     the caller owns validation (FlowControlModel validates once at its
 //     boundary) and passes a DisciplineWorkspace whose buffers are reused
@@ -221,17 +221,12 @@ class ServiceDiscipline {
   virtual std::string_view name() const = 0;
 
   /// Mean per-packet sojourn time of each connection at this gateway, by
-  /// Little's law W_i = Q_i / r_i. For a zero-rate connection the value is
-  /// the limit as r_i -> 0+, evaluated numerically. Validated wrapper.
-  std::vector<double> sojourn_times(const std::vector<double>& rates,
-                                    double mu) const;
-
-  /// Unchecked, allocation-free sojourn times. `queues` must be the result
-  /// of queue_lengths_into at the same (rates, mu); when every rate is
-  /// positive the sojourns are computed directly from it (W_i = Q_i / r_i),
-  /// otherwise the zero-rate connections are probed exactly as the
-  /// validated wrapper does. `out` must already have rates.size() entries
-  /// (it may be a slice of a flat SoA buffer, which spans cannot grow).
+  /// Little's law W_i = Q_i / r_i; unchecked and allocation-free. `queues`
+  /// must be the result of queue_lengths_into at the same (rates, mu). When
+  /// every rate is positive the sojourns come directly from it; otherwise a
+  /// zero-rate connection gets the limit as r_i -> 0+, evaluated at a probe
+  /// rate of 1e-9 mu. `out` must already have rates.size() entries (it may
+  /// be a slice of a flat SoA buffer, which spans cannot grow).
   void sojourn_times_into(std::span<const double> rates, double mu,
                           std::span<const double> queues,
                           DisciplineWorkspace& ws,

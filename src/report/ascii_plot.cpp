@@ -24,14 +24,6 @@ void AsciiPlot::add_point(double x, double y, char glyph) {
   points_.push_back({x, y, glyph});
 }
 
-void AsciiPlot::add_series(const std::vector<double>& xs,
-                           const std::vector<double>& ys, char glyph) {
-  if (xs.size() != ys.size()) {
-    throw std::invalid_argument("AsciiPlot::add_series: size mismatch");
-  }
-  for (std::size_t i = 0; i < xs.size(); ++i) add_point(xs[i], ys[i], glyph);
-}
-
 void AsciiPlot::set_x_range(double lo, double hi) {
   if (!(lo < hi)) throw std::invalid_argument("AsciiPlot: empty x range");
   x_lo_ = lo;
@@ -125,12 +117,6 @@ void AsciiPlot::print(std::ostream& os) const {
        << " non-finite point" << (non_finite_dropped_ == 1 ? "" : "s")
        << " dropped)\n";
   }
-}
-
-std::string AsciiPlot::to_string() const {
-  std::ostringstream oss;
-  print(oss);
-  return oss.str();
 }
 
 }  // namespace ffc::report

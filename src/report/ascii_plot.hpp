@@ -31,10 +31,6 @@ class AsciiPlot {
   /// Number of non-finite points dropped so far.
   std::size_t non_finite_dropped() const { return non_finite_dropped_; }
 
-  /// Adds a whole series of (x, y) points.
-  void add_series(const std::vector<double>& xs,
-                  const std::vector<double>& ys, char glyph = '*');
-
   /// Fixes the axis ranges; otherwise ranges are fitted to the data with a
   /// small margin. Call before render().
   void set_x_range(double lo, double hi);
@@ -47,8 +43,6 @@ class AsciiPlot {
 
   /// Renders to `os`. A plot with no points renders an empty frame.
   void print(std::ostream& os) const;
-
-  std::string to_string() const;
 
  private:
   struct Point {

@@ -188,13 +188,6 @@ JsonWriter& JsonWriter::null() {
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const std::vector<double>& values) {
-  begin_array();
-  for (double v : values) value(v);
-  end_array();
-  return *this;
-}
-
 void JsonWriter::close() {
   if (!stack_.empty()) {
     throw std::logic_error("JsonWriter: close() with open containers");

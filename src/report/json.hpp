@@ -66,9 +66,6 @@ class JsonWriter {
     return value(v);
   }
 
-  /// Whole numeric array in one call (common case: rate vectors).
-  JsonWriter& value(const std::vector<double>& values);
-
   /// Current nesting depth (0 once the document is complete).
   std::size_t depth() const { return stack_.size(); }
 

@@ -10,17 +10,10 @@
 namespace ffc::report {
 
 TextTable::TextTable(std::vector<std::string> headers)
-    : headers_(std::move(headers)), aligns_(headers_.size(), Align::Right) {
+    : headers_(std::move(headers)) {
   if (headers_.empty()) {
     throw std::invalid_argument("TextTable: need at least one column");
   }
-}
-
-void TextTable::set_align(std::size_t col, Align align) {
-  if (col >= aligns_.size()) {
-    throw std::invalid_argument("TextTable::set_align: column out of range");
-  }
-  aligns_[col] = align;
 }
 
 void TextTable::set_title(std::string title) { title_ = std::move(title); }
@@ -33,6 +26,8 @@ void TextTable::add_row(std::vector<std::string> cells) {
 }
 
 namespace {
+
+enum class Align { Left, Right };
 
 void put_cell(std::ostream& os, const std::string& text, std::size_t width,
               Align align) {
@@ -76,18 +71,12 @@ void TextTable::print(std::ostream& os) const {
     os << "|";
     for (std::size_t c = 0; c < row.size(); ++c) {
       os << ' ';
-      put_cell(os, row[c], widths[c], aligns_[c]);
+      put_cell(os, row[c], widths[c], Align::Right);
       os << " |";
     }
     os << '\n';
   }
   os << rule << '\n';
-}
-
-std::string TextTable::to_string() const {
-  std::ostringstream oss;
-  print(oss);
-  return oss.str();
 }
 
 std::string fmt(double value, int precision) {

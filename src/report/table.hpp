@@ -12,21 +12,15 @@
 
 namespace ffc::report {
 
-/// Column alignment within a rendered table.
-enum class Align { Left, Right };
-
 /// A simple text table: a header row plus any number of data rows.
 ///
 /// Cells are strings; numeric helpers format doubles with a fixed precision.
-/// Rendering pads every column to its widest cell and draws ASCII rules.
+/// Rendering pads every column to its widest cell and draws ASCII rules;
+/// headers are left-aligned and data cells right-aligned.
 class TextTable {
  public:
-  /// Creates a table with the given column headers. Alignment defaults to
-  /// Right for every column (numeric tables dominate our usage).
+  /// Creates a table with the given column headers.
   explicit TextTable(std::vector<std::string> headers);
-
-  /// Sets the alignment of column `col` (0-based).
-  void set_align(std::size_t col, Align align);
 
   /// Sets an optional title printed above the table.
   void set_title(std::string title);
@@ -41,13 +35,9 @@ class TextTable {
   /// Renders the table to `os` (with trailing newline).
   void print(std::ostream& os) const;
 
-  /// Renders the table to a string.
-  std::string to_string() const;
-
  private:
   std::string title_;
   std::vector<std::string> headers_;
-  std::vector<Align> aligns_;
   std::vector<std::vector<std::string>> rows_;
 };
 

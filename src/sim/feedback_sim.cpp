@@ -5,22 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "report/json.hpp"
-
 namespace ffc::sim {
-
-void write_epochs_json(report::JsonWriter& w,
-                       const std::vector<EpochRecord>& records) {
-  w.begin_array();
-  for (const auto& record : records) {
-    w.begin_object();
-    w.key("rates").value(record.rates);
-    w.key("signals").value(record.signals);
-    w.key("delays").value(record.delays);
-    w.end_object();
-  }
-  w.end_array();
-}
 
 ClosedLoopSimulator::ClosedLoopSimulator(
     network::Topology topology, SimDiscipline discipline,

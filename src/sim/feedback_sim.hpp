@@ -21,10 +21,6 @@
 #include "sim/network_sim.hpp"
 #include "stats/rng.hpp"
 
-namespace ffc::report {
-class JsonWriter;
-}
-
 namespace ffc::sim {
 
 /// One epoch's record.
@@ -33,13 +29,6 @@ struct EpochRecord {
   std::vector<double> signals;  ///< measured bottleneck signals b_i
   std::vector<double> delays;   ///< measured mean one-way delays
 };
-
-/// Serializes a closed-loop trajectory as a JSON array of
-/// {"rates": [...], "signals": [...], "delays": [...]} objects -- the
-/// per-epoch evidence RCP-style protocol studies report. Emitted as one
-/// value, so it can be nested under a key of a larger document.
-void write_epochs_json(report::JsonWriter& w,
-                       const std::vector<EpochRecord>& records);
 
 /// Configuration of the closed loop.
 struct ClosedLoopOptions {

@@ -16,7 +16,7 @@ namespace {
 /// Any exact duplicate among the (finite or infinite) values? The layer JVPs
 /// resolve ties by the direction, which makes the one-sided derivative
 /// direction-dependent -- the operator then needs the two-pass branch
-/// average. Sorts a scratch copy; only runs at (re)construction.
+/// average. Sorts a scratch copy; only runs at construction.
 bool has_duplicates(std::span<const double> values,
                     std::vector<double>& scratch) {
   scratch.assign(values.begin(), values.end());
@@ -40,15 +40,6 @@ bool AnalyticJacobianOperator::supported(
 AnalyticJacobianOperator::AnalyticJacobianOperator(
     const core::FlowControlModel& model, std::vector<double> base_rates)
     : model_(&model), base_(std::move(base_rates)) {
-  precompute();
-}
-
-void AnalyticJacobianOperator::rebase(std::vector<double> base_rates) {
-  base_ = std::move(base_rates);
-  precompute();
-}
-
-void AnalyticJacobianOperator::precompute() {
   if (!supported(*model_)) {
     throw std::invalid_argument(
         "AnalyticJacobianOperator: a model layer has no closed-form "
@@ -74,7 +65,6 @@ void AnalyticJacobianOperator::precompute() {
   adj_db_.resize(n);
   adj_dd_.resize(n);
   status_.resize(n);
-  need_delay_ = false;
   bool boundary = false;
   for (std::size_t i = 0; i < n; ++i) {
     const core::RateAdjustment& adj = model_->adjuster(i);
@@ -96,8 +86,6 @@ void AnalyticJacobianOperator::precompute() {
   // the signal slope B'(C) there. A connection with two or more hops at its
   // path maximum sits on the bottleneck max's kink.
   argmax_offset_.resize(n + 1);
-  argmax_slot_.clear();
-  argmax_coef_.clear();
   bool multi_bottleneck = false;
   for (network::ConnectionId i = 0; i < n; ++i) {
     argmax_offset_[i] = static_cast<std::uint32_t>(argmax_slot_.size());
@@ -121,7 +109,6 @@ void AnalyticJacobianOperator::precompute() {
     jvp_order_.resize(entries);
     jvp_coef_.resize(entries);
     unsaturated_.resize(num_gw);
-    tie_runs_.clear();
     run_offset_.resize(num_gw + 1);
     for (network::GatewayId a = 0; a < num_gw; ++a) {
       const std::size_t offset = csr.gateway_offset(a);
@@ -136,7 +123,7 @@ void AnalyticJacobianOperator::precompute() {
               order, {jvp_coef_.data() + offset, m}));
     }
     run_offset_[num_gw] = static_cast<std::uint32_t>(tie_runs_.size());
-    // The history restarts from the base order: every run of it is a
+    // The history starts from the base order: every run of it is a
     // permutation of that run's members, as the reuse check requires.
     plus_order_.assign(rate_order_.begin(), rate_order_.end());
     std::size_t longest = 0;

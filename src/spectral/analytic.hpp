@@ -26,8 +26,7 @@
 //
 // Cost per application: one pass touches each CSR entry O(1) times and does
 // only the work that depends on the direction; everything the base point
-// determines is computed once, at (re)construction (docs/THEORY.md section
-// 8):
+// determines is computed once, at construction (docs/THEORY.md section 8):
 //   * each connection's argmax hops and their B'(C), so the signal and
 //     bottleneck layers read one product per argmax hop, fused with the
 //     delay, adjuster and truncation layers into one per-connection loop;
@@ -84,23 +83,14 @@ class AnalyticJacobianOperator final : public linalg::LinearOperator {
   std::size_t dim() const override { return base_.size(); }
   void apply(const linalg::Vector& x, linalg::Vector& y) const override;
 
-  /// Re-centres the operator at a new base point: re-validates, re-evaluates
-  /// F(base), rebuilds the precomputed gradients and resets the tie-run
-  /// history to the new base order. Buffers are reused, so rebasing at the
-  /// same dimension does not allocate beyond the model's own workspace
-  /// growth.
-  void rebase(std::vector<double> base_rates);
-
   /// Number of apply() calls so far (each is 1 or 2 directional passes).
   std::size_t applications() const { return applications_; }
 
   /// True iff the base point sits on no kink (no rate/queue/bottleneck ties
   /// that the direction could re-order, no truncation boundary), detected at
-  /// (re)construction. Smooth points take one directional pass per apply;
+  /// construction. Smooth points take one directional pass per apply;
   /// non-smooth points take two (the branch average).
   bool smooth() const { return smooth_; }
-
-  const std::vector<double>& base_rates() const { return base_; }
 
   /// True iff every layer of `model` exposes a closed-form derivative:
   /// signal().differentiable(), discipline().differentiable(), and every
@@ -120,7 +110,6 @@ class AnalyticJacobianOperator final : public linalg::LinearOperator {
   /// of gathering and sorting again.
   enum class Side : unsigned char { Plus, Minus };
 
-  void precompute();
   /// One-sided directional derivative D(x) (Plus) or D(-x) (Minus), with
   /// ties resolved by that direction.
   void directional(const std::vector<double>& x, Side side,
@@ -144,8 +133,8 @@ class AnalyticJacobianOperator final : public linalg::LinearOperator {
   std::vector<std::uint32_t> run_offset_;
   std::vector<double> jvp_coef_;
   std::vector<std::uint32_t> unsaturated_;
-  /// History (E): the last Plus pass's perturbed order, reset to
-  /// rate_order_ by precompute(). A Plus pass keeps each tie run of it that
+  /// History (E): the last Plus pass's perturbed order, starting as
+  /// rate_order_. A Plus pass keeps each tie run of it that
   /// is still strictly sorted by (dx, index) and re-sorts the others, so it
   /// only saves work: apply()'s result never depends on it.
   mutable std::vector<std::uint32_t> plus_order_;

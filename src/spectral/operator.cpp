@@ -9,15 +9,10 @@ namespace ffc::spectral {
 ModelJacobianOperator::ModelJacobianOperator(
     const core::FlowControlModel& model, std::vector<double> base_rates,
     const core::JvpOptions& options)
-    : model_(&model), options_(options) {
+    : model_(&model), base_(std::move(base_rates)), options_(options) {
   options_.validate("ModelJacobianOperator");
-  rebase(std::move(base_rates));
-}
-
-void ModelJacobianOperator::rebase(std::vector<double> base_rates) {
-  base_ = std::move(base_rates);
-  // The checked step validates size/finiteness/sign once for the whole
-  // lifetime of this base; every probe below differs from base_ by a
+  // The checked step validates size/finiteness/sign once for the
+  // operator's lifetime; every probe apply() makes differs from base_ by a
   // finite perturbation and can take the unchecked fast path.
   f_base_ = model_->step(base_, ws_);
   double base_inf = 0.0;

@@ -31,7 +31,8 @@ namespace ffc::spectral {
 class ModelJacobianOperator final : public linalg::LinearOperator {
  public:
   /// Validates `base_rates` once (size, finiteness, nonnegativity) by
-  /// evaluating F(base) through the model's checked entry point. Throws
+  /// evaluating F(base) through the model's checked entry point, caches
+  /// F(base) and sizes the nominal step from ||base||_inf. Throws
   /// std::invalid_argument unless both step options are finite and > 0.
   ModelJacobianOperator(const core::FlowControlModel& model,
                         std::vector<double> base_rates,
@@ -40,17 +41,8 @@ class ModelJacobianOperator final : public linalg::LinearOperator {
   std::size_t dim() const override { return base_.size(); }
   void apply(const linalg::Vector& x, linalg::Vector& y) const override;
 
-  /// Re-centres the operator at a new base point: re-validates, refreshes
-  /// the cached F(base), and recomputes the nominal step from the new
-  /// ||base||_inf. Without this, re-centring required rebuilding the
-  /// operator -- the ctor computed the step once, and a stale step sized for
-  /// the old base poisons the difference quotient after the base moves.
-  void rebase(std::vector<double> base_rates);
-
   /// Number of model evaluations performed so far (2 per warm apply).
   std::size_t evaluations() const { return evals_; }
-
-  const std::vector<double>& base_rates() const { return base_; }
 
  private:
   const core::FlowControlModel* model_;

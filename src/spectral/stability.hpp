@@ -42,11 +42,11 @@
 namespace ffc::spectral {
 
 /// Method::Auto switches to the iterative path at this connection count.
-/// Retuned from 512 to 128 for the analytic JVP operator: the iterative
-/// solve costs O(N log N) per application instead of two full model
-/// evaluations, and overtakes the dense path (N operator applications to
-/// materialize DF + O(N^3) eigensolve) at N = 128 on the reference host;
-/// see docs/SCALING.md "Dense/iterative crossover" for the measured table.
+/// The iterative path is now faster than the dense one (N operator
+/// applications to materialize DF + O(N^3) eigensolve) at every N >= 32
+/// measured (docs/SCALING.md section 6), so 128 is no longer the crossover.
+/// It stays because moving it changes which solver the experiments run,
+/// and so changes the bytes of the committed artifacts.
 inline constexpr std::size_t kDenseThreshold = 128;
 
 struct SpectralOptions {

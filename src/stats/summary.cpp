@@ -1,47 +1,15 @@
 #include "stats/summary.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace ffc::stats {
 
 void OnlineStats::add(double x) {
   ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-}
-
-double OnlineStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-double OnlineStats::ci_halfwidth(double z) const {
-  if (n_ < 2) return 0.0;
-  return z * stddev() / std::sqrt(static_cast<double>(n_));
-}
-
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double total = static_cast<double>(n_ + other.n_);
-  const double delta = other.mean_ - mean_;
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  mean_ += delta * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 TimeWeightedStats::TimeWeightedStats(double start_time, double initial_value)

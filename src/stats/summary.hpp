@@ -3,12 +3,12 @@
 
 #include <cstddef>
 #include <limits>
-#include <vector>
 
 namespace ffc::stats {
 
-/// Welford's online mean/variance accumulator for i.i.d.-style samples
-/// (packet delays, service times, ...). Numerically stable; O(1) memory.
+/// Running count, mean, min and max of i.i.d.-style samples (packet delays,
+/// round-trip times, ...). The mean is Welford's incremental update, which
+/// stays accurate over millions of samples; O(1) memory.
 class OnlineStats {
  public:
   /// Adds one sample.
@@ -17,24 +17,12 @@ class OnlineStats {
   std::size_t count() const { return n_; }
   /// Mean of the samples; 0 if no samples were added.
   double mean() const { return mean_; }
-  /// Unbiased sample variance; 0 with fewer than two samples.
-  double variance() const;
-  /// sqrt(variance()).
-  double stddev() const;
   double min() const { return min_; }
   double max() const { return max_; }
-
-  /// Half-width of a normal-approximation confidence interval around the
-  /// mean, e.g. z = 1.96 for 95%. Returns 0 with fewer than two samples.
-  double ci_halfwidth(double z = 1.96) const;
-
-  /// Merges another accumulator into this one (parallel Welford merge).
-  void merge(const OnlineStats& other);
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };

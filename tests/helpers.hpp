@@ -1,12 +1,18 @@
 // Shared factories for model-level tests.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include "core/congestion.hpp"
 #include "core/model.hpp"
 #include "core/rate_adjustment.hpp"
 #include "core/signal.hpp"
+#include "linalg/matrix.hpp"
 #include "network/builders.hpp"
 #include "queueing/fair_share.hpp"
 #include "queueing/fifo.hpp"
@@ -59,6 +65,30 @@ inline core::FlowControlModel single_gateway_model(
     double mu = 1.0) {
   return make_model(network::single_bottleneck(n, mu), std::move(disc),
                     style, eta, beta);
+}
+
+/// The per-connection congestion measures of `queues` under `style`, in a
+/// fresh vector (congestion_measures_into with its own workspace).
+inline std::vector<double> congestion_measures(
+    core::FeedbackStyle style, const std::vector<double>& queues) {
+  core::CongestionWorkspace ws;
+  std::vector<double> out(queues.size());
+  core::congestion_measures_into(style, queues, ws, out);
+  return out;
+}
+
+/// Max-norm distance between two matrices of equal shape.
+inline double max_abs_diff(const linalg::Matrix& a, const linalg::Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    throw std::invalid_argument("max_abs_diff: shape mismatch");
+  }
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      worst = std::max(worst, std::fabs(a(i, j) - b(i, j)));
+    }
+  }
+  return worst;
 }
 
 }  // namespace ffc::testing

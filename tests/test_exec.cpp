@@ -117,8 +117,9 @@ TEST(ParamGrid, RowMajorEnumerationLastAxisFastest) {
     EXPECT_EQ(p.index(), i);
     EXPECT_EQ(p.get("a"), expected[i][0]) << "point " << i;
     EXPECT_EQ(p.get("b"), expected[i][1]) << "point " << i;
-    EXPECT_EQ(p.at(0), expected[i][0]);
-    EXPECT_EQ(p.at(1), expected[i][1]);
+    ASSERT_EQ(p.coords().size(), 2u);
+    EXPECT_EQ(p.coords()[0], expected[i][0]);
+    EXPECT_EQ(p.coords()[1], expected[i][1]);
   }
 }
 
@@ -159,7 +160,6 @@ TEST(ParamGrid, UnknownAxisNameThrows) {
   ParamGrid grid;
   grid.axis("eta", {0.1});
   EXPECT_THROW(grid.point(0).get("mu"), std::out_of_range);
-  EXPECT_THROW(grid.point(0).at(1), std::out_of_range);
 }
 
 TEST(ParamGrid, LinspaceHitsEndpointsExactly) {

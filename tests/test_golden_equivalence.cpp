@@ -1,8 +1,9 @@
 // Golden-equivalence suite for the optimized hot paths (docs/PERFORMANCE.md).
 //
-// The O(N log N) prefix-sum formulations of cumulative_loads and
-// individual_congestion, and the workspace (allocation-free) model paths,
-// are REPLACEMENTS for straightforward reference code that is kept in-tree
+// The O(N log N) prefix-sum formulations of cumulative_loads and the
+// individual congestion measure (congestion_measures_into), and the
+// workspace (allocation-free) model paths, are REPLACEMENTS for
+// straightforward reference code that is kept in-tree
 // (cumulative_loads_reference, individual_congestion_reference, and the
 // allocating observe/step overloads). These tests pin the replacements to
 // the references across randomized inputs, including the regimes where a
@@ -36,7 +37,6 @@ using ffc::core::FeedbackStyle;
 using ffc::core::FlowControlModel;
 using ffc::core::ModelWorkspace;
 using ffc::core::NetworkState;
-using ffc::core::individual_congestion;
 using ffc::core::individual_congestion_reference;
 using ffc::queueing::FairShare;
 using ffc::stats::Xoshiro256;
@@ -113,7 +113,8 @@ TEST(GoldenEquivalence, IndividualCongestionMatchesReference) {
         queues[2] = kInf;  // a saturated connection
         if (n > 4) queues[4] = kInf;
       }
-      const auto fast = individual_congestion(queues);
+      const auto fast =
+          th::congestion_measures(FeedbackStyle::Individual, queues);
       const auto slow = individual_congestion_reference(queues);
       ASSERT_EQ(fast.size(), slow.size());
       for (std::size_t i = 0; i < n; ++i) expect_ulp_close(fast[i], slow[i]);
@@ -125,7 +126,8 @@ TEST(GoldenEquivalence, IndividualCongestionAllInfinite) {
   // Every queue diverged: the reference gives +inf everywhere; the prefix
   // walk must not manufacture 0 * inf = NaN.
   const std::vector<double> queues{kInf, kInf, kInf};
-  const auto fast = individual_congestion(queues);
+  const auto fast =
+      th::congestion_measures(FeedbackStyle::Individual, queues);
   for (double c : fast) EXPECT_EQ(c, kInf);
 }
 
@@ -207,7 +209,6 @@ TEST(ValidationCount, DisciplineWrappersValidateExactlyOnce) {
   ffc::queueing::FairShare fs;
   const std::vector<double> rates{0.2, 0.1, 0.2};
   EXPECT_EQ(validations([&] { fs.queue_lengths(rates, 1.0); }), 1u);
-  EXPECT_EQ(validations([&] { fs.sojourn_times(rates, 1.0); }), 1u);
   EXPECT_EQ(validations([&] { FairShare::cumulative_loads(rates, 1.0); }),
             1u);
 }

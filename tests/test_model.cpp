@@ -102,19 +102,6 @@ TEST(Model, OverloadedGatewaySignalsMaximalCongestion) {
   EXPECT_LT(next[0], 0.8);
 }
 
-TEST(Model, QueueOfLooksUpPerGatewayQueues) {
-  Topology topo({{1.0, 0.0}, {1.0, 0.0}},
-                {Connection{{0, 1}}, Connection{{1}}});
-  auto model = th::make_model(topo, th::fifo(), FeedbackStyle::Aggregate);
-  const NetworkState state = model.observe({0.2, 0.3});
-  // Gateway 1 carries both: load 0.5.
-  EXPECT_NEAR(model.queue_of(state, 0, 1), 0.2 / 0.5, 1e-12);
-  EXPECT_NEAR(model.queue_of(state, 1, 1), 0.3 / 0.5, 1e-12);
-  // Gateway 0 carries only connection 0: load 0.2.
-  EXPECT_NEAR(model.queue_of(state, 0, 0), 0.2 / 0.8, 1e-12);
-  EXPECT_THROW(model.queue_of(state, 1, 0), std::invalid_argument);
-}
-
 TEST(Model, HeterogeneousAdjustersApplied) {
   auto topo = ffc::network::single_bottleneck(2);
   std::vector<std::shared_ptr<const ffc::core::RateAdjustment>> adjusters{

@@ -19,7 +19,6 @@
 #include "exec/param_grid.hpp"
 #include "exec/sweep_runner.hpp"
 #include "network/builders.hpp"
-#include "sim/feedback_sim.hpp"
 #include "sim/network_sim.hpp"
 #include "stats/rng.hpp"
 
@@ -228,23 +227,6 @@ TEST(ObsIntegration, NetworkSimulatorCollectsDesCounters) {
   EXPECT_GE(reg.counter("net.packets_served"),
             reg.counter("net.packets_delivered"));
   EXPECT_GT(reg.gauge("net.gateway0.mean_queue"), 0.0);
-}
-
-TEST(ObsIntegration, EpochRecordsSerializeAsJsonArray) {
-  std::vector<sim::EpochRecord> records(2);
-  records[0].rates = {0.5, 0.25};
-  records[0].signals = {1.5, 2.0};
-  records[0].delays = {1.0, 2.0};
-  records[1].rates = {0.75, 0.125};
-  records[1].signals = {0.5, 3.0};
-  records[1].delays = {1.25, 2.5};
-  std::ostringstream oss;
-  JsonWriter w(oss, 0);
-  sim::write_epochs_json(w, records);
-  w.close();
-  EXPECT_EQ(oss.str(),
-            R"([{"rates":[0.5,0.25],"signals":[1.5,2],"delays":[1,2]},)"
-            R"({"rates":[0.75,0.125],"signals":[0.5,3],"delays":[1.25,2.5]}])");
 }
 
 // ---- manifest determinism ------------------------------------------------

@@ -12,7 +12,6 @@
 namespace {
 
 using ffc::core::AdditiveTsi;
-using ffc::core::bifurcation_scan;
 using ffc::core::make_symmetric_aggregate_map;
 using ffc::core::OneDMap;
 using ffc::core::QuadraticSignal;
@@ -21,7 +20,6 @@ using ffc::core::ScalarOrbitKind;
 
 TEST(OneDMapBasics, IterateAndTrajectory) {
   OneDMap half([](double x) { return 0.5 * x; });
-  EXPECT_DOUBLE_EQ(half.iterate(8.0, 3), 1.0);
   const auto traj = half.trajectory(8.0, 3);
   ASSERT_EQ(traj.size(), 4u);
   EXPECT_DOUBLE_EQ(traj[0], 8.0);
@@ -70,21 +68,6 @@ TEST(OneDMapLyapunov, KnownValues) {
   EXPECT_NEAR(logistic.lyapunov(0.3, 1000, 20000), std::log(2.0), 0.05);
   OneDMap contraction([](double x) { return 0.5 + 0.3 * (x - 0.5); });
   EXPECT_NEAR(contraction.lyapunov(0.9, 100, 2000), std::log(0.3), 0.05);
-}
-
-TEST(BifurcationScan, LogisticRouteToChaos) {
-  const auto family = [](double lambda) {
-    return OneDMap([lambda](double x) { return lambda * x * (1.0 - x); });
-  };
-  const auto points =
-      bifurcation_scan(family, {2.8, 3.2, 3.5, 3.9}, 0.3, 3000, 512);
-  ASSERT_EQ(points.size(), 4u);
-  EXPECT_EQ(points[0].orbit.kind, ScalarOrbitKind::Converged);
-  EXPECT_EQ(points[1].orbit.period, 2u);
-  EXPECT_EQ(points[2].orbit.period, 4u);
-  EXPECT_EQ(points[3].orbit.kind, ScalarOrbitKind::Irregular);
-  EXPECT_LT(points[0].lyapunov, 0.0);
-  EXPECT_GT(points[3].lyapunov, 0.0);
 }
 
 TEST(SymmetricAggregateMap, FixedPointAtTargetUtilization) {

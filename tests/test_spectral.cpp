@@ -1,7 +1,7 @@
 // Analytic Jacobian-vector product tests: the closed-form operator against
 // the finite-difference oracle across disciplines, feedback styles, tied and
-// saturated base points; supported()/fallback dispatch; rebase() on both
-// operators; smoothness detection (docs/THEORY.md section 8).
+// saturated base points; supported()/fallback dispatch; smoothness
+// detection (docs/THEORY.md section 8).
 //
 // Tolerances: the FD oracle carries its own noise floor (~1e-12/h relative
 // from the O(N)-term load sums, plus O(h^2) truncation -- docs/SCALING.md),
@@ -89,11 +89,11 @@ TEST(AnalyticJacobianOperator, MatchesDenseJacobianAction) {
   const AnalyticJacobianOperator op(model, rates);
 
   Xoshiro256 rng(7);
-  std::vector<double> x(12), y(12);
+  std::vector<double> x(12), y(12), exact(12);
   for (int rep = 0; rep < 5; ++rep) {
     for (auto& e : x) e = rng.uniform(-1.0, 1.0);
     op.apply(x, y);
-    const auto exact = df.apply(x);
+    ffc::linalg::MatrixOperator(df).apply(x, exact);
     for (std::size_t i = 0; i < 12; ++i) {
       EXPECT_NEAR(y[i], exact[i], 2e-5) << "component " << i;
     }
@@ -167,7 +167,7 @@ TEST(AnalyticJacobianOperator, UnitColumnsMatchFdAtTiedBases) {
         ffc::linalg::materialize(AnalyticJacobianOperator(m, rates));
     const auto fd =
         ffc::linalg::materialize(ModelJacobianOperator(m, rates, fine));
-    const double diff = ffc::linalg::Matrix::max_abs_diff(analytic, fd);
+    const double diff = th::max_abs_diff(analytic, fd);
     EXPECT_LT(diff, 5e-7) << what;
   };
   for (const std::size_t n : {5u, 8u, 16u}) {
@@ -322,30 +322,6 @@ TEST(AnalyticJacobianOperator, UnsupportedLayersDetected) {
   auto supported = th::single_gateway_model(4, th::fair_share(),
                                             FeedbackStyle::Individual);
   EXPECT_TRUE(AnalyticJacobianOperator::supported(supported));
-}
-
-TEST(AnalyticJacobianOperator, RebaseMatchesFreshOperator) {
-  auto model = th::single_gateway_model(16, th::fair_share(),
-                                        FeedbackStyle::Individual);
-  std::vector<double> first(16), second(16);
-  for (std::size_t i = 0; i < 16; ++i) {
-    first[i] = 0.02 + 0.002 * double(i);
-    second[i] = 0.05 - 0.001 * double(i);
-  }
-  AnalyticJacobianOperator rebased(model, first);
-  rebased.rebase(second);
-  const AnalyticJacobianOperator fresh(model, second);
-
-  Xoshiro256 rng(99);
-  std::vector<double> x(16), yr(16), yf(16);
-  for (int rep = 0; rep < 3; ++rep) {
-    for (auto& e : x) e = rng.uniform(-1.0, 1.0);
-    rebased.apply(x, yr);
-    fresh.apply(x, yf);
-    for (std::size_t i = 0; i < 16; ++i) {
-      EXPECT_DOUBLE_EQ(yr[i], yf[i]) << "component " << i;
-    }
-  }
 }
 
 /// The seeded direction of ApplyMatchesParentBitwise: odd seeds draw from
@@ -600,49 +576,13 @@ TEST(SpectralStability, ApplicationsCountTheOperatorWork) {
   EXPECT_EQ(cert.applications, 2u);
 }
 
-TEST(AnalyticJacobianOperator, RebaseAcrossTieStructuresMatchesFreshBits) {
-  // Rebasing must rebuild everything the base point determines: the cached
-  // rate order and its tie runs, the Fair Share coefficients, the
-  // bottleneck slots and the smoothness flag. The detour base breaks the
-  // parking lot's ties differently at every gateway (distinct rates for
-  // a third of the connections) and moves the long connection's
-  // bottleneck to one hop.
-  const TiedCell c = tied_cell(0);
-  const std::size_t n = c.rates.size();
-  std::vector<double> detour = c.rates;
-  for (std::size_t i = 0; i < n; i += 3) {
-    detour[i] *= 1.0 - 1e-3 * double(i % 7 + 1);
-  }
-  AnalyticJacobianOperator rebased(c.model, c.rates);
-  const AnalyticJacobianOperator fresh_detour(c.model, detour);
-  const AnalyticJacobianOperator fresh(c.model, c.rates);
-  const auto expect_same = [&](const AnalyticJacobianOperator& a,
-                               const AnalyticJacobianOperator& b,
-                               const char* what) {
-    EXPECT_EQ(a.smooth(), b.smooth()) << what;
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      const std::vector<double> x = recorded_direction(n, seed);
-      std::vector<double> ya, yb;
-      a.apply(x, ya);
-      b.apply(x, yb);
-      EXPECT_EQ(bit_digest(ya), bit_digest(yb))
-          << what << " direction " << seed;
-    }
-  };
-  rebased.rebase(detour);
-  expect_same(rebased, fresh_detour, "rebased to the detour");
-  rebased.rebase(c.rates);
-  expect_same(rebased, fresh, "rebased back");
-}
-
 TEST(AnalyticJacobianOperator, ReusedTieOrderMatchesFreshOperatorBits) {
   // A +x pass keeps each tie run of the previous +x pass's order that is
   // still sorted by (dx, index). The sequence makes that history hold (2x,
   // an order-preserving perturbation), fail (-x, a random direction), and
   // hold in dx but not in index (-x rounded to halves: exact ties and both
-  // signed zeros inside runs, each group left in -x's order), then rebases
-  // across a change of tie structure. Every apply must match one apply on
-  // a fresh operator bit for bit.
+  // signed zeros inside runs, each group left in -x's order). Every apply
+  // must match one apply on a fresh operator bit for bit.
   for (int cell = 0; cell < 2; ++cell) {
     const TiedCell c = tied_cell(cell);
     const std::size_t n = c.rates.size();
@@ -668,56 +608,23 @@ TEST(AnalyticJacobianOperator, ReusedTieOrderMatchesFreshOperatorBits) {
     };
     ASSERT_GT(zeros(true), 0) << "cell " << cell;
     ASSERT_GT(zeros(false), 0) << "cell " << cell;
-    std::vector<double> detour = c.rates;
-    for (std::size_t i = 0; i < n; i += 3) {
-      detour[i] *= 1.0 - 1e-3 * double(i % 7 + 1);
-    }
 
-    AnalyticJacobianOperator op(c.model, c.rates);
-    const auto expect_fresh_bits = [&](const std::vector<double>& base,
-                                       const std::vector<double>& d,
+    const AnalyticJacobianOperator op(c.model, c.rates);
+    const auto expect_fresh_bits = [&](const std::vector<double>& d,
                                        const char* what) {
       std::vector<double> reused, fresh;
       op.apply(d, reused);
-      AnalyticJacobianOperator(c.model, base).apply(d, fresh);
+      AnalyticJacobianOperator(c.model, c.rates).apply(d, fresh);
       ASSERT_EQ(reused.size(), fresh.size());
       EXPECT_EQ(bit_digest(reused), bit_digest(fresh))
           << "cell " << cell << ": " << what;
     };
-    expect_fresh_bits(c.rates, x, "x");
-    expect_fresh_bits(c.rates, twice, "2x");
-    expect_fresh_bits(c.rates, nudged, "order-preserving perturbation");
-    expect_fresh_bits(c.rates, negated, "-x");
-    expect_fresh_bits(c.rates, tied, "ties and signed zeros");
-    expect_fresh_bits(c.rates, recorded_direction(n, 4), "random");
-    op.rebase(detour);
-    expect_fresh_bits(detour, x, "x after rebase");
-  }
-}
-
-TEST(ModelJacobianOperator, RebaseMatchesFreshOperator) {
-  // The FD operator's nominal step is a function of the base; rebase() must
-  // recompute it so a re-centred operator is BITWISE a fresh one (the ctor
-  // used to be the only way to get a correctly sized step).
-  auto model = th::single_gateway_model(12, th::fifo(),
-                                        FeedbackStyle::Aggregate);
-  std::vector<double> first(12, 0.01), second(12);
-  for (std::size_t i = 0; i < 12; ++i) second[i] = 0.05 + 0.002 * double(i);
-
-  ModelJacobianOperator rebased(model, first);
-  rebased.rebase(second);
-  const ModelJacobianOperator fresh(model, second);
-  EXPECT_EQ(rebased.base_rates(), second);
-
-  Xoshiro256 rng(5);
-  std::vector<double> x(12), yr(12), yf(12);
-  for (int rep = 0; rep < 3; ++rep) {
-    for (auto& e : x) e = rng.uniform(-1.0, 1.0);
-    rebased.apply(x, yr);
-    fresh.apply(x, yf);
-    for (std::size_t i = 0; i < 12; ++i) {
-      EXPECT_DOUBLE_EQ(yr[i], yf[i]) << "component " << i;
-    }
+    expect_fresh_bits(x, "x");
+    expect_fresh_bits(twice, "2x");
+    expect_fresh_bits(nudged, "order-preserving perturbation");
+    expect_fresh_bits(negated, "-x");
+    expect_fresh_bits(tied, "ties and signed zeros");
+    expect_fresh_bits(recorded_direction(n, 4), "random");
   }
 }
 

@@ -58,7 +58,7 @@ TEST(Jacobian, OneSidedDiagonalMatchesOperatorsAwayFromKinks) {
   const std::vector<double> r{0.1, 0.3};
   const auto analytic = materialize(AnalyticJacobianOperator(model, r));
   const auto fd = materialize(ModelJacobianOperator(model, r));
-  EXPECT_LT(ffc::linalg::Matrix::max_abs_diff(analytic, fd), 1e-6);
+  EXPECT_LT(th::max_abs_diff(analytic, fd), 1e-6);
   const auto uni = ffc::core::unilateral_stability(model, r);
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_NEAR(uni.forward[i], analytic(i, i), 1e-4) << i;

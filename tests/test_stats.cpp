@@ -142,29 +142,14 @@ TEST(OnlineStats, MeanAndVariance) {
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
 TEST(OnlineStats, EmptyIsZero) {
   OnlineStats s;
+  EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.ci_halfwidth(), 0.0);
-}
-
-TEST(OnlineStats, MergeMatchesSequential) {
-  OnlineStats all, left, right;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(i * 0.7) * 3 + i * 0.01;
-    all.add(x);
-    (i < 37 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-12);
 }
 
 TEST(TimeWeighted, ConstantSignal) {
