@@ -152,7 +152,7 @@ TEST(Eigen, SpectralRadiusMatchesPowerIteration) {
   // Independent cross-check: power iteration from a generic positive start
   // (a is nonnegative and irreducible, so its dominant eigenvalue is simple).
   const MatrixOperator op(a);
-  const auto norm2 = [](const Vector& x) {
+  const auto length = [](const Vector& x) {
     return std::sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2]);
   };
   Vector v{1.0, 1.37, 1.74};
@@ -160,10 +160,10 @@ TEST(Eigen, SpectralRadiusMatchesPowerIteration) {
   double pi = 0.0;
   for (int it = 0; it < 2000; ++it) {
     op.apply(v, w);
-    const double norm = norm2(w);
+    const double norm = length(w);
     for (double& x : w) x /= norm;
     op.apply(w, v);
-    pi = norm2(v);
+    pi = length(v);
     v = w;
   }
   EXPECT_NEAR(qr, pi, 1e-6);

@@ -209,13 +209,13 @@ Matrix with_spectrum(const std::vector<double>& d, std::uint64_t seed) {
   Xoshiro256 rng(seed);
   for (int reflection = 0; reflection < 3; ++reflection) {
     std::vector<double> u(n);
-    double norm2 = 0.0;
+    double sq_norm = 0.0;
     for (double& e : u) {
       e = rng.uniform(-1.0, 1.0);
-      norm2 += e * e;
+      sq_norm += e * e;
     }
     // a <- H a H with H = I - 2 u u^T / |u|^2.
-    const double f = 2.0 / norm2;
+    const double f = 2.0 / sq_norm;
     for (std::size_t c = 0; c < n; ++c) {
       double s = 0.0;
       for (std::size_t r = 0; r < n; ++r) s += u[r] * a(r, c);
