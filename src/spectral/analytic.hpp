@@ -134,9 +134,9 @@ class AnalyticJacobianOperator final : public linalg::LinearOperator {
   std::vector<double> jvp_coef_;
   std::vector<std::uint32_t> unsaturated_;
   /// History (E): the last Plus pass's perturbed order, starting as
-  /// rate_order_. A Plus pass keeps each tie run of it that
-  /// is still strictly sorted by (dx, index) and re-sorts the others, so it
-  /// only saves work: apply()'s result never depends on it.
+  /// rate_order_. A Plus pass keeps each tie run of it that is still
+  /// strictly sorted by (dx, index) and re-sorts the others, so it only
+  /// saves work: apply()'s result never depends on it.
   mutable std::vector<std::uint32_t> plus_order_;
   mutable std::vector<std::uint32_t> jvp_order_;  ///< Minus pass's order (E)
   mutable std::vector<queueing::DirectionKey> keys_;  ///< 2x longest tie run
